@@ -104,15 +104,15 @@ class Workload:
             with span("nn.trainer.epoch.float"):
                 trainer.train_epoch(train)
             epochs.append(("float", start, time.perf_counter()))
-        clock = EpochClock()
+        stamps = EpochClock()
         with span("core.pipeline.run_algorithm1"):
             result = run_algorithm1(
                 net, train, test, train.x[:N_CALIB], CONFIG,
-                rng=np.random.default_rng(TASK_SEED), checkpoint=clock,
+                rng=np.random.default_rng(TASK_SEED), checkpoint=stamps,
             )
-        epochs += clock.epochs
+        epochs += stamps.epochs
         if tracer is not None:
-            for phase, start, end in clock.epochs:
+            for phase, start, end in stamps.epochs:
                 tracer.record(f"nn.trainer.epoch.{phase}", start, end)
         deployed = result.mfdfp.deploy()
         with span("core.engine.compile"):
@@ -133,12 +133,13 @@ class Workload:
             "engine": engine,
         }
 
-    def measure(self, state, seconds: float, tally, tracer=None) -> dict:
+    def measure(self, state, seconds: float, tally, clock, tracer=None) -> dict:
         deadline = Deadline(seconds)
         epochs, middle, slowest, ops, runs = [], [], [], [], []
         with tracer.span("bench.measure") if tracer else nullcontext():
             while not runs or deadline.left() > 0:
-                start = time.perf_counter()
+                clock.tick()
+                start = clock.now()
                 with tracer.span("bench.pipeline") if tracer else nullcontext():
                     run = self.pipeline(state, tracer)
                 runs.append(run)
@@ -146,7 +147,7 @@ class Workload:
                 epochs += ms
                 middle.append(percentile(ms, 50))
                 slowest.append(max(ms))
-                ops.append((start, time.perf_counter(), len(ms) * N_TRAIN))
+                ops.append((start, clock.now(), len(ms) * N_TRAIN))
                 tally.attempted += 1
         state["last"] = runs[-1]
         errors = {run["error"] for run in runs}

@@ -58,7 +58,7 @@ class Workload:
     def close(self, state) -> None:
         pass
 
-    def measure(self, state, seconds: float, tally, tracer=None) -> dict:
+    def measure(self, state, seconds: float, tally, clock, tracer=None) -> dict:
         engines = state["engines"]
         run_codes = {m: engines[m].run_codes for m in MODELS}
         if tracer is not None:
@@ -71,7 +71,8 @@ class Workload:
         deadline = Deadline(seconds)
         with tracer.span("bench.measure") if tracer else nullcontext():
             while deadline.left() > 0:
-                took, done, begin = 0.0, 0, time.perf_counter()
+                clock.tick()
+                took, done, begin = 0.0, 0, clock.now()
                 for model in MODELS:
                     k = int(rng.integers(POOL))
                     x, y = self.inputs[model][0][k], self.inputs[model][1][k]
@@ -88,7 +89,7 @@ class Workload:
                     outputs.setdefault((model, k), codes)
                 samples += done
                 rounds.append(took)
-                ops.append((begin, time.perf_counter(), done))
+                ops.append((begin, clock.now(), done))
                 stalls += 1e3 * took > ROUND_LIMIT_MS
         cycles, energy = npu_per_inference(state["deployed"].values(), BATCH)
         ends = [end for _, end, _ in ops]

@@ -71,18 +71,39 @@ def make_workload(name: str, seed: int, workdir: Path):
     return module.Workload(seed)
 
 
-def run_plain(workload, seconds: float, tally) -> dict:
-    from common import peak_rss_mb, timed_setup
+#: End-to-end metrics in host time, reported at the reference host speed
+#: (``hostspeed.py``): times are multiplied by a speed factor, rates
+#: divided by it.  ``setup_s`` uses the slices run right after each
+#: set-up, the others the slices interleaved with the measured phase.
+HOST_TIMES = ("setup_s", "latency_p50_ms", "latency_p99_ms")
+HOST_RATES = ("throughput_per_s",)
 
-    state, setup_s = timed_setup(workload.setup, close=workload.close)
+
+def run_plain(workload, seconds: float, tally) -> tuple[dict, list[str]]:
+    from common import peak_rss_mb, timed_setup
+    from hostspeed import HostSpeed
+
+    setup_clock, clock = HostSpeed(), HostSpeed()
+    state, setup_s = timed_setup(
+        workload.setup, close=workload.close, between=lambda: setup_clock.sample(2)
+    )
     try:
-        metrics = workload.measure(state, seconds, tally)
+        metrics = workload.measure(state, seconds, tally, clock)
         metrics["peak_rss_mb"] = peak_rss_mb(getattr(workload, "rss_includes_children", False))
         workload.check(state, tally)
     finally:
         workload.close(state)
     metrics["setup_s"] = setup_s
-    return metrics
+    factors = {"setup": setup_clock.factor(), "measure": clock.factor()}
+    raw = {name: metrics[name] for name in HOST_TIMES + HOST_RATES if name in metrics}
+    for name, value in raw.items():
+        factor = factors["setup" if name == "setup_s" else "measure"]
+        metrics[name] = value * factor if name in HOST_TIMES else value / factor
+    lines = [
+        "host speed factors: " + json.dumps(factors),
+        "raw, before scaling: " + json.dumps(raw),
+    ]
+    return metrics, lines
 
 
 def install_layer_wraps(tracer) -> None:
@@ -92,7 +113,6 @@ def install_layer_wraps(tracer) -> None:
 
     tracer.wrap(MFDFPNetwork, "from_float", "core.mfdfp.from_float")
     tracer.wrap(MFDFPNetwork, "deploy", "core.mfdfp.deploy")
-    tracer.wrap(Trainer, "train_epoch", "nn.trainer.train_epoch")
     tracer.wrap(Trainer, "forward_batch", "nn.trainer.forward")
     tracer.wrap(Trainer, "backward_batch", "nn.trainer.backward")
     tracer.wrap(Trainer, "evaluate_error", "nn.trainer.eval")
@@ -103,11 +123,12 @@ def run_traced(workload, seconds: float, tally, trace_path: Path) -> tuple[dict,
     """Untraced half, then traced half; per-layer metrics from the traced one."""
     from common import mean, timed_setup
     from repro.core.engine import plane_decode_count
+    from hostspeed import HostSpeed
     from spans import Tracer
 
     state, _ = timed_setup(workload.setup, repeats=1)
     try:
-        untraced = workload.measure(state, seconds / 2, tally)
+        untraced = workload.measure(state, seconds / 2, tally, HostSpeed())
         workload.check(state, tally)
         extra = workload.untraced_layer_metrics(state) if hasattr(workload, "untraced_layer_metrics") else {}
     finally:
@@ -120,7 +141,7 @@ def run_traced(workload, seconds: float, tally, trace_path: Path) -> tuple[dict,
     try:
         with tracer.span("bench.setup"):
             state = workload.setup(tracer)
-        traced = workload.measure(state, seconds / 2, tally, tracer)
+        traced = workload.measure(state, seconds / 2, tally, HostSpeed(), tracer)
         metrics = {"core.engine.plane_decodes": plane_decode_count() - decodes}
         layer, lines = workload.layer_metrics(state, tracer)
         for metric, span in SPAN_MEANS_MS.items():
@@ -190,7 +211,7 @@ def main(argv=None) -> int:
             units = {m["name"]: m["unit"] for m in spec["per_layer"]}
             metrics = {name: metrics.get(name, 0.0) for name in units}
         else:
-            metrics = run_plain(workload, args.seconds, tally)
+            metrics, lines = run_plain(workload, args.seconds, tally)
             units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -1,21 +1,20 @@
-"""``serve``: open-loop Poisson traffic into one ``ServerRuntime``.
+"""``serve``: closed-loop traffic into one ``ServerRuntime``.
 
 Single-sample requests split 50/50 between the ``cifar10_full`` and
 ``alexnet`` deployables at 8x8 go into one runtime (thread backend, one
 worker per model, default greedy batching).  At this size an engine call
 costs well under a millisecond, so admission, mailbox wait, batch claim
-and future resolution dominate, and the engine runs small batches
+and future resolution weigh heavily, and the engine runs small batches
 instead of ``infer``'s 64.  Set-up publishes both artifacts to an
 ``ArtifactStore`` and cold-starts the registry from it, which puts
 ``repro.io`` on the path.
 
-Sixty percent of the measured time runs at the fixed reference rate,
-which sets the latency metrics and is the first rung of a fixed rate
-ladder; the higher rungs share the rest.  ``throughput_per_s`` is the
-completed rate at the highest rung whose p99 stays within the limit,
-with nothing refused or failed and a backlog that drains within the
-limit after the rung's last send.  One generator thread sends every
-request and times it from when it was due.
+Eight clients each send their next request as soon as their last one
+completes, so eight requests are always in flight (a closed loop; one
+generator thread sends for all of them).  A request is timed from its
+send.  An open-loop design, a fixed Poisson rate plus a rate ladder
+for the capacity, was built and measured first and did not repeat on
+a shared VM; README.md gives the figures.
 
 SLO mode (``target_p99_s``) is left out on purpose; see README.md.
 """
@@ -31,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from common import SERVE_LIMIT_MS, mean, percentile, windowed
+from common import SERVE_LIMIT_MS, chunked_rate, mean, percentile, windowed
 from layers import engine_layer_metrics, npu_per_inference, wrap_engine
 from repro.core import execute_deployed
 from repro.datasets import cifar10_surrogate, imagenet_surrogate
@@ -42,10 +41,11 @@ from repro.zoo import DEPLOYABLE_BUILDERS
 MODELS = ("cifar10_full", "alexnet")
 SIZE = 8
 POOL = 1024  # distinct seeded samples per model
-LADDER = (1000, 1500, 2000, 2500)  # requests/s
-FIXED_RATE = LADDER[0]  # sets the latency metrics; its phase is the ladder's first rung
-FIXED_SHARE = 0.6  # of the measured seconds spent at the fixed rate
-WARMUP_S = 1.0  # at the fixed rate, before the measured phases
+CLIENTS = 8  # requests in flight
+WARMUP_S = 1.0  # closed loop before the measured phase, not measured
+MAX_RATE = 20_000  # requests/s, an upper bound that sizes the arrays
+KEEP_ROWS = 4096  # first requests whose full responses are kept for the check
+SEGMENT_S = 2.0  # the measured phase runs in segments this long
 CHECK_PER_MODEL = 64  # served responses per model compared with execute_deployed
 DRAIN_TIMEOUT_S = 60.0
 WIDTH = 20  # widest output row of the two models
@@ -73,13 +73,16 @@ class _Responses:
 
     Holding one future per request for the whole run made the cyclic
     garbage collector walk tens of thousands of them in the middle of a
-    measured phase (a 50-100 ms pause).
+    measured phase (a 50-100 ms pause).  Each resolution frees its
+    client's slot.
     """
 
-    def __init__(self, n: int, width: int):
+    def __init__(self, n: int, slots: threading.Semaphore):
         self.done = np.full(n, np.nan)
-        self.rows = np.full((n, width), np.nan)
+        self.top = np.full(n, -1, dtype=np.int16)
+        self.rows = np.full((min(n, KEEP_ROWS), WIDTH), np.nan)
         self.failed = np.zeros(n, dtype=bool)
+        self.slots = slots
         self._pending = 0
         self._cond = threading.Condition()
 
@@ -91,9 +94,12 @@ class _Responses:
         self.done[i] = time.perf_counter()
         if future.exception() is None:
             row = future.result()
-            self.rows[i, : len(row)] = row
+            self.top[i] = np.argmax(row)
+            if i < len(self.rows):
+                self.rows[i, : len(row)] = row
         else:
             self.failed[i] = True
+        self.slots.release()
         with self._cond:
             self._pending -= 1
             self._cond.notify_all()
@@ -148,85 +154,69 @@ class Workload:
         shutil.rmtree(state["root"], ignore_errors=True)
 
     # -- load ----------------------------------------------------------------------
-    def _schedule(self, phase: int, rate: float, seconds: float):
+    def _drive(self, runtime, seconds: float, phase: int) -> dict:
+        """``CLIENTS`` requests in flight for ``seconds``; wait until all resolve."""
         rng = np.random.default_rng([self.seed, 10 + phase])
-        n = max(1, int(rate * seconds))
-        due = np.cumsum(rng.exponential(1.0 / rate, n))
-        return due, rng.integers(len(MODELS), size=n), rng.integers(POOL, size=n)
-
-    def _drive(self, runtime, due, which, index) -> dict:
-        """Send every request at its due time; wait until all resolve."""
-        n = len(due)
+        n = int(MAX_RATE * seconds) + CLIENTS
+        which, index = rng.integers(len(MODELS), size=n), rng.integers(POOL, size=n)
         sent = np.full(n, np.nan)
         submitted = np.full(n, np.nan)
-        responses = _Responses(n, WIDTH)
-        t0 = time.perf_counter() + 0.005
-        due_at = t0 + due
-        for i in range(n):
-            wait = due_at[i] - time.perf_counter()
-            if wait > 0:
-                time.sleep(wait)
-            model = MODELS[which[i]]
-            sent[i] = time.perf_counter()
+        slots = threading.Semaphore(CLIENTS)
+        responses = _Responses(n, slots)
+        end = time.perf_counter() + seconds
+        count = 0
+        while count < n:
+            slots.acquire()
+            sent[count] = time.perf_counter()
+            if sent[count] >= end:
+                break
+            model = MODELS[which[count]]
             try:
-                future = runtime.submit(model, self.inputs[model][0][index[i]])
-            except Exception:  # refused (queue full, closed): a miss, counted by the caller
+                future = runtime.submit(model, self.inputs[model][0][index[count]])
+            except Exception:  # refused or closed: a failed request, counted by the caller
+                slots.release()
+                count += 1
                 continue
-            submitted[i] = time.perf_counter()
+            submitted[count] = time.perf_counter()
             responses.expect()
-            future.add_done_callback(partial(responses.resolve, i))
+            future.add_done_callback(partial(responses.resolve, count))
+            count += 1
         responses.wait(DRAIN_TIMEOUT_S)
-        done = responses.done
-        ok = ~np.isnan(submitted) & ~np.isnan(done) & ~responses.failed
+        done = responses.done[:count]
+        ok = ~np.isnan(submitted[:count]) & ~np.isnan(done) & ~responses.failed[:count]
         return {
-            "due_at": due_at, "sent": sent, "submitted": submitted, "done": done, "ok": ok,
-            "latency": np.where(ok, done - due_at, np.inf), "rows": responses.rows,
-            "which": which, "index": index,
+            "sent": sent[:count], "submitted": submitted[:count], "done": done, "ok": ok,
+            "top": responses.top[:count], "which": which[:count], "index": index[:count],
+            "rows": responses.rows[:count],
         }
 
-    def measure(self, state, seconds: float, tally, tracer=None) -> dict:
+    def measure(self, state, seconds: float, tally, clock, tracer=None) -> dict:
         runtime = state["runtime"]
-        fixed_s = seconds * FIXED_SHARE
-        rung_s = seconds * (1 - FIXED_SHARE) / (len(LADDER) - 1)
-        phases = [(FIXED_RATE, WARMUP_S), (FIXED_RATE, fixed_s)]
-        phases += [(rate, rung_s) for rate in LADDER[1:]]
-        runs = []
-        for p, (rate, secs) in enumerate(phases):
-            run = self._drive(runtime, *self._schedule(p, rate, secs))
-            run["rate"] = rate
-            runs.append(run)
-            tally.attempted += len(run["ok"])
-            tally.failed += int(np.count_nonzero(~run["ok"]))
-        runs = runs[1:]  # the warm-up only fills lazy state
-        fixed = runs[0]
-        ms = 1e3 * fixed["latency"]
-        errors = served = 0
-        for i in np.flatnonzero(fixed["ok"]):
-            model = MODELS[fixed["which"][i]]
-            label = self.inputs[model][1][fixed["index"][i]]
-            width = state["deployed"][model].ops[-1].out_features
-            errors += int(np.argmax(fixed["rows"][i, :width]) != label)
-            served += 1
-        capacity = 0.0
-        ladder = {}
-        for run in runs:
-            p99 = 1e3 * percentile(run["latency"], 99)
-            ladder[run["rate"]] = p99
-            drained = 1e3 * (np.nanmax(run["done"]) - run["due_at"][-1]) <= SERVE_LIMIT_MS
-            if run["ok"].all() and p99 <= SERVE_LIMIT_MS and drained:
-                capacity = np.count_nonzero(run["ok"]) / (np.nanmax(run["done"]) - run["due_at"][0])
-        lag = np.concatenate([r["sent"] - r["due_at"] for r in runs])
-        state["fixed"] = fixed
-        state["generator"] = {
-            "lag_p99_ms": 1e3 * percentile(lag[~np.isnan(lag)], 99),
-            "ladder_p99_ms": ladder,
-        }
-        state["runs"] = runs
+        self._drive(runtime, WARMUP_S, 0)  # fills lazy state only
+        # Segments of about SEGMENT_S, with the reference slices between them.
+        segments = max(1, round(seconds / SEGMENT_S))
+        parts = []
+        for k in range(segments):
+            clock.tick()
+            parts.append(self._drive(runtime, seconds / segments, 1 + k))
+        clock.tick()
+        run = {key: np.concatenate([part[key] for part in parts]) for key in parts[0] if key != "rows"}
+        run["rows"] = parts[0]["rows"]  # full responses of the first segment's first requests
+        run["latency"] = np.where(run["ok"], run["done"] - run["sent"], np.inf)
+        tally.attempted += len(run["ok"])
+        tally.failed += int(np.count_nonzero(~run["ok"]))
+        state["run"] = run
+        ms = 1e3 * run["latency"]
+        labels = np.array([self.inputs[MODELS[m]][1][i] for m, i in zip(run["which"], run["index"])])
+        served = np.count_nonzero(run["ok"])
+        errors = np.count_nonzero(run["ok"] & (run["top"] != labels))
+        order = np.argsort(run["done"])
+        ops = [(run["sent"][i], run["done"][i], 1) for i in order if run["ok"][i]]
         cycles, energy = npu_per_inference(state["deployed"].values(), 1)
         return {
-            "throughput_per_s": capacity,
-            "latency_p50_ms": windowed(ms, fixed["due_at"], 50),
-            "latency_p99_ms": windowed(ms, fixed["due_at"], 99),
+            "throughput_per_s": chunked_rate(ops),
+            "latency_p50_ms": windowed(ms, run["sent"], 50),
+            "latency_p99_ms": windowed(ms, run["sent"], 99),
             "slo_met_share": float(np.count_nonzero(ms <= SERVE_LIMIT_MS)) / len(ms),
             "top1_error": errors / served if served else 1.0,
             "npu_cycles_per_inf": cycles,
@@ -235,58 +225,58 @@ class Workload:
 
     def check(self, state, tally) -> None:
         """A seeded subset of served responses equals the eager reference."""
-        fixed = state["fixed"]
+        run = state["run"]
         rng = np.random.default_rng([self.seed, 2])
+        kept = np.arange(len(run["ok"])) < len(run["rows"])
         for m, model in enumerate(MODELS):
-            served = np.flatnonzero(fixed["ok"] & (fixed["which"] == m))
+            served = np.flatnonzero(run["ok"] & kept & (run["which"] == m))
             picks = np.sort(rng.choice(served, min(CHECK_PER_MODEL, len(served)), replace=False))
             deployed = state["deployed"][model]
-            x = self.inputs[model][0][fixed["index"][picks]]
+            x = self.inputs[model][0][run["index"][picks]]
             ref = execute_deployed(deployed, x)
             scale = 2.0 ** deployed.ops[-1].out_frac  # logits are codes x 2^-out_frac
             for row, i in zip(ref, picks):
-                codes = fixed["rows"][i, : len(row)] * scale
+                codes = run["rows"][i, : len(row)] * scale
                 tally.check(np.array_equal(codes, row), f"{model} request {i} differs from execute_deployed")
 
     # -- traced run --------------------------------------------------------------------
     def layer_metrics(self, state, tracer) -> tuple[dict, list[str]]:
         metrics, lines = engine_layer_metrics(tracer, state["deployed"], 1)
-        stages = {k: [] for k in ("lag", "submit", "wait", "engine", "resolve")}
+        stages = {k: [] for k in ("submit", "wait", "engine", "resolve")}
         latency_total = accounted = 0.0
         batches = {m: [s for s in tracer.spans if s.name == "serve.engine" and s.attrs["model"] == m]
                    for m in MODELS}
         rid = 0
-        for run in state["runs"]:
-            for m, model in enumerate(MODELS):
-                # workers=1 and FIFO claims: a model's batches serve its
-                # admitted requests in submission order.
-                queue = np.flatnonzero((run["which"] == m) & ~np.isnan(run["submitted"]))
-                cursor = 0
-                for span in sorted(batches[model], key=lambda s: s.start):
-                    if cursor >= len(queue):
-                        break
-                    if span.end < run["due_at"][0]:
-                        continue
-                    for i in queue[cursor:cursor + span.attrs["n"]]:
-                        parts = {
-                            "lag": run["sent"][i] - run["due_at"][i],
-                            "submit": run["submitted"][i] - run["sent"][i],
-                            "wait": span.start - run["submitted"][i],
-                            "engine": span.duration,
-                            "resolve": run["done"][i] - span.end,
-                        }
-                        total = run["done"][i] - run["due_at"][i]
-                        latency_total += total
-                        accounted += sum(v for v in parts.values() if v >= 0)
-                        edges = [run["due_at"][i], run["sent"][i], run["submitted"][i],
-                                 span.start, span.end, run["done"][i]]
-                        lane = -1 - rid
-                        tracer.record("bench.request", edges[0], edges[-1], lane=lane, rid=rid)
-                        for (name, value), a, b in zip(parts.items(), edges, edges[1:]):
-                            stages[name].append(value)
-                            tracer.record(f"serve.{name}", a, b, lane=lane, rid=rid)
-                        rid += 1
-                    cursor += span.attrs["n"]
+        run = state["run"]
+        for m, model in enumerate(MODELS):
+            # workers=1 and FIFO claims: a model's batches serve its
+            # admitted requests in submission order.
+            queue = np.flatnonzero((run["which"] == m) & ~np.isnan(run["submitted"]))
+            cursor = 0
+            for span in sorted(batches[model], key=lambda s: s.start):
+                if cursor >= len(queue):
+                    break
+                if span.end < run["sent"][0]:
+                    continue
+                for i in queue[cursor:cursor + span.attrs["n"]]:
+                    parts = {
+                        "submit": run["submitted"][i] - run["sent"][i],
+                        "wait": span.start - run["submitted"][i],
+                        "engine": span.duration,
+                        "resolve": run["done"][i] - span.end,
+                    }
+                    total = run["done"][i] - run["sent"][i]
+                    latency_total += total
+                    accounted += sum(v for v in parts.values() if v >= 0)
+                    edges = [run["sent"][i], run["submitted"][i],
+                             span.start, span.end, run["done"][i]]
+                    lane = -1 - rid
+                    tracer.record("bench.request", edges[0], edges[-1], lane=lane, rid=rid)
+                    for (name, value), a, b in zip(parts.items(), edges, edges[1:]):
+                        stages[name].append(value)
+                        tracer.record(f"serve.{name}", a, b, lane=lane, rid=rid)
+                    rid += 1
+                cursor += span.attrs["n"]
         snaps = [state["runtime"].metrics(m).snapshot() for m in MODELS]
         metrics.update({
             "serve.submit_us": 1e6 * mean(stages["submit"]),
@@ -306,12 +296,3 @@ class Workload:
             + ", ".join(f"{k} {1e3 * percentile(v, 50):.3f}" for k, v in stages.items())
         )
         return metrics, lines
-
-    def untraced_layer_metrics(self, state) -> dict:
-        """Generator figures, taken from the untraced half of a traced run."""
-        gen = state["generator"]
-        metrics = {"loadgen.lag_p99_ms": gen["lag_p99_ms"]}
-        for rate, p99 in gen["ladder_p99_ms"].items():
-            metrics[f"serve.ladder.{rate}.p99_ms"] = p99
-        return metrics
-

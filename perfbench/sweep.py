@@ -65,7 +65,7 @@ class Workload:
     def close(self, state) -> None:
         pass
 
-    def measure(self, state, seconds: float, tally, tracer=None) -> dict:
+    def measure(self, state, seconds: float, tally, clock, tracer=None) -> dict:
         deployed, test = state["deployed"], state["test"]
         canonical = _campaign(deployed, self.canonical, np.random.default_rng(CANONICAL_SEED))
         recorded = [tuple(p) for p in expected("sweep")["canonical_curve"]]
@@ -75,29 +75,35 @@ class Workload:
             self._trace_pool(tracer, state)
         campaign = tracer.timed(_campaign, "analysis.campaign") if tracer else _campaign
         deadline = Deadline(seconds)
-        times, ops, errors, results = [], [], [], []
+        times, ops, results, attempts = [], [], [], 0
         with tracer.span("bench.measure") if tracer else nullcontext():
-            while not times or deadline.left() > 0:
-                rng = np.random.default_rng([self.seed, len(times)])
+            while not attempts or deadline.left() > 0:
+                clock.tick()
+                rng = np.random.default_rng([self.seed, attempts])
+                attempts += 1
                 tally.attempted += 1
-                t0 = time.perf_counter()
+                t0 = clock.now()
                 try:
                     result = campaign(deployed, test, rng)
                 except Exception as exc:  # a failed campaign is counted, not fatal
                     tally.check(False, f"campaign raised {exc!r}")
                     continue
-                times.append(time.perf_counter() - t0)
+                times.append(clock.now() - t0)
                 ops.append((t0, t0 + times[-1], len(result.points)))
                 results.append(result)
-                errors += [1.0 - acc for _, acc in result.points]
         state["results"] = results
+        if not results:
+            return {}  # every campaign failed: counted above, no figures
         cycles, energy = npu_per_inference([deployed], BATCH)
         return {
             "throughput_per_s": chunked_rate(ops),
             "latency_p50_ms": 1e3 * percentile(times, 50),
             "latency_p99_ms": 1e3 * windowed(times, [end for _, end, _ in ops], 99, WINDOW_S),
             "slo_met_share": sum(1e3 * t <= CAMPAIGN_LIMIT_MS for t in times) / len(times),
-            "top1_error": float(np.mean(errors)),
+            # The canonical campaign's curve: fixed data and fault generator,
+            # so it repeats exactly.  The untrained zoo net sits at chance
+            # (0.0957 clean on ten classes), so faults barely move it.
+            "top1_error": float(np.mean([1.0 - acc for _, acc in canonical.points])),
             "npu_cycles_per_inf": cycles,
             "npu_energy_uj_per_inf": energy,
         }
@@ -110,8 +116,9 @@ class Workload:
         for i, result in enumerate(state["results"]):
             points = dict(result.points)
             tally.check(points.get(0.0) == clean, f"campaign {i} clean point {points.get(0.0)} != {clean}")
-        replay = _campaign(deployed, test, np.random.default_rng([self.seed, 0]))
-        tally.check(replay.points == state["results"][0].points, "campaign 0 did not replay exactly")
+        if state["results"]:
+            replay = _campaign(deployed, test, np.random.default_rng([self.seed, 0]))
+            tally.check(replay.points == state["results"][0].points, "campaign 0 did not replay exactly")
 
     # -- traced run --------------------------------------------------------------------
     def _trace_pool(self, tracer, state) -> None:
