@@ -67,7 +67,7 @@ def test_bench_weight_decode(benchmark, stimuli):
 def test_bench_integer_vs_float_layer(benchmark):
     """Integer conv execution of a deployed layer on a 16x16 batch."""
     from repro.core import MFDFPNetwork
-    from repro.hw.accelerator import execute_deployed
+    from repro.core.engine import execute_deployed
     from repro.zoo import cifar10_small
 
     rng = np.random.default_rng(2)

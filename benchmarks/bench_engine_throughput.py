@@ -21,7 +21,6 @@ import pytest
 from repro.core import MFDFPNetwork
 from repro.core.engine import BatchedEngine, execute_deployed
 from repro.datasets import cifar10_surrogate
-from repro.serve import ServeStats, predict_many
 from repro.zoo import cifar10_small
 
 BATCH = 64
@@ -53,12 +52,6 @@ def test_bench_compiled_engine(served, benchmark):
     engine = served["engine"]
     engine.run_codes(served["x"])  # compile/warm outside the timer
     out = benchmark(engine.run_codes, served["x"])
-    assert out.shape[0] == BATCH
-
-
-def test_bench_predict_many(served, benchmark):
-    stats = ServeStats()
-    out = benchmark(predict_many, served["engine"], served["x"], 16, stats)
     assert out.shape[0] == BATCH
 
 

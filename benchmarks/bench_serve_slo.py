@@ -1,14 +1,22 @@
-"""Serving SLO gates: sustained-load p99, zero-drop rollover, crash isolation.
+"""Serving gates: throughput, sustained-load p99, zero-drop rollover, crash isolation.
 
-``bench_serve_concurrency`` gates raw throughput; this file gates the
-*supervised* runtime's behavioural contracts under load:
+Every gate runs the supervised :class:`~repro.serve.ServerRuntime` over
+the zoo's two serving entry points at serving scale (size-8
+``cifar10_full`` and ``alexnet`` artifacts — high request rates against
+small models is exactly the regime micro-batching exists for), built
+once per module:
 
+* **Throughput** — a concurrent runtime (4 workers × micro-batch 64,
+  open loop, all clients' requests in flight at once, interleaved across
+  models) must deliver ≥ 3x the requests/sec of the serialized baseline
+  (one worker, micro-batch 1, closed loop: the naive synchronous
+  one-thread server), with every future bit-identical to a solo engine
+  run (no cross-model bleed, no loss).  Micro-batching amortizes the
+  per-call dispatch that dominates solo runs, and the BLAS kernels
+  release the GIL so batches of different models overlap.
 * **Sustained-load p99** — a paced open-loop stream (bounded in-flight
   window, ~half the machine's measured capacity) against the adaptive
   batcher must keep the served p99 under the configured SLO target.
-  The latency gate itself is ``full_only`` (wall-clock numbers mean
-  nothing on a loaded smoke machine); the pacing loop and its
-  exactly-once accounting run in ``--quick`` too.
 * **Rollover under load** — ``rollover()`` fired mid-stream between two
   store-published versions must drop nothing: every future resolves,
   each is bit-identical to the engine of whichever version served it
@@ -19,6 +27,9 @@
   bit-identical, zero failures) while the crashed model restarts and
   keeps serving.
 
+The wall-clock gates (throughput ratio, p99) are ``full_only``:
+wall-clock numbers mean nothing on a loaded smoke machine.  The
+bit-identity and exactly-once accounting checks run in ``--quick`` too.
 Measured numbers land in ``benchmarks/BENCH_serve_slo.json`` on full
 runs via the shared ``bench_metrics`` fixture.
 """
@@ -38,11 +49,28 @@ from repro.serve import (
 )
 from repro.zoo import alexnet_deployable, cifar10_full_deployable
 
+MODELS = ("cifar10_full", "alexnet")
+REQUESTS_PER_MODEL = 256  # per model, throughput gate
+WORKERS = 4
+MAX_BATCH = 64
+GATE = 3.0  # concurrent / serialized requests per second
+
 #: Served-latency SLO for the sustained-load gate: generous (~50x) over
 #: the size-8 artifact's per-batch cost, tight against real regressions
 #: (an engine recompile per batch or a lost-wakeup stall blows through it).
 TARGET_P99_S = 0.05
 WINDOW = 32  # in-flight requests per pacing wave
+
+
+@pytest.fixture(scope="module")
+def registry():
+    """The size-8 serving registry, every engine compiled outside the timers."""
+    registry = ModelRegistry()
+    registry.register("cifar10_full", lambda: cifar10_full_deployable(size=8))
+    registry.register("alexnet", lambda: alexnet_deployable(size=8))
+    for name in MODELS:
+        registry.engine(name)
+    return registry
 
 
 @pytest.fixture(scope="module")
@@ -66,14 +94,92 @@ def _paced_stream(runtime, name, requests):
     return time.perf_counter() - start, futures
 
 
-class TestSustainedLoadP99:
+class TestThroughput:
     @pytest.fixture(scope="class")
-    def stream_registry(self):
-        registry = ModelRegistry()
-        registry.register("cifar10_full", lambda: cifar10_full_deployable(size=8))
-        registry.engine("cifar10_full")  # compile outside any timed region
-        return registry
+    def requests(self, registry, quick):
+        """Per-model request batches (smaller in --quick)."""
+        per_model = 32 if quick else REQUESTS_PER_MODEL
+        rng = np.random.default_rng(11)
+        return {
+            name: rng.normal(
+                scale=0.5, size=(per_model,) + registry.engine(name).input_shape
+            ).astype(np.float32)
+            for name in MODELS
+        }
 
+    @staticmethod
+    def _serialized(registry, requests):
+        """Closed loop, one worker, batch 1: strictly one request at a time."""
+        runtime = ServerRuntime(registry, MODELS, workers=1, max_batch=1, max_queue=4)
+        start = time.perf_counter()
+        with runtime:
+            for i in range(len(requests[MODELS[0]])):
+                for name in MODELS:
+                    runtime.submit(name, requests[name][i]).result(timeout=120)
+        return time.perf_counter() - start
+
+    @staticmethod
+    def _concurrent(registry, requests):
+        """Open loop, worker pool, micro-batches: everything in flight at once."""
+        runtime = ServerRuntime(
+            registry, MODELS, workers=WORKERS, max_batch=MAX_BATCH, max_queue=10_000
+        )
+        start = time.perf_counter()
+        with runtime:
+            futures = [
+                (name, i, runtime.submit(name, requests[name][i]))
+                for i in range(len(requests[MODELS[0]]))
+                for name in MODELS  # interleaved, as concurrent client traffic
+            ]
+            for _, _, future in futures:
+                future.result(timeout=120)
+        return time.perf_counter() - start, futures
+
+    @staticmethod
+    def _assert_bit_identical(registry, requests, futures):
+        references = {name: registry.engine(name).run(requests[name]) for name in MODELS}
+        for name, i, future in futures:
+            assert np.array_equal(future.result(0), references[name][i]), (name, i)
+
+    def test_bench_serialized_baseline(self, registry, requests, benchmark):
+        benchmark(self._serialized, registry, requests)
+
+    def test_bench_concurrent_runtime(self, registry, requests, benchmark):
+        benchmark(self._concurrent, registry, requests)
+
+    def test_concurrent_bit_identical(self, registry, requests):
+        """Every future resolves exactly as a solo engine run (quick mode too)."""
+        _, futures = self._concurrent(registry, requests)
+        self._assert_bit_identical(registry, requests, futures)
+
+    def test_concurrent_3x_serialized_and_bit_identical(
+        self, registry, requests, full_only, bench_metrics
+    ):
+        """Acceptance gate: ≥ 3x the 1-worker serialized baseline, exact outputs."""
+        total = sum(len(batch) for batch in requests.values())
+
+        self._concurrent(registry, requests)  # warm the pool/allocator paths outside the timers
+        serial_s = min(self._serialized(registry, requests) for _ in range(3))
+        concurrent_s, futures = min(
+            (self._concurrent(registry, requests) for _ in range(3)), key=lambda pair: pair[0]
+        )
+        self._assert_bit_identical(registry, requests, futures)
+
+        serial_rps = total / serial_s
+        concurrent_rps = total / concurrent_s
+        speedup = concurrent_rps / serial_rps
+        print(
+            f"\n{total} requests over {len(MODELS)} models: "
+            f"serialized {serial_rps:.0f} req/s, concurrent {concurrent_rps:.0f} req/s "
+            f"({speedup:.1f}x)"
+        )
+        bench_metrics["serialized_rps"] = round(serial_rps, 1)
+        bench_metrics["concurrent_rps"] = round(concurrent_rps, 1)
+        bench_metrics["concurrent_speedup"] = round(speedup, 2)
+        assert speedup >= GATE, f"concurrent runtime only {speedup:.2f}x over serialized baseline"
+
+
+class TestSustainedLoadP99:
     def _runtime(self, registry):
         return ServerRuntime(
             registry,
@@ -84,13 +190,13 @@ class TestSustainedLoadP99:
             target_p99_s=TARGET_P99_S,
         )
 
-    def test_paced_stream_accounting_is_exact(self, stream_registry, quick):
+    def test_paced_stream_accounting_is_exact(self, registry, quick):
         """Quick-safe: the pacing loop loses and double-serves nothing."""
         n = 64 if quick else 512
         rng = np.random.default_rng(5)
-        shape = stream_registry.engine("cifar10_full").input_shape
+        shape = registry.engine("cifar10_full").input_shape
         requests = rng.normal(scale=0.5, size=(n,) + shape).astype(np.float32)
-        runtime = self._runtime(stream_registry)
+        runtime = self._runtime(registry)
         with runtime:
             _, futures = _paced_stream(runtime, "cifar10_full", requests)
         assert len(futures) == n and all(f.exception(timeout=0) is None for f in futures)
@@ -99,13 +205,13 @@ class TestSustainedLoadP99:
         assert metrics.rejected == 0 and metrics.crashed == 0
         assert metrics.queue_depth == 0
 
-    def test_sustained_p99_meets_target(self, stream_registry, full_only, bench_metrics):
+    def test_sustained_p99_meets_target(self, registry, full_only, bench_metrics):
         """Acceptance gate: served p99 under the SLO target, sustained."""
         n = 2048
         rng = np.random.default_rng(6)
-        shape = stream_registry.engine("cifar10_full").input_shape
+        shape = registry.engine("cifar10_full").input_shape
         requests = rng.normal(scale=0.5, size=(n,) + shape).astype(np.float32)
-        runtime = self._runtime(stream_registry)
+        runtime = self._runtime(registry)
         with runtime:
             _paced_stream(runtime, "cifar10_full", requests[:WINDOW])  # warm
             elapsed, futures = _paced_stream(runtime, "cifar10_full", requests)
@@ -184,14 +290,9 @@ class TestRolloverUnderLoad:
 
 
 class TestCrashIsolation:
-    def test_injected_crashes_never_touch_the_healthy_model(self, quick, bench_metrics):
-        from repro.core.engine import BatchedEngine
-
+    def test_injected_crashes_never_touch_the_healthy_model(self, registry, quick, bench_metrics):
         per_model = 48 if quick else 384
-        registry = ModelRegistry()
-        registry.register("cifar10_full", lambda: cifar10_full_deployable(size=8))
-        registry.register("alexnet", lambda: alexnet_deployable(size=8))
-        real = {name: registry.engine(name) for name in ("cifar10_full", "alexnet")}
+        real = {name: registry.engine(name) for name in MODELS}
         # Crash calls 2 and 5: with max_batch=8 even the --quick stream
         # (48 requests => >= 6 claims) is guaranteed to hit both.
         flaky = CrashingEngine(real["cifar10_full"], crash_on={2, 5})
@@ -203,7 +304,7 @@ class TestCrashIsolation:
 
         runtime = ServerRuntime(
             registry,
-            ["cifar10_full", "alexnet"],
+            MODELS,
             workers=2,
             max_batch=8,
             max_queue=10_000,

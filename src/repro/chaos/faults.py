@@ -113,7 +113,7 @@ def fault_crash(plan, rule, ctx) -> None:
 def fault_latency(plan, rule, ctx) -> None:
     """A latency spike: sleep ``params['seconds']`` on the context's clock.
 
-    ``ctx['sleep']`` (injectable — the serve tests pass a fake-clock
+    ``ctx['sleep']`` (injectable, so a test can pass a fake-clock
     sleeper) defaults to :func:`time.sleep`.
     """
     sleep = ctx.get("sleep") or time.sleep

@@ -80,7 +80,7 @@ zoo's deployable artifacts and publishes them (content-addressed,
 versioned) into an :class:`~repro.io.store.ArtifactStore`; ``serve
 --store DIR`` then cold-starts the registry from disk without
 retraining or requantizing anything.  ``import`` validates any deployed
-artifact file (current or legacy ``repro.hw.export`` format) and
+artifact file (current or legacy version-1 format) and
 publishes it under a chosen name.  ``fig3``/``table2`` accept
 ``--checkpoint-dir`` to write epoch-boundary checkpoints of the
 surrogate training, and ``resume`` continues such a run bit-identically
@@ -237,6 +237,16 @@ def _cmd_serve(args) -> None:
     models = [
         name.strip() for name in (args.models or default_models).split(",") if name.strip()
     ]
+    if not models:
+        raise SystemExit("error: --models names no model")
+    known = registry.names()
+    for name in models:  # fail fast, before any model compiles
+        if name not in known:
+            raise SystemExit(f"error: unknown model {name!r}; registered: {', '.join(known)}")
+    if args.min_batch > args.batch:
+        raise SystemExit(
+            f"error: --min-batch ({args.min_batch}) must not exceed --batch ({args.batch})"
+        )
     runtime = ServerRuntime(
         registry,
         models,
@@ -787,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
     pim = sub.add_parser(
         "import", help="validate a deployed-artifact file and publish it into a store"
     )
-    pim.add_argument("src", help="artifact file (current or legacy hw.export format)")
+    pim.add_argument("src", help="artifact file (current or legacy version-1 format)")
     pim.add_argument("--store", required=True, metavar="DIR", help="artifact store directory")
     pim.add_argument(
         "--name", default=None, help="store name (default: the artifact's own name)"

@@ -19,9 +19,8 @@ round-half-to-even exactly as in the RTL datapath):
 
 Both paths dispatch through one layer-op registry (:data:`OP_REGISTRY`),
 so adding an op kind means adding exactly one :class:`LayerOpHandler`.
-The registry is also what :mod:`repro.hw.accelerator` executes — the
-scalar/back-compat entry point ``repro.hw.accelerator.execute_deployed``
-forwards here.
+The registry is also what :meth:`repro.hw.accelerator.Accelerator.run`
+executes, through :func:`execute_deployed`.
 """
 
 from __future__ import annotations

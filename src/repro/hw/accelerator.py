@@ -4,8 +4,8 @@ Combines the cost model (Table 1), the tile scheduler (inference time in
 Table 2) and bit-accurate execution of deployed MF-DFP networks.  The
 execution kernels themselves live in :mod:`repro.core.engine` — one
 layer-op registry shared by the eager reference path and the compiled
-:class:`~repro.core.engine.BatchedEngine`; this module re-exports
-:func:`execute_deployed` and adds the hardware accounting around both.
+:class:`~repro.core.engine.BatchedEngine`; this module adds the
+hardware accounting around both.
 The FP32 baseline is the same tile organization with 32-bit multipliers
 and a deeper multiply pipeline; it executes networks in plain floating
 point.
@@ -200,6 +200,9 @@ class Accelerator:
         Every activation is an integer code; every multiply is a shift;
         rounding is round-half-to-even exactly as in the RTL datapath.
         """
+        # Lazy: repro.core.engine imports repro.hw.datapath.
+        from repro.core.engine import execute_deployed
+
         if self.config.precision != "mfdfp":
             raise ValueError("run() executes MF-DFP networks; use run_float for the baseline")
         codes = execute_deployed(deployed, x, check_widths=self.config.check_widths)
@@ -300,20 +303,3 @@ class Accelerator:
             z = self.run(member, x)
             acc = z if acc is None else acc + z
         return acc / len(members)
-
-
-# -- bit-accurate execution ------------------------------------------------------
-def execute_deployed(
-    deployed: DeployedMFDFP, x: np.ndarray, check_widths: bool = False
-) -> np.ndarray:
-    """Run a deployed network on a batch, all-integer; returns out codes.
-
-    Back-compat entry point: the implementation (and the layer-op
-    registry it dispatches through) lives in :mod:`repro.core.engine`.
-    Imported lazily to keep ``repro.hw`` importable before
-    ``repro.core.engine`` finishes loading (the engine imports the
-    datapath primitives from this package).
-    """
-    from repro.core.engine import execute_deployed as _execute
-
-    return _execute(deployed, x, check_widths=check_widths)

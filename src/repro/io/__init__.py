@@ -7,7 +7,7 @@ Everything the reproduction writes to disk flows through this package:
   :class:`~repro.io.artifacts.ArtifactError` hierarchy) with codecs for
   deployed MF-DFP networks, float networks, optimizer state, training
   checkpoints and full :class:`~repro.core.pipeline.MFDFPResult`
-  objects.  The legacy ``repro.hw.export`` format loads here too.
+  objects.  The legacy version-1 format loads here too.
 * :mod:`repro.io.checkpoint` — periodic epoch-boundary checkpoints for
   :class:`~repro.nn.trainer.Trainer` and Algorithm 1, with exact
   (bit-identical) resume.

@@ -25,10 +25,9 @@ Integrity is layered:
   still cannot reach the serving registry.
 
 All three are :class:`ArtifactError`, which subclasses ``ValueError``
-so callers of the pre-container ``repro.hw.export`` API (now a shim
-over this module) keep working.
+so callers that catch ``ValueError`` keep working.
 
-Version 1 is the legacy ``repro.hw.export`` layout (deployed networks
+Version 1 is the legacy pre-container layout (deployed networks
 only, no magic, no fingerprint, no ``groups`` field); its loader lives
 here so every artifact ever written stays loadable.  Version 2 is the
 current container.  ``DEPLOYED_LOADERS`` maps each supported version to
@@ -78,8 +77,8 @@ register_site(
 class ArtifactError(ValueError):
     """Base class for artifact persistence failures.
 
-    Subclasses ``ValueError`` for compatibility with the original
-    ``repro.hw.export`` error contract.
+    Subclasses ``ValueError``, the error contract of the original
+    version-1 loader.
     """
 
 
@@ -136,7 +135,7 @@ def _parse_header(raw: bytes, path, expect_kind: Optional[str]) -> dict:
         raise ArtifactCorruptError(f"{path}: artifact header must be a JSON object")
 
     if "magic" not in header:
-        # Legacy repro.hw.export layout: the header *is* the deployed meta.
+        # Legacy version-1 layout: the header *is* the deployed meta.
         version = header.get("format_version")
         if version == 1 and isinstance(header.get("ops"), list):
             header = {"magic": MAGIC, "format_version": 1, "kind": "deployed", "meta": header}

@@ -1,13 +1,8 @@
 """Serving runtime for deployed MF-DFP networks.
 
-Layered front door for heavy-traffic workloads, from a single queue to
-a supervised concurrent multi-tenant server:
+A supervised, concurrent, multi-tenant server in front of the compiled
+:class:`repro.core.engine.BatchedEngine`:
 
-* :func:`repro.serve.batching.predict_many` — chunk an ``(N, ...)``
-  array into order-preserving micro-batches.
-* :class:`repro.serve.batching.MicroBatchQueue` — submit single-sample
-  requests, flush in batches, collect per-ticket logits; ``close``
-  drains or rejects in-flight work, never drops it.
 * :class:`repro.serve.batching.AdaptiveBatchPolicy` — SLO-driven batch
   sizing: grow under queue pressure, shrink when recent p99 latency
   exceeds the target.
@@ -34,12 +29,7 @@ a supervised concurrent multi-tenant server:
 Exposed on the command line as ``python -m repro serve``.
 """
 
-from repro.serve.batching import (
-    AdaptiveBatchPolicy,
-    MicroBatchQueue,
-    ServeStats,
-    predict_many,
-)
+from repro.serve.batching import AdaptiveBatchPolicy
 from repro.serve.errors import (
     ModelQuarantinedError,
     QueueFullError,
@@ -63,7 +53,6 @@ __all__ = [
     "CrashError",
     "CrashingEngine",
     "FlakyBuilder",
-    "MicroBatchQueue",
     "ModelActor",
     "ModelMetrics",
     "ModelQuarantinedError",
@@ -72,10 +61,8 @@ __all__ = [
     "ServeError",
     "ServerClosedError",
     "ServerRuntime",
-    "ServeStats",
     "Supervisor",
     "SupervisorPolicy",
     "UnknownModelError",
     "crash_schedule",
-    "predict_many",
 ]

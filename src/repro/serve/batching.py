@@ -1,35 +1,19 @@
-"""Request micro-batching over a compiled :class:`BatchedEngine`.
+"""SLO-driven micro-batch sizing for the supervised serving runtime.
 
-Deployment front door for serving-style workloads: single-sample
-requests are accumulated into micro-batches and executed together on
-the batched engine, trading a bounded amount of queueing for the large
-per-sample speedup of vectorized execution (see
-``benchmarks/bench_engine_throughput.py``).  Everything here is
-synchronous and deterministic — the queue flushes when full or when a
-result is demanded — so serving results are reproducible and always
-bit-identical to running each sample alone.
-
-:class:`AdaptiveBatchPolicy` is the SLO-driven sizing rule the
-supervised runtime's actors consult at every claim: batches grow under
-queue pressure and shrink when the recent p99 latency exceeds the
-target (``benchmarks/bench_serve_slo.py`` gates the resulting sustained
--load latency).
+:class:`AdaptiveBatchPolicy` is the sizing rule the
+:class:`~repro.serve.runtime.ServerRuntime` actors consult at every
+claim: batches grow under queue pressure and shrink when the recent p99
+latency exceeds the target (``benchmarks/bench_serve_slo.py`` gates the
+resulting sustained-load latency).  Batching never changes values: the
+compiled engine is bit-identical to running each sample alone, whatever
+the batch size.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
-
-from repro.core.engine import BatchedEngine
-from repro.serve.errors import ServerClosedError
-
-#: Recent batch fills kept by :class:`ServeStats` (totals are unbounded).
-FILL_HISTORY = 1024
 
 
 @dataclass(frozen=True)
@@ -95,164 +79,3 @@ class AdaptiveBatchPolicy:
         if queue_depth >= self.grow_pressure * current:
             return min(self.max_batch, max(current + 1, int(current * self.step)))
         return current
-
-
-@dataclass
-class ServeStats:
-    """Batch-fill accounting for one queue (or one ``predict_many`` run).
-
-    ``batches``/``samples`` count everything ever recorded; ``fills``
-    keeps only the most recent :data:`FILL_HISTORY` batch sizes so a
-    long-running queue cannot grow memory without bound.
-    """
-
-    batches: int = 0
-    samples: int = 0
-    fills: deque = field(default_factory=lambda: deque(maxlen=FILL_HISTORY))
-
-    def record(self, n: int) -> None:
-        self.batches += 1
-        self.samples += n
-        self.fills.append(n)
-
-    @property
-    def mean_fill(self) -> float:
-        """Average samples per executed batch (0.0 before any batch)."""
-        return self.samples / self.batches if self.batches else 0.0
-
-
-def predict_many(
-    engine: BatchedEngine, x: np.ndarray, max_batch: int = 64, stats: Optional[ServeStats] = None
-) -> np.ndarray:
-    """Run ``(N, ...)`` samples in order through micro-batches.
-
-    Chunks ``x`` into batches of at most ``max_batch`` samples (the tail
-    batch may be smaller) and concatenates the float logits.  Order is
-    preserved and the result is bit-identical to ``engine.run(x)``.
-    """
-    if max_batch < 1:
-        raise ValueError("max_batch must be at least 1")  # repro-lint: disable=error-taxonomy (public-API argument validation; ValueError is the documented contract)
-    x = np.asarray(x)
-    out = []
-    for start in range(0, x.shape[0], max_batch):
-        chunk = x[start : start + max_batch]
-        out.append(engine.run(chunk))
-        if stats is not None:
-            stats.record(chunk.shape[0])
-    if not out:
-        return np.empty((0,) + engine.output_shape, dtype=np.float64)
-    return np.concatenate(out, axis=0)
-
-
-class MicroBatchQueue:
-    """Accumulate single-sample requests and execute them in batches.
-
-    ``submit`` enqueues one sample and returns a ticket; the queue runs
-    the engine whenever ``max_batch`` requests are pending, and
-    ``result`` (or an explicit ``flush``) drains any remainder.  Results
-    are float logits, bit-identical to single-sample execution.
-
-    Shutdown never drops work silently: :meth:`close` either drains the
-    in-flight requests (``drain=True``, the default — their results stay
-    collectable) or rejects them, making ``result`` raise the typed
-    :class:`~repro.serve.errors.ServerClosedError`.  Submitting to a
-    closed queue also raises :class:`ServerClosedError`.  The queue is a
-    context manager; leaving the ``with`` block closes it draining.
-
-    Args:
-        engine: Compiled engine to execute batches on.
-        max_batch: Flush threshold (the engine batch size).
-    """
-
-    def __init__(self, engine: BatchedEngine, max_batch: int = 64):
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        self.engine = engine
-        self.max_batch = max_batch
-        self.stats = ServeStats()
-        self._pending: list[tuple[int, np.ndarray]] = []
-        self._results: dict[int, np.ndarray] = {}
-        self._rejected: set[int] = set()
-        self._next_ticket = 0
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def __len__(self) -> int:
-        """Number of pending (not yet executed) requests."""
-        return len(self._pending)
-
-    def submit(self, sample: np.ndarray) -> int:
-        """Enqueue one sample (shape = the network's input shape)."""
-        if self._closed:
-            raise ServerClosedError("queue is closed; submission refused")
-        sample = np.asarray(sample)
-        if sample.shape != self.engine.input_shape:
-            raise ValueError(  # repro-lint: disable=error-taxonomy (caller-input shape validation; ValueError is the documented submit contract)
-                f"expected one sample of shape {self.engine.input_shape}, got {sample.shape}"
-            )
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        self._pending.append((ticket, sample))
-        if len(self._pending) >= self.max_batch:
-            self.flush()
-        return ticket
-
-    def flush(self) -> int:
-        """Execute all pending requests now; returns how many ran."""
-        if not self._pending:
-            return 0
-        tickets = [t for t, _ in self._pending]
-        batch = np.stack([s for _, s in self._pending])
-        self._pending.clear()
-        logits = self.engine.run(batch)
-        for ticket, row in zip(tickets, logits):
-            self._results[ticket] = row
-        self.stats.record(len(tickets))
-        return len(tickets)
-
-    def result(self, ticket: int) -> np.ndarray:
-        """Logits for one ticket, flushing pending work only if needed.
-
-        Unknown or already-consumed tickets raise without touching the
-        queue — an error lookup must not force other callers' pending
-        requests into a premature partial batch.
-        """
-        if not 0 <= ticket < self._next_ticket:
-            raise KeyError(f"unknown ticket {ticket}")
-        if ticket in self._rejected:
-            self._rejected.discard(ticket)
-            raise ServerClosedError(f"ticket {ticket} was rejected when the queue closed")
-        if ticket not in self._results:
-            if all(t != ticket for t, _ in self._pending):
-                raise KeyError(f"already-consumed ticket {ticket}")
-            self.flush()
-        return self._results.pop(ticket)
-
-    def close(self, drain: bool = True) -> int:
-        """Shut the queue down without dropping in-flight work.
-
-        ``drain=True`` executes the pending remainder (results stay
-        collectable through :meth:`result`); ``drain=False`` rejects it,
-        so those tickets' :meth:`result` raises
-        :class:`~repro.serve.errors.ServerClosedError`.  Returns how
-        many pending requests were drained or rejected; idempotent.
-        """
-        if self._closed:
-            return 0
-        if drain:
-            count = self.flush()
-        else:
-            count = len(self._pending)
-            self._rejected.update(t for t, _ in self._pending)
-            self._pending.clear()
-        self._closed = True
-        return count
-
-    def __enter__(self) -> "MicroBatchQueue":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)

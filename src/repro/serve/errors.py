@@ -8,7 +8,7 @@ from *shutdown*:
   does not host.
 * :class:`QueueFullError` — admission control: the model's queue is at
   its bound and the request is shed immediately rather than queued.
-* :class:`ServerClosedError` — the runtime (or queue) has shut down;
+* :class:`ServerClosedError` — the runtime has shut down;
   raised both for new submissions after close and for in-flight
   requests rejected by a non-draining shutdown.
 * :class:`ModelQuarantinedError` — supervision took one model out of
@@ -53,7 +53,7 @@ class QueueFullError(ServeError):
 
 
 class ServerClosedError(ServeError):
-    """The runtime/queue is shut down; the request was not (or will not be) served."""
+    """The runtime is shut down; the request was not (or will not be) served."""
 
     def __init__(self, message: str = "server is closed"):
         super().__init__(message)

@@ -29,10 +29,6 @@ behaviour under load.
   scheduled call numbers and delegates otherwise.  Drop-in wherever an
   engine is expected (duck-typed: ``run``/``input_shape``/
   ``output_shape``/``deployed``).
-* :class:`LatencySpikeEngine` — wraps a real engine; ``run`` sleeps (on
-  an injectable sleeper, so fake clocks work) on the scheduled call
-  numbers before delegating — SLO/backpressure tests without wall-clock
-  flake.
 * :class:`FlakyBuilder` — a zero-argument builder (registry-compatible)
   raising on the scheduled build numbers; also usable as the engine
   provider seam's resolution step via :meth:`provider`.
@@ -43,7 +39,6 @@ behaviour under load.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -59,8 +54,7 @@ class CrashError(RuntimeError):
 ENGINE_RUN_SITE = register_site(
     "serve.engine.run",
     layer="serve",
-    description="Every run() call on a CrashingEngine/LatencySpikeEngine "
-    "double; context has label and (for latency) sleep.",
+    description="Every run() call on a CrashingEngine double; context has label.",
 )
 BUILDER_BUILD_SITE = register_site(
     "serve.builder.build",
@@ -146,69 +140,6 @@ class CrashingEngine:
 
     def run(self, batch: np.ndarray) -> np.ndarray:
         self._plan.fire(ENGINE_RUN_SITE, {"label": self.label})
-        return self._engine.run(batch)
-
-
-class LatencySpikeEngine:
-    """An engine double that stalls ``run`` on scheduled calls, then delegates.
-
-    The spike sleeps through ``sleep`` (default :func:`time.sleep`);
-    tests pass a fake-clock sleeper so SLO/backpressure behaviour under
-    slow batches replays with zero wall-clock time.  The same duck-typed
-    engine surface as :class:`CrashingEngine`.
-
-    Args:
-        engine: The real engine to delegate to.
-        spike_on: 1-based ``run`` call numbers that stall.
-        spike_s: Stall duration in (possibly fake) seconds.
-        label: Echoed in plan logs.
-        sleep: Injectable sleeper for the stall.
-    """
-
-    def __init__(
-        self,
-        engine,
-        spike_on: Iterable[int] = (),
-        spike_s: float = 0.05,
-        label: str = "latency",
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self._engine = engine
-        self.spike_on = frozenset(spike_on)
-        self.spike_s = float(spike_s)
-        self.label = label
-        self._sleep = sleep
-        if self.spike_on:
-            rules = (
-                FaultRule(
-                    site=ENGINE_RUN_SITE,
-                    fault="latency",
-                    trigger={"calls": sorted(self.spike_on)},
-                    params={"seconds": self.spike_s},
-                ),
-            )
-        else:
-            rules = ()
-        self._plan = FaultPlan(rules=rules, name=f"{label}-engine")
-
-    @property
-    def calls(self) -> int:
-        return self._plan.calls(ENGINE_RUN_SITE)
-
-    @property
-    def input_shape(self):
-        return self._engine.input_shape
-
-    @property
-    def output_shape(self):
-        return self._engine.output_shape
-
-    @property
-    def deployed(self):
-        return self._engine.deployed
-
-    def run(self, batch: np.ndarray) -> np.ndarray:
-        self._plan.fire(ENGINE_RUN_SITE, {"label": self.label, "sleep": self._sleep})
         return self._engine.run(batch)
 
 

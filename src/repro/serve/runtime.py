@@ -63,11 +63,11 @@ cores past the GIL, ``backend="process"`` executes batches in a
 :class:`repro.parallel.ProcessPoolRunner` against engines built over
 shared-memory weight planes (one mapping per model per host; see
 :mod:`repro.parallel.arena`) — bit-identical outputs, identical
-metrics/health surface.  ``benchmarks/bench_serve_concurrency.py``
-gates raw throughput; ``benchmarks/bench_serve_slo.py`` gates
-sustained-load p99 latency, rollover-under-load with zero drops, and
-crash isolation; ``benchmarks/bench_scaleout.py`` gates process-worker
-scaling and cross-placement bit-identity.
+metrics/health surface.  ``benchmarks/bench_serve_slo.py`` gates raw
+throughput over a serialized baseline, sustained-load p99 latency,
+rollover-under-load with zero drops, and crash isolation;
+``benchmarks/bench_scaleout.py`` gates process-worker scaling and
+cross-placement bit-identity.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ from repro.analysis.sweeps import (
     exponent_clamp_sweep,
     stochastic_vs_deterministic,
 )
+from repro.core.engine import execute_deployed
 from repro.core.mfdfp import MFDFPNetwork
-from repro.hw.accelerator import execute_deployed
 
 
 @pytest.fixture(scope="module")

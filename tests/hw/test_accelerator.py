@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import execute_deployed
 from repro.core.mfdfp import MFDFPNetwork
-from repro.hw.accelerator import PIPELINE_DEPTH, Accelerator, AcceleratorConfig, execute_deployed
+from repro.hw.accelerator import PIPELINE_DEPTH, Accelerator, AcceleratorConfig
 from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, Network, ReLU
 from repro.zoo import cifar10_full, cifar10_small
 

@@ -29,7 +29,7 @@ def test_benchmark_suite_is_discovered():
     names = {p.name for p in BENCH_FILES}
     assert "bench_engine_throughput.py" in names
     assert "bench_campaign_throughput.py" in names
-    assert "bench_serve_concurrency.py" in names
+    assert "bench_serve_slo.py" in names
     assert "bench_artifact_io.py" in names
     assert "bench_scaleout.py" in names
     assert "bench_chaos_recovery.py" in names

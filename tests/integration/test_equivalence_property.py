@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import execute_deployed
 from repro.core.mfdfp import MFDFPNetwork
-from repro.hw.accelerator import execute_deployed
 from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, Network, ReLU
 
 
@@ -72,7 +72,7 @@ class TestRandomNetEquivalence:
     @given(spec=net_specs())
     @settings(max_examples=10, deadline=None)
     def test_deploy_roundtrip_preserves_execution(self, spec, tmp_path_factory):
-        from repro.hw.export import load_deployed, save_deployed
+        from repro.io import load_deployed, save_deployed
 
         seed, n_blocks, channels, use_avgpool, scale = spec
         rng = np.random.default_rng(seed)

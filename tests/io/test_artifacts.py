@@ -130,7 +130,7 @@ class TestContainer:
             load_deployed(cut)
 
     def test_errors_are_value_errors(self):
-        # The pre-container hw.export API raised ValueError; the typed
+        # The pre-container loader raised ValueError; the typed
         # hierarchy must remain catchable the old way.
         for err in (ArtifactError, ArtifactCorruptError, ArtifactSchemaError, ArtifactVersionError):
             assert issubclass(err, ValueError)

@@ -76,8 +76,8 @@ class TestGroupedBackward:
 
 class TestGroupedDeployment:
     def test_grouped_conv_deploys_and_executes_bit_accurately(self, rng):
+        from repro.core.engine import execute_deployed
         from repro.core.mfdfp import MFDFPNetwork
-        from repro.hw.accelerator import execute_deployed
         from repro.nn import Dense, Flatten, Network, ReLU
 
         net = Network(

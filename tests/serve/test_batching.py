@@ -1,183 +1,9 @@
-"""Micro-batch queue and predict_many: ordering, exactness, stats, shutdown."""
+"""AdaptiveBatchPolicy: SLO-driven batch sizing decisions and validation."""
 
-import numpy as np
 import pytest
 
-from repro.core import MFDFPNetwork
-from repro.core.engine import BatchedEngine
-from repro.nn.layers import Dense, ReLU
-from repro.nn.network import Network
-from repro.serve import (
-    AdaptiveBatchPolicy,
-    MicroBatchQueue,
-    ServeStats,
-    ServerClosedError,
-    predict_many,
-)
+from repro.serve import AdaptiveBatchPolicy
 
-
-@pytest.fixture(scope="module")
-def engine():
-    rng = np.random.default_rng(21)
-    net = Network(
-        [Dense(6, 12, rng=rng, name="d1"), ReLU(name="r"), Dense(12, 3, rng=rng, name="d2")],
-        input_shape=(6,),
-        name="serve_mlp",
-    )
-    calib = rng.normal(scale=0.5, size=(64, 6)).astype(np.float32)
-    mfdfp = MFDFPNetwork.from_float(net, calib)
-    mfdfp.calibrate_bias_to_accumulator_grid()
-    return BatchedEngine(mfdfp.deploy())
-
-
-@pytest.fixture
-def requests():
-    return np.random.default_rng(22).normal(scale=0.5, size=(37, 6)).astype(np.float32)
-
-
-class TestPredictMany:
-    @pytest.mark.parametrize("max_batch", [1, 8, 16, 64])
-    def test_matches_single_run(self, engine, requests, max_batch):
-        assert np.array_equal(predict_many(engine, requests, max_batch), engine.run(requests))
-
-    def test_stats_record_tail_batch(self, engine, requests):
-        stats = ServeStats()
-        predict_many(engine, requests, max_batch=16, stats=stats)
-        assert list(stats.fills) == [16, 16, 5]
-        assert stats.samples == 37
-        assert stats.mean_fill == pytest.approx(37 / 3)
-
-    def test_empty_input(self, engine):
-        out = predict_many(engine, np.empty((0, 6), dtype=np.float32))
-        assert out.shape == (0, 3)
-
-    def test_rejects_bad_batch_size(self, engine, requests):
-        with pytest.raises(ValueError, match="max_batch"):
-            predict_many(engine, requests, max_batch=0)
-
-
-class TestMicroBatchQueue:
-    def test_results_match_direct_run_in_order(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=8)
-        tickets = [queue.submit(sample) for sample in requests]
-        queue.flush()
-        got = np.stack([queue.result(t) for t in tickets])
-        assert np.array_equal(got, engine.run(requests))
-
-    def test_auto_flush_at_max_batch(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=4)
-        for sample in requests[:4]:
-            queue.submit(sample)
-        assert len(queue) == 0  # flushed automatically
-        assert list(queue.stats.fills) == [4]
-
-    def test_result_flushes_pending(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=100)
-        ticket = queue.submit(requests[0])
-        assert len(queue) == 1
-        row = queue.result(ticket)
-        assert np.array_equal(row, engine.run(requests[:1])[0])
-        assert len(queue) == 0
-
-    def test_out_of_order_consumption(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=3)
-        tickets = [queue.submit(sample) for sample in requests[:7]]
-        direct = engine.run(requests[:7])
-        for i in reversed(range(7)):
-            assert np.array_equal(queue.result(tickets[i]), direct[i])
-
-    def test_unknown_ticket_raises(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=2)
-        ticket = queue.submit(requests[0])
-        queue.result(ticket)
-        with pytest.raises(KeyError):
-            queue.result(ticket)  # already consumed
-
-    def test_unknown_ticket_does_not_flush_pending(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=100)
-        queue.submit(requests[0])
-        with pytest.raises(KeyError):
-            queue.result(999)
-        assert len(queue) == 1  # pending request untouched
-
-    def test_consumed_ticket_does_not_flush_pending(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=100)
-        first = queue.submit(requests[0])
-        queue.result(first)
-        queue.submit(requests[1])
-        with pytest.raises(KeyError, match="consumed"):
-            queue.result(first)
-        assert len(queue) == 1  # error lookup left the batch intact
-
-    def test_rejects_wrong_sample_shape(self, engine):
-        queue = MicroBatchQueue(engine, max_batch=2)
-        with pytest.raises(ValueError, match="one sample"):
-            queue.submit(np.zeros((2, 6), dtype=np.float32))
-
-    def test_rejects_bad_max_batch(self, engine):
-        with pytest.raises(ValueError, match="max_batch"):
-            MicroBatchQueue(engine, max_batch=0)
-
-    def test_flush_empty_queue(self, engine):
-        assert MicroBatchQueue(engine).flush() == 0
-
-
-class TestQueueShutdown:
-    """Regression: closing the queue must never silently drop in-flight work."""
-
-    def test_close_drains_pending_requests(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=100)
-        tickets = [queue.submit(sample) for sample in requests[:5]]
-        assert queue.close() == 5  # in-flight remainder executed, not dropped
-        assert queue.closed and len(queue) == 0
-        got = np.stack([queue.result(t) for t in tickets])
-        assert np.array_equal(got, engine.run(requests[:5]))
-
-    def test_close_without_drain_rejects_with_typed_error(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=100)
-        done = queue.submit(requests[0])
-        result = queue.result(done)  # consumed before the shutdown
-        pending = [queue.submit(sample) for sample in requests[1:4]]
-        assert queue.close(drain=False) == 3
-        for ticket in pending:
-            with pytest.raises(ServerClosedError, match="rejected"):
-                queue.result(ticket)
-        assert np.array_equal(result, engine.run(requests[:1])[0])
-
-    def test_results_executed_before_close_stay_collectable(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=2)
-        tickets = [queue.submit(sample) for sample in requests[:2]]  # auto-flushed
-        queue.close(drain=False)
-        got = np.stack([queue.result(t) for t in tickets])
-        assert np.array_equal(got, engine.run(requests[:2]))
-
-    def test_submit_after_close_raises(self, engine, requests):
-        queue = MicroBatchQueue(engine)
-        queue.close()
-        with pytest.raises(ServerClosedError, match="closed"):
-            queue.submit(requests[0])
-
-    def test_close_is_idempotent(self, engine, requests):
-        queue = MicroBatchQueue(engine, max_batch=100)
-        queue.submit(requests[0])
-        assert queue.close() == 1
-        assert queue.close() == 0
-        assert queue.close(drain=False) == 0
-
-    def test_context_manager_drains_on_exit(self, engine, requests):
-        with MicroBatchQueue(engine, max_batch=100) as queue:
-            tickets = [queue.submit(sample) for sample in requests[:3]]
-        assert queue.closed
-        got = np.stack([queue.result(t) for t in tickets])
-        assert np.array_equal(got, engine.run(requests[:3]))
-
-    def test_context_manager_rejects_on_error_exit(self, engine, requests):
-        with pytest.raises(RuntimeError, match="boom"):
-            with MicroBatchQueue(engine, max_batch=100) as queue:
-                ticket = queue.submit(requests[0])
-                raise RuntimeError("boom")
-        with pytest.raises(ServerClosedError):
-            queue.result(ticket)
 
 class TestAdaptiveBatchPolicy:
     def test_no_target_pins_at_max_batch(self):

@@ -13,12 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.serve.faults import (
-    CrashError,
-    CrashingEngine,
-    FlakyBuilder,
-    LatencySpikeEngine,
-)
+from repro.serve.faults import CrashError, CrashingEngine, FlakyBuilder
 
 THREADS = 8
 CALLS_PER_THREAD = 200
@@ -94,23 +89,3 @@ def test_sequential_semantics_unchanged():
     engine.run(batch)
     assert engine.calls == 3
 
-
-def test_latency_spike_engine_stalls_scheduled_calls_only():
-    stalls = []
-    engine = LatencySpikeEngine(
-        _NullEngine(), spike_on={2, 4}, spike_s=0.25, sleep=stalls.append
-    )
-    batch = np.arange(3, dtype=np.float64)
-    for _ in range(5):
-        assert np.array_equal(engine.run(batch), batch)  # always delegates
-    assert engine.calls == 5
-    assert stalls == [0.25, 0.25]  # exactly the scheduled calls, fake clock
-
-
-def test_latency_spike_engine_counts_every_call_exactly_once():
-    stalls = []
-    engine = LatencySpikeEngine(_NullEngine(), spike_on={TOTAL // 2}, sleep=stalls.append)
-    batch = np.zeros((1,), dtype=np.float64)
-    _hammer(lambda: engine.run(batch))
-    assert engine.calls == TOTAL
-    assert stalls == [engine.spike_s]

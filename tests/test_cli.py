@@ -73,6 +73,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--target-p99-ms", "0"])
 
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["--models", "nope"], "error: unknown model 'nope'; registered: "),
+            (["--models", ","], "error: --models names no model"),
+            (["--min-batch", "128", "--batch", "64"], r"error: --min-batch \(128\) must not exceed"),
+        ],
+        ids=["unknown-model", "no-model", "min-batch-above-batch"],
+    )
+    def test_serve_rejects_bad_input_in_one_line(self, argv, match):
+        """Regression: these used to raise a raw traceback before any model compiled."""
+        with pytest.raises(SystemExit, match=match):
+            main(["serve", *argv])
+
     def test_serve_store_flag(self):
         args = build_parser().parse_args(["serve", "--store", "/tmp/somewhere"])
         assert args.store == "/tmp/somewhere"
