@@ -23,7 +23,8 @@ once per module:
   (the future's ``serving_version`` says which), and both versions
   actually serve traffic.
 * **Crash isolation** — scheduled crashes injected into one model's
-  engine must leave the other model's stream untouched (every response
+  batches (a :class:`~repro.chaos.FaultPlan` on the ``serve.engine.run``
+  site) must leave the other model's stream untouched (every response
   bit-identical, zero failures) while the crashed model restarts and
   keeps serving.
 
@@ -39,10 +40,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule, installed
 from repro.io.store import ArtifactStore
 from repro.serve import (
     CrashError,
-    CrashingEngine,
     ModelRegistry,
     ServerRuntime,
     SupervisorPolicy,
@@ -293,26 +294,18 @@ class TestCrashIsolation:
     def test_injected_crashes_never_touch_the_healthy_model(self, registry, quick, bench_metrics):
         per_model = 48 if quick else 384
         real = {name: registry.engine(name) for name in MODELS}
-        # Crash calls 2 and 5: with max_batch=8 even the --quick stream
-        # (48 requests => >= 6 claims) is guaranteed to hit both.
-        flaky = CrashingEngine(real["cifar10_full"], crash_on={2, 5})
+        # Crash cifar10_full's batches 2 and 5: with max_batch=8 even the
+        # --quick stream (48 requests => >= 6 claims) is guaranteed to hit both.
+        faults = FaultPlan(
+            rules=[
+                FaultRule(
+                    site="serve.engine.run",
+                    fault="crash",
+                    trigger={"match": {"name": "cifar10_full"}, "calls": [2, 5]},
+                )
+            ]
+        )
 
-        def provider(name, version):
-            if name == "cifar10_full":
-                return flaky, "flaky-v1"
-            return real[name], "solid-v1"
-
-        runtime = ServerRuntime(
-            registry,
-            MODELS,
-            workers=2,
-            max_batch=8,
-            max_queue=10_000,
-            engine_provider=provider,
-            policy=SupervisorPolicy(
-                max_failures=20, backoff_initial_s=0.001, backoff_cap_s=0.01
-            ),
-        ).start()
         rng = np.random.default_rng(8)
         samples = {
             name: rng.normal(
@@ -320,10 +313,21 @@ class TestCrashIsolation:
             ).astype(np.float32)
             for name in real
         }
-        futures = {
-            name: [runtime.submit(name, s) for s in samples[name]] for name in real
-        }
-        runtime.stop(drain=True)
+        with installed(faults):
+            runtime = ServerRuntime(
+                registry,
+                MODELS,
+                workers=2,
+                max_batch=8,
+                max_queue=10_000,
+                policy=SupervisorPolicy(
+                    max_failures=20, backoff_initial_s=0.001, backoff_cap_s=0.01
+                ),
+            ).start()
+            futures = {
+                name: [runtime.submit(name, s) for s in samples[name]] for name in real
+            }
+            runtime.stop(drain=True)
 
         # Healthy model: untouched — every response exact, zero failures.
         expected_b = real["alexnet"].run(samples["alexnet"])

@@ -16,9 +16,9 @@ The subsystem has three parts:
   the same three invariants: no hangs (a :class:`Watchdog` bounds every
   drill), typed errors only, and bit-identical results after recovery.
 
-The serve fault doubles (:mod:`repro.serve.faults`) are fronts over the
-same machinery, so scheduled serving crashes and io/parallel chaos share
-one trigger grammar and one fault catalog (:data:`FAULTS`).
+The serve supervisor fires its own sites (``serve.engine.run``,
+``serve.builder.build``), so scheduled serving crashes and io/parallel
+chaos share one trigger grammar and one fault catalog (:data:`FAULTS`).
 """
 
 from repro.chaos.errors import (

@@ -75,12 +75,12 @@ def fault_torn_write(plan, rule, ctx) -> None:
 def fault_raise(plan, rule, ctx) -> None:
     """Raise a typed error from the owning layer: ``params['error']``.
 
-    Known names: ``transient-store`` (heals on retry),
-    ``artifact-corrupt``, ``crash`` (the serve doubles' CrashError).
+    Known names: ``transient-store`` (heals on retry) and
+    ``artifact-corrupt``.  Serve crashes are the ``crash`` fault.
     """
     from repro.chaos.errors import FaultPlanError
 
-    kind = rule.params.get("error", "crash")
+    kind = rule.params.get("error")
     fields = dict(rule.params)
     fields.update(error=kind, site=ctx.get("site"), call=ctx.get("call"))
     message = str(
@@ -94,20 +94,19 @@ def fault_raise(plan, rule, ctx) -> None:
         from repro.io.artifacts import ArtifactCorruptError
 
         raise ArtifactCorruptError(message)
-    if kind == "crash":
-        from repro.serve.faults import CrashError
-
-        raise CrashError(message)
     raise FaultPlanError(f"unknown raise fault error kind {kind!r}")
 
 
 def fault_crash(plan, rule, ctx) -> None:
-    """The serve doubles' scheduled crash (label + call echoed, as always)."""
-    from repro.serve.faults import CrashError
+    """Raise :class:`~repro.serve.errors.CrashError`: a scheduled serve crash.
 
-    label = str(ctx.get("label", rule.params.get("label", "injected")))
-    what = str(rule.params.get("what", "call"))
-    raise CrashError(f"{label}: scheduled {what} {ctx['call']}")
+    The message echoes the model name from the site context, the site
+    and the call number, so a failed future says which crash it was.
+    """
+    from repro.serve.errors import CrashError
+
+    name = ctx.get("name", "injected")
+    raise CrashError(f"{name}: scheduled crash at {ctx['site']} call {ctx['call']}")
 
 
 def fault_latency(plan, rule, ctx) -> None:

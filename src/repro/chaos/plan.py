@@ -14,9 +14,8 @@ experiment in the repo.  It owns
 Plans serialize to JSON (:meth:`FaultPlan.to_json` /
 :meth:`FaultPlan.from_json`); every drill prints its plan, so a failure
 observed anywhere reproduces from the printed document alone.  Firing
-is counted per site under a lock, so a plan replays identically under
-any thread interleaving that preserves per-site call order — the same
-contract the serve fault doubles have always made.
+is counted under a lock, so a plan replays identically under any thread
+interleaving that preserves the order of the firings a rule counts.
 
 Trigger grammar (all present keys must match; an empty trigger never
 fires):
@@ -32,7 +31,10 @@ fires):
     with a call key, the count still advances on every firing).
 ``{"match": {"name": "cifar10_full"}}``
     equality over context values (compared as strings, so plans stay
-    JSON-round-trippable).
+    JSON-round-trippable).  A rule with ``match`` numbers its
+    ``call``/``calls`` among the firings its ``match`` accepts, so
+    ``{"match": {"name": "a"}, "calls": [1]}`` is model ``a``'s first
+    batch however much traffic other models send through the site.
 """
 
 from __future__ import annotations
@@ -71,8 +73,18 @@ class FaultRule:
                 f"unknown trigger key(s) {sorted(unknown)} (known: {sorted(_TRIGGER_KEYS)})"
             )
 
+    def accepts(self, context: dict) -> bool:
+        """Whether ``context`` passes this rule's ``match`` (if any)."""
+        return all(
+            str(context.get(key)) == str(expected)
+            for key, expected in self.trigger.get("match", {}).items()
+        )
+
     def matches(self, call: int, context: dict) -> bool:
-        """Whether this rule fires on the ``call``-th firing with ``context``."""
+        """Whether this rule fires on the ``call``-th firing with ``context``.
+
+        ``call`` is the rule's own count of the firings it :meth:`accepts`.
+        """
         trigger = self.trigger
         if not trigger:
             return False
@@ -84,10 +96,8 @@ class FaultRule:
             str(trigger["suffix"])
         ):
             return False
-        if "match" in trigger:
-            for key, expected in trigger["match"].items():
-                if str(context.get(key)) != str(expected):
-                    return False
+        if not self.accepts(context):
+            return False
         if "always" in trigger and not trigger["always"]:
             return False
         return True
@@ -119,7 +129,10 @@ class FaultRule:
 
 
 class FaultPlan:
-    """A seeded, ordered set of fault rules plus per-site firing counters.
+    """A seeded, ordered set of fault rules plus firing counters.
+
+    Each site counts every firing; each rule counts the firings it
+    :meth:`~FaultRule.accepts` (all of its site's, without ``match``).
 
     Thread-safe: counting and the fired-log append happen under one
     lock; the fault action itself runs outside it (faults may sleep,
@@ -150,7 +163,9 @@ class FaultPlan:
         self._sites = frozenset(rule.site for rule in self.rules)
         self._lock = threading.Lock()
         self._counts: dict[str, int] = {}
-        #: Log of every fault actually executed: (site, call, fault name).
+        self._rule_counts = [0] * len(self.rules)
+        #: Log of every fault actually executed: (site, call, fault name),
+        #: where call is the number the rule matched on.
         self.fired: list[tuple[str, int, str]] = []
 
     # -- firing ------------------------------------------------------------
@@ -166,20 +181,23 @@ class FaultPlan:
     def fire(self, site: str, context: Optional[dict] = None) -> None:
         """Record one firing of ``site`` and execute any matching faults.
 
-        Called by :func:`repro.chaos.registry.inject` (global
-        installation) or directly by a fault double holding a private
-        plan.  Fault actions run in rule order; a fault that raises
+        Called by :func:`repro.chaos.registry.inject` while the plan is
+        installed.  Fault actions run in rule order; a fault that raises
         stops the remaining rules for this firing (the error is the
         injected failure, propagating into the owning layer).
         """
         from repro.chaos.faults import FAULTS
 
         context = context if context is not None else {}
+        numbered = []
         with self._lock:
-            call = self._counts.get(site, 0) + 1
-            self._counts[site] = call
-        for rule in self.rules:
-            if rule.site != site or not rule.matches(call, context):
+            self._counts[site] = self._counts.get(site, 0) + 1
+            for index, rule in enumerate(self.rules):
+                if rule.site == site and rule.accepts(context):
+                    self._rule_counts[index] += 1
+                    numbered.append((rule, self._rule_counts[index]))
+        for rule, call in numbered:
+            if not rule.matches(call, context):
                 continue
             with self._lock:
                 self.fired.append((site, call, rule.fault))

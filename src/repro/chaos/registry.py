@@ -3,8 +3,8 @@
 An **injection site** is a named seam an owning layer threads through
 its own code: ``repro.io`` fires ``io.artifact.read`` just before it
 opens a container, ``repro.parallel`` fires ``parallel.pool.submit`` as
-each task enters the pool, the serve fault doubles fire
-``serve.engine.run`` on every engine call.  Sites are registered at the
+each task enters the pool, the serve supervisor fires
+``serve.engine.run`` before every batch.  Sites are registered at the
 owning module's import time via :func:`register_site`, so the catalog
 (:func:`site_catalog`) is a complete, documented inventory of where the
 system can be made to fail.

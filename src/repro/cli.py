@@ -228,17 +228,13 @@ def _cmd_serve(args) -> None:
             registry = ModelRegistry.from_store(args.store)
         except ArtifactError as exc:
             raise SystemExit(f"error: {exc}") from None
-        default_models = ",".join(registry.names())
+        default_models = registry.names()
         if not default_models:
             raise SystemExit(f"error: store {args.store} has no published models")
     else:
         registry = ModelRegistry.with_defaults()
-        default_models = "cifar10_full"
-    models = [
-        name.strip() for name in (args.models or default_models).split(",") if name.strip()
-    ]
-    if not models:
-        raise SystemExit("error: --models names no model")
+        default_models = ["cifar10_full"]
+    models = args.models or default_models
     known = registry.names()
     for name in models:  # fail fast, before any model compiles
         if name not in known:
@@ -472,11 +468,8 @@ def _cmd_export(args) -> None:
     from repro.zoo import publish_deployables
 
     store = ArtifactStore(args.store)
-    names = None
-    if args.models:
-        names = [name.strip() for name in args.models.split(",") if name.strip()]
     try:
-        published = publish_deployables(store, names)
+        published = publish_deployables(store, args.models)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
     for name, version in published.items():
@@ -579,7 +572,7 @@ def _cmd_chaos(args) -> None:
     # before plans validate or --list prints.
     import repro.io.store  # noqa: F401  (registers io.* sites)
     import repro.parallel.arena  # noqa: F401  (registers parallel.* sites)
-    import repro.serve.faults  # noqa: F401  (registers serve.* sites)
+    import repro.serve  # noqa: F401  (registers serve.* sites)
     from repro.chaos import DRILLS, run_all_drills, run_drill, site_catalog
 
     if args.list:
@@ -591,7 +584,11 @@ def _cmd_chaos(args) -> None:
             print(f"  {site.name}  [{site.layer}]  {site.description}")
         return
     if args.drill is None:
-        raise SystemExit("chaos: pass --drill NAME (or --drill all, or --list)")
+        raise SystemExit("error: pass --drill NAME (or --drill all, or --list)")
+    if args.drill != "all" and args.drill not in DRILLS:
+        raise SystemExit(
+            f"error: unknown drill {args.drill!r}; choose from {', '.join(DRILLS)} or all"
+        )
     if args.drill == "all":
         reports = run_all_drills(seed=args.seed, quick=args.quick, log=print)
     else:
@@ -718,6 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p4 = sub.add_parser("serve", help="concurrent multi-model serving demo")
     p4.add_argument(
         "--models",
+        type=_str_list,
         default=None,
         help="comma-separated registered model names (default: cifar10_full, "
         "or every model in --store; alexnet also ships in the zoo)",
@@ -790,6 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     pex.add_argument("--store", required=True, metavar="DIR", help="artifact store directory")
     pex.add_argument(
         "--models",
+        type=_str_list,
         default=None,
         help="comma-separated deployable names (default: every zoo deployable)",
     )

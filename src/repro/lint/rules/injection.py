@@ -16,10 +16,9 @@ The chaos harness makes two promises the rest of the repo relies on:
   made to fail; the catalog in ``docs/robustness.md`` and the
   ``--list`` output are trustworthy only if every call site names its
   site as a string literal.  Flagged: any ``inject(...)`` call whose
-  first argument is not a string literal.  (The serve doubles' ``SITE =
-  register_site("literal", ...)`` constants are fired through their
-  private plans — ``plan.fire(SITE, ...)`` is not an ``inject()`` call,
-  and the literal still appears at registration.)
+  first argument is not a string literal.  Every layer, the serve
+  supervisor included, fires its sites through ``inject()``, so the
+  rule sees every seam.
 """
 
 from __future__ import annotations

@@ -22,26 +22,21 @@ A supervised, concurrent, multi-tenant server in front of the compiled
   :class:`repro.serve.metrics.ModelMetrics`.
 * :mod:`repro.serve.errors` — the typed rejections
   (:class:`UnknownModelError`, :class:`QueueFullError`,
-  :class:`ServerClosedError`, :class:`ModelQuarantinedError`).
-* :mod:`repro.serve.faults` — deterministic fault-injection doubles
-  (crashing engines, flaky builders) for the supervision test harness.
+  :class:`ServerClosedError`, :class:`ModelQuarantinedError`) and
+  :class:`CrashError`, the failure injected at the supervisor's
+  ``serve.engine.run`` / ``serve.builder.build`` chaos sites.
 
 Exposed on the command line as ``python -m repro serve``.
 """
 
 from repro.serve.batching import AdaptiveBatchPolicy
 from repro.serve.errors import (
+    CrashError,
     ModelQuarantinedError,
     QueueFullError,
     ServeError,
     ServerClosedError,
     UnknownModelError,
-)
-from repro.serve.faults import (
-    CrashError,
-    CrashingEngine,
-    FlakyBuilder,
-    crash_schedule,
 )
 from repro.serve.metrics import ModelMetrics
 from repro.serve.registry import ModelRegistry
@@ -51,8 +46,6 @@ from repro.serve.supervisor import ModelActor, Supervisor, SupervisorPolicy
 __all__ = [
     "AdaptiveBatchPolicy",
     "CrashError",
-    "CrashingEngine",
-    "FlakyBuilder",
     "ModelActor",
     "ModelMetrics",
     "ModelQuarantinedError",
@@ -64,5 +57,4 @@ __all__ = [
     "Supervisor",
     "SupervisorPolicy",
     "UnknownModelError",
-    "crash_schedule",
 ]

@@ -14,10 +14,12 @@ from *shutdown*:
 * :class:`ModelQuarantinedError` — supervision took one model out of
   service after too many consecutive actor crashes; requests to it are
   refused while every other hosted model keeps serving.
+* :class:`CrashError` — not a rejection: what the chaos ``crash``
+  fault raises at the supervisor's ``serve.*`` sites.
 
-All of them derive from :class:`ServeError`; ``UnknownModelError`` also
-derives from :class:`KeyError` so registry lookups behave like a
-mapping.
+The four rejections derive from :class:`ServeError`;
+``UnknownModelError`` also derives from :class:`KeyError` so registry
+lookups behave like a mapping.
 """
 
 from __future__ import annotations
@@ -78,3 +80,7 @@ class ModelQuarantinedError(ServeError):
             f"model {model!r} is quarantined after {failures} consecutive "
             f"failures{detail}; rollover a fixed version to reinstate it"
         )
+
+
+class CrashError(RuntimeError):
+    """The deterministic injected failure (distinguishable from real bugs)."""

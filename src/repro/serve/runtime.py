@@ -129,8 +129,8 @@ class ServerRuntime:
         sleep: Backoff sleep used by the supervisor (injectable; tests
             pass a fake-clock-advancing sleep).
         engine_provider: ``provider(name, version) -> (engine, label)``
-            override for how actors obtain engines — the seam the
-            fault-injection tests use to serve crashing engines.
+            override for how actors obtain engines (tests script
+            version labels and build failures through it).
         backend: ``"thread"`` (default) executes batches on the actor
             worker threads in-process.  ``"process"`` is the opt-in
             scale-out mode: each model's decoded weight planes are
@@ -194,7 +194,7 @@ class ServerRuntime:
         self.backend = backend
         self._runner = None
         self._arena = None
-        base_provider = engine_provider or self._default_provider
+        provider = engine_provider or self._default_provider
         if backend == "process":
             import os as _os
 
@@ -209,9 +209,7 @@ class ServerRuntime:
                 mp_context=mp_context,
                 initializer=_worker.mark_decode_baseline,
             )
-            self._provider = self._wrap_process_provider(base_provider)
-        else:
-            self._provider = base_provider
+            provider = self._wrap_process_provider(provider)
         for name in names:
             if name not in registry:
                 raise UnknownModelError(name, tuple(registry.names()))
@@ -223,7 +221,7 @@ class ServerRuntime:
         self._supervisor = Supervisor(
             self._order,
             self.policy,
-            self._provider,
+            provider,
             workers=workers,
             clock=clock,
             sleep=sleep,
@@ -236,12 +234,15 @@ class ServerRuntime:
         """Decorate a provider so resolved engines execute in pool workers.
 
         The inner provider still resolves/compiles the engine (registry
-        memoization, version pinning, and the fault-injection test seam
-        all keep working); its deployed artifact's weight planes are
-        published to the shared arena — once per content per host — and
-        the actor gets a :class:`~repro.parallel.SharedEngineProxy`
-        instead.  Engines without a deployed artifact (test doubles)
-        pass through and execute in-process.
+        memoization and version pinning keep working); its deployed
+        artifact's weight planes are published to the shared arena —
+        once per content per host — and the actor gets a
+        :class:`~repro.parallel.SharedEngineProxy` instead.  Engines
+        without a deployed artifact pass through and execute in-process.
+        Swapping the engine does not hide it from fault injection: the
+        supervisor fires the ``serve.engine.run`` and
+        ``serve.builder.build`` chaos sites in the parent process, around
+        whatever engine the actor holds.
         """
 
         def provider(name: str, version):
@@ -375,7 +376,7 @@ class ServerRuntime:
         actor = self._actor(model)
         if self._stopping:
             raise ServerClosedError("cannot roll over a stopped runtime")
-        engine, label = self._provider(model, LATEST if version is None else version)
+        engine, label = self._supervisor.resolve(model, LATEST if version is None else version)
         with actor.work:
             actor.consecutive_failures = 0
             actor.install_engine_locked(engine, label)

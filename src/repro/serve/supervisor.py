@@ -32,6 +32,12 @@ versions without dropping requests: every claim pins the engine object,
 version label, and actor *generation* it executes under, and stale
 completions/crashes from a retired generation are recognised and kept
 from corrupting the new one's supervision state.
+
+Chaos sites: ``serve.engine.run`` fires before each batch and
+``serve.builder.build`` before each engine resolution (prime, rebuild,
+rollover), with the model's ``name`` in the context.  Both fire in the
+parent process, so a :class:`~repro.chaos.FaultPlan` schedules the same
+crashes on the thread and the process backend.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from repro.chaos.registry import inject, register_site
 from repro.retry import RetryPolicy
 from repro.serve.batching import AdaptiveBatchPolicy
 from repro.serve.errors import ModelQuarantinedError, ServerClosedError
@@ -54,6 +61,19 @@ from repro.serve.metrics import ModelMetrics
 RUNNING = "running"
 BACKOFF = "backoff"
 QUARANTINED = "quarantined"
+
+register_site(
+    "serve.engine.run",
+    layer="serve",
+    description="each batch an actor executes, just before engine.run(); "
+    "context has the model name",
+)
+register_site(
+    "serve.builder.build",
+    layer="serve",
+    description="each engine resolution (prime, rebuild, rollover); "
+    "context has the model name",
+)
 
 
 @dataclass(frozen=True)
@@ -218,6 +238,11 @@ class Supervisor:
         self.sleep = sleep
         self.threads: list[threading.Thread] = []
 
+    def resolve(self, name: str, version) -> tuple:
+        """``provider(name, version)``, behind the ``serve.builder.build`` site."""
+        inject("serve.builder.build", name=name)
+        return self.provider(name, version)
+
     # -- lifecycle ---------------------------------------------------------
     def prime(self) -> None:
         """Attempt the initial engine build of every actor, supervised.
@@ -229,7 +254,7 @@ class Supervisor:
         """
         for actor in self.actors:
             try:
-                engine, label = self.provider(actor.name, None)
+                engine, label = self.resolve(actor.name, None)
             except Exception as error:
                 with actor.work:
                     self._record_failure_locked(actor, error)
@@ -338,7 +363,7 @@ class Supervisor:
         with actor.lock:
             generation = actor.generation
         try:
-            engine, label = self.provider(actor.name, None)
+            engine, label = self.resolve(actor.name, None)
         except Exception as error:
             with actor.work:
                 actor.building = False
@@ -376,6 +401,7 @@ class Supervisor:
             return
         actor.metrics.record_batch(len(good))
         try:
+            inject("serve.engine.run", name=actor.name)
             logits = engine.run(np.stack([r.sample for r in good]))
         except BaseException as error:  # actor death: poisoned batch / broken engine
             actor.metrics.record_crash(len(good))

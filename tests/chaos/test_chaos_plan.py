@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.chaos import FaultPlan, FaultPlanError, FaultRule
+from repro.serve import CrashError
 
 
 def rule(site="io.artifact.read", fault="truncate", trigger=None, params=None):
@@ -15,6 +16,10 @@ def rule(site="io.artifact.read", fault="truncate", trigger=None, params=None):
         trigger=trigger if trigger is not None else {"always": True},
         params=params or {},
     )
+
+
+def crash_rule(trigger):
+    return rule(site="serve.engine.run", fault="crash", trigger=trigger)
 
 
 class TestRuleValidation:
@@ -167,6 +172,80 @@ class TestFiring:
         for t in threads:
             t.join()
         assert plan.calls("io.artifact.read") == n_threads * per_thread
+
+    def test_match_rules_number_calls_among_accepted_firings(self):
+        plan = FaultPlan(
+            rules=[
+                crash_rule({"match": {"name": "a"}, "calls": [2]}),
+                crash_rule({"match": {"name": "b"}, "call": 1}),
+            ]
+        )
+        crashes = []
+        for name in ["a", "b", "a", "a", "b"]:
+            try:
+                plan.fire("serve.engine.run", {"name": name})
+            except CrashError as exc:
+                crashes.append(str(exc))
+        assert crashes == [
+            "b: scheduled crash at serve.engine.run call 1",
+            "a: scheduled crash at serve.engine.run call 2",
+        ]
+        assert plan.fired == [("serve.engine.run", 1, "crash"), ("serve.engine.run", 2, "crash")]
+        assert plan.calls("serve.engine.run") == 5  # the site total spans both models
+
+    def test_rules_without_match_count_every_firing_of_the_site(self):
+        slept = []
+        plan = FaultPlan(
+            rules=[
+                rule(
+                    fault="latency",
+                    trigger={"suffix": "v2.npz", "call": 3},
+                    params={"seconds": 0.0},
+                )
+            ]
+        )
+        for path in ["v1.npz", "v2.npz", "v2.npz", "v2.npz"]:
+            plan.fire("io.artifact.read", {"path": path, "sleep": slept.append})
+        assert plan.fired == [("io.artifact.read", 3, "latency")]
+        assert slept == [0.0]
+
+    def test_match_counting_is_thread_safe(self):
+        n_threads, per_thread = 8, 200
+        per_model = n_threads * per_thread // 2
+        # Each model's last call fires and the one after it never does:
+        # both hold only if the per-model count is exact.
+        schedule = {
+            "a": [1, 17, per_model // 2, per_model, per_model + 1],
+            "b": [3, per_model - 1, per_model, per_model + 1],
+        }
+        plan = FaultPlan(
+            rules=[
+                crash_rule({"match": {"name": name}, "calls": calls})
+                for name, calls in schedule.items()
+            ]
+        )
+        crashes = {name: [] for name in schedule}
+        lock = threading.Lock()
+
+        def hammer():
+            for i in range(per_thread):
+                name = "ab"[i % 2]
+                try:
+                    plan.fire("serve.engine.run", {"name": name})
+                except CrashError as exc:
+                    with lock:
+                        crashes[name].append(int(str(exc).rsplit(" ", 1)[1]))
+
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert plan.calls("serve.engine.run") == 2 * per_model
+        for name, calls in schedule.items():
+            # Every scheduled call up to the model's total fired exactly once.
+            assert sorted(crashes[name]) == [c for c in calls if c <= per_model]
+        assert len(plan.fired) == sum(len(c) for c in crashes.values())
 
     def test_seeded_rng_replays_identical_corruption(self, tmp_path):
         blobs = []

@@ -17,7 +17,7 @@ from repro.chaos import (
 # Importing the owning layers registers their sites, same as the CLI does.
 import repro.io.store  # noqa: F401
 import repro.parallel.arena  # noqa: F401
-import repro.serve.faults  # noqa: F401
+import repro.serve  # noqa: F401
 
 
 def latency_plan(site, trigger=None):

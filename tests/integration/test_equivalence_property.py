@@ -150,14 +150,13 @@ class TestSupervisedServingEquivalence:
     def test_random_traffic_with_crashes_matches_serial_eager(
         self, spec, serving_models
     ):
+        from repro.chaos import FaultPlan, FaultRule, installed
         from repro.serve import (
             CrashError,
-            CrashingEngine,
             ModelQuarantinedError,
             ModelRegistry,
             ServerRuntime,
             SupervisorPolicy,
-            crash_schedule,
         )
 
         seed, n_requests, workers, max_batch, n_crashes = spec
@@ -165,41 +164,49 @@ class TestSupervisedServingEquivalence:
         rng = np.random.default_rng(seed)
         names = list(deployed)
 
-        # One shared CrashingEngine per model: the call counter spans
-        # restarts, so the seeded schedule injects crashes mid-stream.
-        crashers = {
-            name: CrashingEngine(
-                engines[name],
-                crash_on=crash_schedule(seed + i, n_calls=80, n_crashes=n_crashes),
-                label=name,
-            )
-            for i, name in enumerate(names)
-        }
-
-        def provider(name, version):
-            return crashers[name], "v-prop"
+        # One rule per model: its call count spans restarts, so the
+        # seeded schedule (n_crashes of the model's first 80 batches)
+        # injects crashes mid-stream.
+        faults = FaultPlan(
+            rules=[
+                FaultRule(
+                    site="serve.engine.run",
+                    fault="crash",
+                    trigger={
+                        "match": {"name": name},
+                        "calls": sorted(
+                            int(c) + 1
+                            for c in np.random.default_rng(seed + i).choice(
+                                80, size=n_crashes, replace=False
+                            )
+                        ),
+                    },
+                )
+                for i, name in enumerate(names)
+            ]
+        )
 
         registry = ModelRegistry()
         for name, dep in deployed.items():
             registry.register(name, (lambda d: (lambda: d))(dep))
-        runtime = ServerRuntime(
-            registry,
-            names,
-            workers=workers,
-            max_batch=max_batch,
-            max_queue=4096,
-            engine_provider=provider,
-            policy=SupervisorPolicy(
-                max_failures=3, backoff_initial_s=0.001, backoff_cap_s=0.005
-            ),
-        ).start()
+        with installed(faults):
+            runtime = ServerRuntime(
+                registry,
+                names,
+                workers=workers,
+                max_batch=max_batch,
+                max_queue=4096,
+                policy=SupervisorPolicy(
+                    max_failures=3, backoff_initial_s=0.001, backoff_cap_s=0.005
+                ),
+            ).start()
 
-        plan = []  # (name, sample, future)
-        for _ in range(n_requests):
-            name = names[int(rng.integers(len(names)))]
-            sample = rng.normal(scale=0.5, size=shapes[name]).astype(np.float32)
-            plan.append((name, sample, runtime.submit(name, sample)))
-        runtime.stop(drain=True)
+            plan = []  # (name, sample, future)
+            for _ in range(n_requests):
+                name = names[int(rng.integers(len(names)))]
+                sample = rng.normal(scale=0.5, size=shapes[name]).astype(np.float32)
+                plan.append((name, sample, runtime.submit(name, sample)))
+            runtime.stop(drain=True)
 
         outcomes = {name: {"ok": 0, "crash": 0, "quarantine": 0} for name in names}
         for name, sample, future in plan:

@@ -1,12 +1,11 @@
-"""Serve-suite fixtures: fake clock, tiny models, fault injection, watchdog.
+"""Serve-suite fixtures: fake clock, tiny models, watchdog.
 
 Everything the serving tests need to run fast (< 10 s for the whole
 suite) and deterministically: millisecond-scale MLP artifacts instead of
 conv networks, a manually-advanced clock so latency/throughput
 assertions are exact, a fake backoff sleep that *advances* that clock
 (so restart-with-backoff sequences replay without wall-clock waits or
-``time.sleep`` races), the scheduled-crash doubles from
-:mod:`repro.serve.faults`, a fresh registry per test with builder-call
+``time.sleep`` races), a fresh registry per test with builder-call
 counting, and a per-test ``faulthandler`` watchdog that dumps all stacks
 and kills the run if any single test hangs — a deadlocked supervisor
 fails loudly instead of wedging CI.
@@ -24,7 +23,7 @@ from repro.core import deploy_calibrated
 from repro.core.engine import BatchedEngine
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Network
-from repro.serve import CrashingEngine, FlakyBuilder, ModelRegistry
+from repro.serve import ModelRegistry
 
 #: Hard per-test deadline for tests/serve — generous next to the <1 s a
 #: healthy test takes, tiny next to a wedged condition-variable wait.
@@ -94,26 +93,6 @@ def backoff_log():
 def fake_sleep(fake_clock, backoff_log):
     """A backoff sleep bound to ``fake_clock``, recording into ``backoff_log``."""
     return fake_clock.sleeper(backoff_log)
-
-
-@pytest.fixture
-def crashing_engine(engine_a):
-    """Factory: a model-A engine double crashing on the given run() calls."""
-
-    def make(crash_on=(), label="injected"):
-        return CrashingEngine(engine_a, crash_on=crash_on, label=label)
-
-    return make
-
-
-@pytest.fixture
-def flaky_builder(deployed_a):
-    """Factory: a model-A builder double failing on the given build numbers."""
-
-    def make(fail_on, label="flaky"):
-        return FlakyBuilder(deployed_a, fail_on=fail_on, label=label)
-
-    return make
 
 
 def tiny_deployed(seed: int, in_features: int, out_features: int, name: str):

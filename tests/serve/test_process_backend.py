@@ -1,13 +1,14 @@
-"""ServerRuntime process-worker mode: identity, metrics, health, pool death."""
+"""ServerRuntime process-worker mode: identity, metrics, health, crashes, pool death."""
 
 import time
 
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule, installed
 from repro.parallel import PoolClosedError, SharedEngineProxy, WorkerCrashedError
 from repro.parallel import worker as worker_mod
-from repro.serve import ModelQuarantinedError, ServerRuntime, SupervisorPolicy
+from repro.serve import CrashError, ModelQuarantinedError, ServerRuntime, SupervisorPolicy
 
 
 def _requests(n, features, seed=5):
@@ -112,6 +113,54 @@ class TestProcessServing:
     def test_backend_validation(self, registry):
         with pytest.raises(ValueError, match="unknown backend"):
             ServerRuntime(registry, ["tiny_a"], backend="fiber")
+
+
+class TestCrashRestart:
+    def test_scheduled_crashes_restart_and_serve_exact_survivors(
+        self, registry, engine_a, fake_clock, fake_sleep, backoff_log
+    ):
+        """The engine site fires parent-side, so shared-engine proxies crash too."""
+        x = _requests(8, 6)
+        plan = FaultPlan(
+            rules=[
+                FaultRule(
+                    site="serve.engine.run",
+                    fault="crash",
+                    trigger={"match": {"name": "tiny_a"}, "calls": [1, 3]},
+                )
+            ]
+        )
+        with installed(plan):
+            rt = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=1,
+                max_batch=2,
+                backend="process",
+                pool_workers=1,
+                clock=fake_clock,
+                sleep=fake_sleep,
+                policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.05),
+            )
+            assert isinstance(rt._actors["tiny_a"].engine, SharedEngineProxy)
+            futures = [rt.submit("tiny_a", s) for s in x]
+            rt.stop(drain=True)  # unstarted: drains inline, batch by batch
+
+        # Batches 1 and 3 (requests 0-1 and 4-5) died; the rest survived.
+        survivors = [2, 3, 6, 7]
+        for i, future in enumerate(futures):
+            if i in survivors:
+                assert np.array_equal(future.result(timeout=0), engine_a.run(x[i][None])[0])
+            else:
+                with pytest.raises(CrashError, match="tiny_a: scheduled crash"):
+                    future.result(timeout=0)
+        assert plan.calls("serve.engine.run") == 4
+        assert backoff_log == pytest.approx([0.05, 0.05])
+        snap = rt.health()["models"]["tiny_a"]
+        assert snap["state"] == "running"
+        assert snap["crashes"] == 2 and snap["restarts"] == 2
+        metrics = rt.metrics("tiny_a")
+        assert metrics.completed == 4 and metrics.crashed == 4
 
 
 class TestPoolDeath:

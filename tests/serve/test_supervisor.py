@@ -1,7 +1,9 @@
 """Supervision tree under fault injection: crash, restart, quarantine, rollover.
 
-Every test here is deterministic: crashes are scheduled by call number
-(:mod:`repro.serve.faults`), the clock is fake, and the backoff sleep
+Every test here is deterministic: crashes are scheduled per model by
+call number (a :class:`~repro.chaos.FaultPlan` over the supervisor's
+``serve.engine.run`` / ``serve.builder.build`` sites, installed with
+:func:`repro.chaos.installed`), the clock is fake, and the backoff sleep
 advances that clock while logging each requested duration — so restart
 sequences are asserted *exactly*, with no wall-clock waits.  Threaded
 tests synchronise only on future resolution (never ``time.sleep``).
@@ -14,23 +16,34 @@ import json
 import numpy as np
 import pytest
 
+from repro.chaos import FaultPlan, FaultRule, installed
 from repro.core.engine import BatchedEngine
 from repro.io.store import ArtifactStore
 from repro.serve import (
     AdaptiveBatchPolicy,
     CrashError,
-    CrashingEngine,
     ModelQuarantinedError,
     ModelRegistry,
     ServerClosedError,
     ServerRuntime,
     SupervisorPolicy,
-    crash_schedule,
 )
-from repro.serve.faults import FlakyBuilder
 from repro.serve.supervisor import BACKOFF, QUARANTINED, RUNNING
 
 from conftest import tiny_deployed
+
+RUN = "serve.engine.run"
+BUILD = "serve.builder.build"
+
+
+def crashes(site, name, **trigger):
+    """A plan crashing ``site`` for model ``name`` on ``trigger``'s calls.
+
+    ``match`` numbers the calls per model: ``calls=[1]`` is that
+    model's first batch (or build), whatever the other models do.
+    """
+    rule = FaultRule(site=site, fault="crash", trigger={"match": {"name": name}, **trigger})
+    return FaultPlan(rules=[rule], name=f"{name}-{site}")
 
 
 class ScriptedProvider:
@@ -96,22 +109,22 @@ class TestCrashRestart:
     def test_poisoned_batch_kills_actor_and_restart_serves_the_rest(
         self, registry, engine_a, fake_clock, fake_sleep, backoff_log, samples_a
     ):
-        crashy = CrashingEngine(engine_a, crash_on={1}, label="crashy")
         provider = ScriptedProvider(
-            {"tiny_a": [(crashy, "bad-v1"), (engine_a, "good-v2")]}
+            {"tiny_a": [(engine_a, "bad-v1"), (engine_a, "good-v2")]}
         )
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            max_batch=2,
-            clock=fake_clock,
-            sleep=fake_sleep,
-            engine_provider=provider,
-            policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.05),
-        )
-        futures = [runtime.submit("tiny_a", s) for s in samples_a[:4]]
-        runtime.stop(drain=True)  # unstarted: drains inline, deterministically
+        with installed(crashes(RUN, "tiny_a", calls=[1])):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=1,
+                max_batch=2,
+                clock=fake_clock,
+                sleep=fake_sleep,
+                engine_provider=provider,
+                policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.05),
+            )
+            futures = [runtime.submit("tiny_a", s) for s in samples_a[:4]]
+            runtime.stop(drain=True)  # unstarted: drains inline, deterministically
 
         # First claimed batch (2 requests) died with the injected error...
         for future in futures[:2]:
@@ -134,25 +147,21 @@ class TestCrashRestart:
         assert metrics.crashed == 2 and metrics.queue_depth == 0
 
     def test_crash_in_one_model_never_touches_the_other(
-        self, registry, engine_a, engine_b, fake_clock, fake_sleep, samples_a, samples_b
+        self, registry, engine_b, fake_clock, fake_sleep, samples_a, samples_b
     ):
-        always_crash = CrashingEngine(engine_a, crash_on=range(1, 100), label="doomed")
-        provider = ScriptedProvider(
-            {"tiny_a": [(always_crash, "bad")], "tiny_b": [(engine_b, "fine")]}
-        )
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a", "tiny_b"],
-            workers=1,
-            max_batch=4,
-            clock=fake_clock,
-            sleep=fake_sleep,
-            engine_provider=provider,
-            policy=SupervisorPolicy(max_failures=2, backoff_initial_s=0.05),
-        )
-        futures_a = [runtime.submit("tiny_a", s) for s in samples_a[:8]]
-        futures_b = [runtime.submit("tiny_b", s) for s in samples_b[:8]]
-        runtime.stop(drain=True)
+        with installed(crashes(RUN, "tiny_a", always=True)):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a", "tiny_b"],
+                workers=1,
+                max_batch=4,
+                clock=fake_clock,
+                sleep=fake_sleep,
+                policy=SupervisorPolicy(max_failures=2, backoff_initial_s=0.05),
+            )
+            futures_a = [runtime.submit("tiny_a", s) for s in samples_a[:8]]
+            futures_b = [runtime.submit("tiny_b", s) for s in samples_b[:8]]
+            runtime.stop(drain=True)
 
         assert all(f.exception(timeout=0) is not None for f in futures_a)
         got_b = np.stack([f.result(timeout=0) for f in futures_b])
@@ -165,22 +174,22 @@ class TestCrashRestart:
 
 class TestQuarantine:
     def test_quarantined_after_max_consecutive_failures(
-        self, registry, engine_a, fake_clock, fake_sleep, backoff_log, samples_a
+        self, registry, fake_clock, fake_sleep, backoff_log, samples_a
     ):
-        always_crash = CrashingEngine(engine_a, crash_on=range(1, 100))
-        provider = ScriptedProvider({"tiny_a": [(always_crash, "bad")]})
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            max_batch=2,
-            clock=fake_clock,
-            sleep=fake_sleep,
-            engine_provider=provider,
-            policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.05, backoff_factor=2.0),
-        )
-        futures = [runtime.submit("tiny_a", s) for s in samples_a[:6]]
-        runtime.stop(drain=True)
+        with installed(crashes(RUN, "tiny_a", always=True)):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=1,
+                max_batch=2,
+                clock=fake_clock,
+                sleep=fake_sleep,
+                policy=SupervisorPolicy(
+                    max_failures=3, backoff_initial_s=0.05, backoff_factor=2.0
+                ),
+            )
+            futures = [runtime.submit("tiny_a", s) for s in samples_a[:6]]
+            runtime.stop(drain=True)
 
         for future in futures:
             with pytest.raises(CrashError):
@@ -195,29 +204,27 @@ class TestQuarantine:
         assert "CrashError" in snap["last_error"]
 
     def test_submit_to_quarantined_model_raises_typed_error(
-        self, registry, engine_a, fake_clock, samples_a
+        self, registry, fake_clock, samples_a
     ):
-        always_crash = CrashingEngine(engine_a, crash_on=range(1, 100))
-        provider = ScriptedProvider({"tiny_a": [(always_crash, "bad")]})
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            max_batch=8,
-            clock=fake_clock,
-            sleep=fake_clock.sleeper(),
-            engine_provider=provider,
-            policy=SupervisorPolicy(max_failures=1),
-        )
-        runtime.start()
-        future = runtime.submit("tiny_a", samples_a[0])
-        with pytest.raises(CrashError):
-            future.result(timeout=10)
-        # The single failure spent the whole budget: quarantined.
-        with pytest.raises(ModelQuarantinedError, match="quarantined after 1"):
-            runtime.submit("tiny_a", samples_a[1])
-        assert runtime.metrics("tiny_a").rejected == 1
-        runtime.stop(drain=True)
+        with installed(crashes(RUN, "tiny_a", always=True)):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=1,
+                max_batch=8,
+                clock=fake_clock,
+                sleep=fake_clock.sleeper(),
+                policy=SupervisorPolicy(max_failures=1),
+            )
+            runtime.start()
+            future = runtime.submit("tiny_a", samples_a[0])
+            with pytest.raises(CrashError):
+                future.result(timeout=10)
+            # The single failure spent the whole budget: quarantined.
+            with pytest.raises(ModelQuarantinedError, match="quarantined after 1"):
+                runtime.submit("tiny_a", samples_a[1])
+            assert runtime.metrics("tiny_a").rejected == 1
+            runtime.stop(drain=True)
 
     def test_backoff_sequence_is_capped_exponential_until_quarantine(
         self, registry, fake_clock, fake_sleep, backoff_log, samples_a
@@ -247,47 +254,45 @@ class TestQuarantine:
 
 class TestFlakyBuilds:
     def test_build_crash_at_construction_starts_supervised_not_fatal(
-        self, deployed_a, registry, engine_a, fake_clock, fake_sleep, backoff_log, samples_a
+        self, registry, engine_a, fake_clock, fake_sleep, backoff_log, samples_a
     ):
-        flaky = FlakyBuilder(deployed_a, fail_on={1}, label="cold-start")
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            max_batch=4,
-            clock=fake_clock,
-            sleep=fake_sleep,
-            engine_provider=flaky.provider(BatchedEngine, version_label="healed"),
-            policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.05),
-        )
-        # Construction survived the build crash; the actor starts in backoff.
-        snap = runtime.health()["models"]["tiny_a"]
-        assert snap["state"] == BACKOFF
-        assert snap["consecutive_failures"] == 1
-        futures = [runtime.submit("tiny_a", s) for s in samples_a[:4]]
-        runtime.stop(drain=True)
+        with installed(crashes(BUILD, "tiny_a", calls=[1])) as plan:
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=1,
+                max_batch=4,
+                clock=fake_clock,
+                sleep=fake_sleep,
+                policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.05),
+            )
+            # Construction survived the build crash; the actor starts in backoff.
+            snap = runtime.health()["models"]["tiny_a"]
+            assert snap["state"] == BACKOFF
+            assert snap["consecutive_failures"] == 1
+            futures = [runtime.submit("tiny_a", s) for s in samples_a[:4]]
+            runtime.stop(drain=True)
         got = np.stack([f.result(timeout=0) for f in futures])
         assert np.array_equal(got, engine_a.run(np.stack(samples_a[:4])))
         assert backoff_log == pytest.approx([0.05])
-        assert flaky.calls == 2
+        assert plan.calls(BUILD) == 2
         assert runtime.health()["models"]["tiny_a"]["restarts"] == 1
 
     def test_permanently_broken_build_quarantines_and_drain_terminates(
-        self, deployed_a, registry, fake_clock, fake_sleep, samples_a
+        self, registry, fake_clock, fake_sleep, samples_a
     ):
-        flaky = FlakyBuilder(deployed_a, fail_on=FlakyBuilder.ALWAYS)
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            max_batch=4,
-            clock=fake_clock,
-            sleep=fake_sleep,
-            engine_provider=flaky.provider(BatchedEngine),
-            policy=SupervisorPolicy(max_failures=2, backoff_initial_s=0.05),
-        )
-        futures = [runtime.submit("tiny_a", s) for s in samples_a[:3]]
-        runtime.stop(drain=True)  # must return: quarantine fails the backlog
+        with installed(crashes(BUILD, "tiny_a", always=True)):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=1,
+                max_batch=4,
+                clock=fake_clock,
+                sleep=fake_sleep,
+                policy=SupervisorPolicy(max_failures=2, backoff_initial_s=0.05),
+            )
+            futures = [runtime.submit("tiny_a", s) for s in samples_a[:3]]
+            runtime.stop(drain=True)  # must return: quarantine fails the backlog
         for future in futures:
             with pytest.raises(ModelQuarantinedError):
                 future.result(timeout=0)
@@ -299,8 +304,16 @@ class TestFlakyBuilds:
     ):
         # No injected provider: the *registry's* builder crashes once, and
         # the default provider path routes that through supervision.
+        builds = []
+
+        def flaky_build():
+            builds.append(len(builds) + 1)
+            if len(builds) == 1:
+                raise CrashError("registry builder broke on build 1")
+            return deployed_a
+
         reg = ModelRegistry()
-        reg.register("tiny_a", FlakyBuilder(deployed_a, fail_on={1}))
+        reg.register("tiny_a", flaky_build)
         runtime = ServerRuntime(
             reg,
             ["tiny_a"],
@@ -425,6 +438,25 @@ class TestRollover:
             future.result(timeout=0), engine_a.run(samples_a[0][None])[0]
         )
 
+    def test_injected_rollover_crash_leaves_current_version_serving(
+        self, registry, engine_a, fake_clock, samples_a
+    ):
+        # Build 1 is prime's resolution; build 2 is the rollover's.
+        with installed(crashes(BUILD, "tiny_a", calls=[2])) as plan:
+            runtime = ServerRuntime(
+                registry, ["tiny_a"], workers=1, max_batch=4, clock=fake_clock
+            )
+            with pytest.raises(CrashError, match="tiny_a: scheduled crash at serve.builder.build"):
+                runtime.rollover("tiny_a")
+            future = runtime.submit("tiny_a", samples_a[0])
+            runtime.stop(drain=True)
+        assert plan.calls(BUILD) == 2
+        snap = runtime.health()["models"]["tiny_a"]
+        assert snap["state"] == RUNNING and snap["crashes"] == 0
+        assert np.array_equal(
+            future.result(timeout=0), engine_a.run(samples_a[0][None])[0]
+        )
+
     def test_rollover_after_stop_is_refused(self, registry, fake_clock):
         runtime = ServerRuntime(registry, ["tiny_a"], workers=1, clock=fake_clock)
         runtime.stop()
@@ -535,27 +567,26 @@ class TestSupervisionStress:
         must restart-with-backoff, a permanently broken model must
         quarantine, and shutdown must drain with every future resolved —
         nothing dropped, nothing double-served, healthy model untouched."""
-        crashy = CrashingEngine(engine_a, crash_on=crash_schedule(5, n_calls=40, n_crashes=6))
-        provider = ScriptedProvider(
-            {"tiny_a": [(crashy, "flaky")], "tiny_b": [(engine_b, "solid")]}
-        )
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a", "tiny_b"],
-            workers=3,
-            max_batch=4,
-            max_queue=4096,
-            engine_provider=provider,
-            policy=SupervisorPolicy(max_failures=50, backoff_initial_s=0.001, backoff_cap_s=0.01),
-        ).start()
-        futures_a, futures_b = [], []
-        rng = np.random.default_rng(11)
-        for i in range(200):
-            futures_a.append(runtime.submit("tiny_a", samples_a[i % 16]))
-            futures_b.append(runtime.submit("tiny_b", samples_b[i % 16]))
-            if i == 100:
-                runtime.rollover("tiny_a")  # hot swap under load
-        runtime.stop(drain=True)
+        # Six of tiny_a's first 40 batches crash, drawn from a seeded RNG.
+        schedule = np.random.default_rng(5).choice(40, size=6, replace=False) + 1
+        with installed(crashes(RUN, "tiny_a", calls=sorted(int(c) for c in schedule))):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a", "tiny_b"],
+                workers=3,
+                max_batch=4,
+                max_queue=4096,
+                policy=SupervisorPolicy(
+                    max_failures=50, backoff_initial_s=0.001, backoff_cap_s=0.01
+                ),
+            ).start()
+            futures_a, futures_b = [], []
+            for i in range(200):
+                futures_a.append(runtime.submit("tiny_a", samples_a[i % 16]))
+                futures_b.append(runtime.submit("tiny_b", samples_b[i % 16]))
+                if i == 100:
+                    runtime.rollover("tiny_a")  # hot swap under load
+            runtime.stop(drain=True)
 
         resolved_a = sum(1 for f in futures_a if f.done())
         assert resolved_a == len(futures_a)  # nothing dropped
@@ -584,21 +615,21 @@ class TestSupervisionStress:
         assert metrics_a.queue_depth == 0
 
     def test_permanently_broken_model_quarantines_under_load(
-        self, registry, engine_a, samples_a
+        self, registry, samples_a
     ):
-        doomed = CrashingEngine(engine_a, crash_on=range(1, 10_000), label="doomed")
-        provider = ScriptedProvider({"tiny_a": [(doomed, "bad")]})
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=2,
-            max_batch=4,
-            max_queue=4096,
-            engine_provider=provider,
-            policy=SupervisorPolicy(max_failures=3, backoff_initial_s=0.001, backoff_cap_s=0.01),
-        ).start()
-        futures = [runtime.submit("tiny_a", samples_a[i % 16]) for i in range(100)]
-        runtime.stop(drain=True)  # drain terminates because quarantine fails the backlog
+        with installed(crashes(RUN, "tiny_a", always=True)):
+            runtime = ServerRuntime(
+                registry,
+                ["tiny_a"],
+                workers=2,
+                max_batch=4,
+                max_queue=4096,
+                policy=SupervisorPolicy(
+                    max_failures=3, backoff_initial_s=0.001, backoff_cap_s=0.01
+                ),
+            ).start()
+            futures = [runtime.submit("tiny_a", samples_a[i % 16]) for i in range(100)]
+            runtime.stop(drain=True)  # drain terminates: quarantine fails the backlog
         assert all(f.done() for f in futures)
         errors = {type(f.exception(timeout=0)).__name__ for f in futures}
         assert errors <= {"CrashError", "ModelQuarantinedError"}

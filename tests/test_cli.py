@@ -1,6 +1,8 @@
 """CLI smoke tests (fast subcommands only; table2/fig3 train and are
 exercised through their underlying library functions elsewhere)."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -44,7 +46,7 @@ class TestParser:
                 "--requests", "32",
             ]
         )
-        assert args.models == "alexnet,cifar10_full"
+        assert args.models == ["alexnet", "cifar10_full"]
         assert args.workers == 4 and args.max_queue == 128
         assert args.batch == 8 and args.requests == 32
 
@@ -77,15 +79,41 @@ class TestParser:
         "argv, match",
         [
             (["--models", "nope"], "error: unknown model 'nope'; registered: "),
-            (["--models", ","], "error: --models names no model"),
+            (["--models", ","], "error: argument --models: expected at least one name"),
             (["--min-batch", "128", "--batch", "64"], r"error: --min-batch \(128\) must not exceed"),
         ],
         ids=["unknown-model", "no-model", "min-batch-above-batch"],
     )
-    def test_serve_rejects_bad_input_in_one_line(self, argv, match):
-        """Regression: these used to raise a raw traceback before any model compiled."""
-        with pytest.raises(SystemExit, match=match):
+    def test_serve_rejects_bad_input_in_one_line(self, argv, match, capsys):
+        """Regression: these used to raise a raw traceback before any model compiled.
+
+        An empty ``--models`` list is refused by the parser, which prints
+        its error line to stderr; the others exit with the message itself.
+        """
+        with pytest.raises(SystemExit) as exit_info:
             main(["serve", *argv])
+        assert re.search(match, f"{exit_info.value}\n{capsys.readouterr().err}")
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            ([], r"^error: pass --drill NAME"),
+            (["--drill", "bogus"], r"^error: unknown drill 'bogus'; choose from .*torn-checkpoint"),
+        ],
+        ids=["no-drill", "unknown-drill"],
+    )
+    def test_chaos_rejects_bad_input_in_one_line(self, argv, match):
+        """Regression: an unknown drill raised a DrillError traceback."""
+        with pytest.raises(SystemExit, match=match):
+            main(["chaos", *argv])
+
+    @pytest.mark.parametrize("command", ["serve", "export"])
+    def test_models_flag_rejects_an_empty_list(self, command, capsys):
+        """Regression: ``export --models ,`` published nothing and exited 0."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--store", "dir", "--models", ","])
+        assert exit_info.value.code == 2
+        assert "expected at least one name" in capsys.readouterr().err
 
     def test_serve_store_flag(self):
         args = build_parser().parse_args(["serve", "--store", "/tmp/somewhere"])
@@ -93,7 +121,7 @@ class TestParser:
 
     def test_export_flags(self):
         args = build_parser().parse_args(["export", "--store", "dir", "--models", "a,b"])
-        assert args.store == "dir" and args.models == "a,b"
+        assert args.store == "dir" and args.models == ["a", "b"]
         with pytest.raises(SystemExit):  # --store is required
             build_parser().parse_args(["export"])
 
@@ -235,6 +263,11 @@ class TestFastCommands:
         assert "Floating-point(32,32)" in out
         assert "Proposed MF-DFP(8,4)" in out
         assert "16.52" in out
+
+    def test_chaos_list_names_the_serve_sites(self, capsys):
+        main(["chaos", "--list"])
+        out = capsys.readouterr().out
+        assert "serve.engine.run" in out and "serve.builder.build" in out
 
     def test_table3_prints_both_networks(self, capsys):
         main(["table3"])
