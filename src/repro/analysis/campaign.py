@@ -176,7 +176,6 @@ def parallel_map(
     fns: Sequence[Callable[[], object]],
     jobs: Optional[int] = None,
     backend: str = "thread",
-    mp_context=None,
 ) -> list:
     """Run zero-argument point tasks, preserving input order.
 
@@ -184,8 +183,7 @@ def parallel_map(
     with the thread backend runs inline — no pool, no thread hops —
     which is also the reference ordering for the determinism contract.
     ``backend="process"`` runs the points in a
-    :class:`repro.parallel.ProcessPoolRunner` (tasks must pickle;
-    ``mp_context`` picks the start method).
+    :class:`repro.parallel.ProcessPoolRunner` (tasks must pickle).
 
     Error semantics on both backends: the first exception propagates,
     and every point still queued at that moment is cancelled rather
@@ -201,7 +199,7 @@ def parallel_map(
     if backend == "process":
         from repro.parallel import ProcessPoolRunner
 
-        with ProcessPoolRunner(min(jobs, len(fns)), mp_context=mp_context) as runner:
+        with ProcessPoolRunner(min(jobs, len(fns))) as runner:
             return runner.map(fns)
     if jobs == 1 or len(fns) == 1:
         return [fn() for fn in fns]
@@ -325,7 +323,6 @@ def run_campaign(
     rng: Optional[np.random.Generator] = None,
     cache: Optional[EngineCache] = None,
     backend: str = "thread",
-    mp_context=None,
 ) -> CampaignResult:
     """Run one named experiment campaign, fanned out over ``jobs`` workers.
 
@@ -341,7 +338,7 @@ def run_campaign(
     overrides the shared engine cache (useful for isolation in tests).
     ``backend="process"`` evaluates points in pool workers
     (bit-identical to the thread backend — pinned by the cross-backend
-    property tests); ``mp_context`` picks their start method.
+    property tests).
     """
     from repro.analysis import faults as faults_mod
     from repro.analysis import sweeps
@@ -354,7 +351,7 @@ def run_campaign(
     engine_cache = cache if cache is not None else _SHARED_CACHE
     stats = CacheStats()
     start = time.perf_counter()
-    fan_out = {"jobs": jobs, "backend": backend, "mp_context": mp_context}
+    fan_out = {"jobs": jobs, "backend": backend}
 
     if kind == "faults":
         if deployed is None:

@@ -143,7 +143,6 @@ def accuracy_under_faults(
     batch_size: int = 256,
     cache: Optional[EngineCache] = None,
     backend: str = "thread",
-    mp_context=None,
     stats: Optional[CacheStats] = None,
 ) -> list[tuple[float, float]]:
     """Accuracy vs bit-error-rate curve on a labelled batch.
@@ -174,5 +173,4 @@ def accuracy_under_faults(
         ],
         jobs=jobs,
         backend=backend,
-        mp_context=mp_context,
     )

@@ -85,7 +85,6 @@ def bitwidth_sweep(
     bit_widths: Sequence[int] = (4, 6, 8, 10, 12, 16),
     jobs: Optional[int] = 1,
     backend: str = "thread",
-    mp_context=None,
 ) -> list[SweepPoint]:
     """Error rate vs activation bit width (weight clamp scales along).
 
@@ -99,7 +98,6 @@ def bitwidth_sweep(
         ],
         jobs=jobs,
         backend=backend,
-        mp_context=mp_context,
     )
 
 
@@ -110,7 +108,6 @@ def exponent_clamp_sweep(
     min_exps: Sequence[int] = (-3, -5, -7, -9, -12, -15),
     jobs: Optional[int] = 1,
     backend: str = "thread",
-    mp_context=None,
 ) -> list[SweepPoint]:
     """Error rate vs the weight-exponent lower clamp.
 
@@ -121,11 +118,10 @@ def exponent_clamp_sweep(
         [_SweepTask(net, calibration_x, test, f"e>={e}", min_exp=e) for e in min_exps],
         jobs=jobs,
         backend=backend,
-        mp_context=mp_context,
     )
 
 
-def _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend, mp_context):
+def _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend):
     """Evaluate the requested subset of a fixed mode set."""
     unknown = [m for m in modes if m not in mode_kwargs]
     if unknown:
@@ -134,7 +130,6 @@ def _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend, mp
         [_SweepTask(net, calibration_x, test, m, **mode_kwargs[m]) for m in modes],
         jobs=jobs,
         backend=backend,
-        mp_context=mp_context,
     )
 
 
@@ -145,11 +140,10 @@ def dynamic_vs_static(
     jobs: Optional[int] = 1,
     modes: Sequence[str] = ("dynamic", "static"),
     backend: str = "thread",
-    mp_context=None,
 ) -> list[SweepPoint]:
     """Per-layer (dynamic) vs global (static) fixed-point radix."""
     mode_kwargs = {"dynamic": {"dynamic": True}, "static": {"dynamic": False}}
-    return _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend, mp_context)
+    return _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend)
 
 
 def stochastic_vs_deterministic(
@@ -160,7 +154,6 @@ def stochastic_vs_deterministic(
     jobs: Optional[int] = 1,
     modes: Sequence[str] = ("deterministic", "stochastic"),
     backend: str = "thread",
-    mp_context=None,
 ) -> list[SweepPoint]:
     """The weight-rounding-mode comparison of Section 4.1.
 
@@ -174,4 +167,4 @@ def stochastic_vs_deterministic(
         "deterministic": {"weight_mode": "deterministic"},
         "stochastic": {"weight_mode": "stochastic", "rng": rng},
     }
-    return _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend, mp_context)
+    return _mode_points(net, calibration_x, test, modes, mode_kwargs, jobs, backend)

@@ -172,7 +172,7 @@ def drill_torn_checkpoint_resume(
 ) -> tuple[FaultPlan, dict, dict]:
     """Tear the newest checkpoint post-write; resume must fall back."""
     from repro.io.artifacts import ArtifactError, load_checkpoint
-    from repro.io.checkpoint import Checkpointer, _is_readable
+    from repro.io.checkpoint import Checkpointer
 
     total = 4 if quick else 6
     torn_epoch = total - 1
@@ -203,7 +203,10 @@ def drill_torn_checkpoint_resume(
         trainer.fit(train, test, epochs=torn_epoch, checkpoint=checkpointer)
     torn = ckpt_dir / f"epoch_{torn_epoch:04d}.npz"
     _expect(torn.is_file(), "torn checkpoint file vanished instead of being torn")
-    _expect(not _is_readable(torn), "the fault plan failed to tear the newest checkpoint")
+    _expect(
+        checkpointer.latest() == checkpointer.path_for(torn_epoch - 1),
+        "the fault plan failed to tear the newest checkpoint",
+    )
 
     # A direct load of the torn file must fail typed, never raw.
     _, load_error = _typed_only(

@@ -90,6 +90,8 @@ surrogate training, and ``resume`` continues such a run bit-identically
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 import numpy as np
 
@@ -505,12 +507,15 @@ def _cmd_import(args) -> None:
 
 
 def _cmd_resume(args) -> None:
-    from repro.io import Checkpointer
+    from repro.io import ArtifactError, Checkpointer
 
     compiled = not args.no_compiled
     trainer, train, test = _surrogate_trainer(compiled=compiled, profile=args.profile)
     checkpoint = Checkpointer(args.checkpoint_dir, every=args.checkpoint_every)
-    done = checkpoint.resume(trainer)
+    try:
+        done = checkpoint.resume(trainer)
+    except ArtifactError as exc:  # nothing readable, or a file from another run
+        raise SystemExit(f"error: {exc}") from None
     if not done:
         raise SystemExit(f"error: no checkpoint found under {args.checkpoint_dir}")
     if done >= args.epochs:
@@ -518,7 +523,9 @@ def _cmd_resume(args) -> None:
             f"error: checkpoint already covers {done} epoch(s), nothing to train "
             f"at --epochs {args.epochs} (pass a larger --epochs to continue)"
         )
-    print(f"resuming surrogate training at epoch {done + 1}/{args.epochs} (from {checkpoint.latest().name})")
+    # latest() is the newest valid file: the one resume just restored.
+    restored = checkpoint.latest().name
+    print(f"resuming surrogate training at epoch {done + 1}/{args.epochs} (from {restored})")
     trainer.fit(train, test, epochs=args.epochs, resume=True, checkpoint=checkpoint)
     if args.profile:
         _print_profile(trainer, compiled)
@@ -952,7 +959,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> None:
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush cannot raise again, and exit
+        # without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

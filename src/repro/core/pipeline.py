@@ -280,6 +280,31 @@ def run_algorithm1(
     # used.
     collect = config.snapshot_phase1 and config.weight_mode == "deterministic"
     snapshots: Optional[list] = [] if collect else None
+    return _run_phases(
+        mfdfp, teacher, train, val, config, rng, float_val_error, snapshots, checkpoint
+    )
+
+
+def _run_phases(
+    mfdfp: MFDFPNetwork,
+    teacher: Network,
+    train: ArrayDataset,
+    val: ArrayDataset,
+    config: MFDFPConfig,
+    rng: np.random.Generator,
+    float_val_error: float,
+    snapshots: Optional[list],
+    checkpoint,
+    resume_state: Optional[dict] = None,
+    phase1_history: Optional[TrainHistory] = None,
+) -> MFDFPResult:
+    """Algorithm 1's phase sequence: phase 1, ``phase1_complete``, phase 2.
+
+    :func:`run_algorithm1` runs it fresh;
+    :func:`repro.io.checkpoint.resume_algorithm1` runs it from restored
+    state.  ``resume_state`` is a trainer state at an epoch boundary of
+    phase 1, or of phase 2 when ``phase1_history`` says phase 1 is done.
+    """
     hook1 = hook2 = None
     if checkpoint is not None:
         checkpoint.begin(
@@ -290,16 +315,21 @@ def run_algorithm1(
             snapshots=snapshots,
         )
         hook1, hook2 = checkpoint.phase1, checkpoint.phase2
-    history1 = phase1_finetune(
-        mfdfp, train, val, config, rng=rng, snapshots=snapshots, checkpoint=hook1
-    )
+    if phase1_history is None:
+        phase1_history = phase1_finetune(
+            mfdfp, train, val, config, rng=rng, snapshots=snapshots,
+            resume_state=resume_state, checkpoint=hook1,
+        )
+        resume_state = None
     if checkpoint is not None:
-        checkpoint.phase1_complete(history1)
-    history2 = phase2_distill(mfdfp, teacher, train, val, config, rng=rng, checkpoint=hook2)
+        checkpoint.phase1_complete(phase1_history)
+    history2 = phase2_distill(
+        mfdfp, teacher, train, val, config, rng=rng, resume_state=resume_state, checkpoint=hook2
+    )
     return MFDFPResult(
         mfdfp=mfdfp,
         plan=mfdfp.plan,
-        phase1=history1,
+        phase1=phase1_history,
         phase2=history2,
         float_val_error=float_val_error,
         phase1_snapshots=snapshots,

@@ -385,7 +385,6 @@ def explore(
     *,
     jobs: Optional[int] = 1,
     backend: str = "thread",
-    mp_context=None,
     checkpoint=None,
 ) -> ExplorationResult:
     """Run one multi-dimensional co-design exploration.
@@ -434,7 +433,6 @@ def explore(
                 ],
                 jobs=jobs,
                 backend=backend,
-                mp_context=mp_context,
             )
             for index, r, acc in results:
                 done[(r, index)] = materialize(index, r, acc, full)

@@ -18,6 +18,13 @@ proves this in subprocesses.
   persists the quantization plan, the frozen teacher, the phase-1
   snapshot series and the config, so :func:`resume_algorithm1` can
   rebuild the MF-DFP student in a process that never ran phase 1.
+
+Both, and :class:`~repro.io.exploration.ExplorationCheckpointer`, share
+one rolling-file policy (:class:`_RollingFiles`): a file is valid when
+its full restore read succeeds (every entry's CRC, not just the header);
+pruning counts only valid files; restore reads the newest valid file,
+skipping unreadable ones, and raises on a file that reads but does not
+fit (another schema, version, config or space).
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ from repro.io.artifacts import (
     plan_from_meta,
     plan_to_meta,
     read_container,
-    read_header,
     save_checkpoint,
     write_container,
 )
@@ -68,48 +74,104 @@ def _epoch_of(path: Path) -> int:
         return -1
 
 
-def _list_checkpoints(directory: Path, prefix: str) -> list[Path]:
-    """Checkpoint files named ``<prefix>_<number>.npz``, oldest first."""
-    if not directory.is_dir():
-        return []
-    return sorted(
-        (p for p in directory.glob(f"{prefix}_*.npz") if _epoch_of(p) >= 0),
-        key=_epoch_of,
-    )
+def _version(path: Path) -> tuple:
+    """Identity of one write of ``path``: any rewrite or tamper changes it."""
+    stat = path.stat()
+    return stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-def _is_readable(path: Path) -> bool:
-    """Cheap validity probe: does the file's container header read?
+class _RollingFiles:
+    """Numbered checkpoint files ``<prefix>_<n>.npz`` and the policy over them.
 
-    A torn write (truncated zip) loses the central directory at the
-    file's tail, so a header read fails — which makes this probe catch
-    exactly the damage the torn-write fault model produces, without
-    decompressing any tensor data.
+    ``read`` is the checkpointer's restore read; it raises
+    :class:`~repro.io.artifacts.ArtifactCorruptError` for an unreadable
+    file.  A file is valid unless that read raises it — one verdict per
+    file version, shared by pruning, :meth:`latest` and :meth:`_restore`.
     """
-    try:
-        read_header(path)
-    except ArtifactError:
-        return False
-    return True
+
+    def __init__(self, directory, prefix: str, read, keep: Optional[int], every: int = 1, width: int = 4):
+        if every < 1:
+            raise ValueError("checkpoint interval must be >= 1")
+        if keep is not None and keep < 1:
+            raise ValueError("must keep at least one checkpoint")
+        self.directory = Path(directory)
+        self.every = every
+        self.keep = keep
+        self._prefix = prefix
+        self._width = width
+        self._read = read
+        self._verdicts: dict[Path, tuple] = {}  # path -> (version, corrupt error or None)
+
+    def path_for(self, n: int) -> Path:
+        return self.directory / f"{self._prefix}_{n:0{self._width}d}.npz"
+
+    def checkpoints(self) -> list[Path]:
+        """Existing checkpoint files, oldest first."""
+        if not self.directory.is_dir():
+            return []
+        found = (p for p in self.directory.glob(f"{self._prefix}_*.npz") if _epoch_of(p) >= 0)
+        return sorted(found, key=_epoch_of)
+
+    def latest(self) -> Optional[Path]:
+        """Newest valid checkpoint — the file a restore reads — or None."""
+        return next((p for p in reversed(self.checkpoints()) if self._valid(p)), None)
+
+    def _valid(self, path: Path) -> bool:
+        version = _version(path)
+        if self._verdicts.get(path, (None,))[0] != version:
+            error = None
+            try:
+                self._read(path)
+            except ArtifactCorruptError as exc:
+                error = exc
+            except ArtifactError:
+                pass  # intact but foreign: valid here, and restore raises on it
+            self._verdicts[path] = (version, error)
+        return self._verdicts[path][1] is None
+
+    def _write(self, n: int, save, *args) -> Path:
+        """``save(path, *args)`` to file ``n``, then prune.
+
+        Pruning keeps the newest ``keep`` valid files.  Invalid files
+        neither count nor get deleted, so a damaged newest write never
+        evicts the fallback, and stays as evidence.
+        """
+        self.directory.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(n)
+        save(path, *args)
+        self._prune()
+        return path
+
+    def _prune(self) -> list[Path]:
+        if self.keep is None:
+            return []
+        doomed = [p for p in self.checkpoints() if self._valid(p)][: -self.keep]
+        for path in doomed:
+            path.unlink(missing_ok=True)
+            del self._verdicts[path]
+        return doomed
+
+    def _restore(self) -> Optional[tuple[Path, object]]:
+        """``(path, data)`` of the newest valid file, or None when there are none.
+
+        If files exist but none reads, raises
+        :class:`~repro.io.artifacts.ArtifactCorruptError` rather than
+        letting the caller silently start from scratch.
+        """
+        found = self.checkpoints()
+        for path in reversed(found):
+            if self._valid(path):
+                return path, self._read(path)
+        if not found:
+            return None
+        newest = self._verdicts[found[-1]][1]
+        raise ArtifactCorruptError(
+            f"{self.directory}: all {len(found)} checkpoint file(s) are unreadable; "
+            f"newest error: {newest}"
+        ) from newest
 
 
-def _prune_verified(files: list[Path], keep: int) -> list[Path]:
-    """Delete all but the newest ``keep`` *verified* files; return deletions.
-
-    Only files that pass :func:`_is_readable` count toward (or are
-    eligible for) pruning: when the newest file on disk is torn, the
-    newest *valid* one is still within the kept window, so resume always
-    has something to fall back to.  Torn files are left in place as
-    evidence — resume skips them and they never crowd out valid state.
-    """
-    verified = [p for p in files if _is_readable(p)]
-    doomed = verified[:-keep] if keep else []
-    for old in doomed:
-        old.unlink(missing_ok=True)
-    return doomed
-
-
-class Checkpointer:
+class Checkpointer(_RollingFiles):
     """Writes (and restores) epoch-boundary checkpoints of one training run.
 
     Args:
@@ -120,11 +182,11 @@ class Checkpointer:
             since the last checkpoint — bit-identical either way).
         phase: Label stored in each checkpoint (pipeline phases use
             ``phase1``/``phase2``).
-        keep: Retain only the newest ``keep`` *verified* checkpoints
+        keep: Retain only the newest ``keep`` *valid* checkpoints
             (``None`` keeps everything).  Pruning never counts or
-            deletes an unreadable (torn) file: if the newest file on
-            disk is damaged, the newest valid one stays within the kept
-            window and :meth:`resume` falls back to it.
+            deletes an unreadable file: if the newest file on disk is
+            damaged, the newest valid one stays within the kept window
+            and :meth:`resume` falls back to it.
 
     An instance is callable with the trainer, matching the
     ``Trainer.fit(checkpoint=...)`` hook.
@@ -137,93 +199,84 @@ class Checkpointer:
         phase: str = "train",
         keep: Optional[int] = None,
     ):
-        if every < 1:
-            raise ValueError("checkpoint interval must be >= 1")
-        if keep is not None and keep < 1:
-            raise ValueError("must keep at least one checkpoint")
-        self.directory = Path(directory)
-        self.every = every
+        super().__init__(directory, "epoch", load_checkpoint, keep=keep, every=every)
         self.phase = phase
-        self.keep = keep
 
     def __call__(self, trainer) -> None:
         epoch = len(trainer.history.epochs)
         if epoch % self.every == 0:
             self.save(trainer)
 
-    def path_for(self, epoch: int) -> Path:
-        return self.directory / f"epoch_{epoch:04d}.npz"
-
     def save(self, trainer) -> Path:
         """Write the trainer's current epoch-boundary state."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(len(trainer.history.epochs))
-        save_checkpoint(path, trainer.state_dict(), phase=self.phase)
-        if self.keep is not None:
-            _prune_verified(self.checkpoints(), self.keep)
-        return path
-
-    def checkpoints(self) -> list[Path]:
-        """Existing checkpoint files, oldest first."""
-        return _list_checkpoints(self.directory, "epoch")
-
-    def latest(self) -> Optional[Path]:
-        found = self.checkpoints()
-        return found[-1] if found else None
+        return self._write(
+            len(trainer.history.epochs), save_checkpoint, trainer.state_dict(), self.phase
+        )
 
     def resume(self, trainer) -> int:
-        """Restore the newest *loadable* checkpoint into ``trainer``.
+        """Restore the newest valid checkpoint into ``trainer``.
 
         Returns the number of completed epochs restored (0 when no
         checkpoint exists — the caller trains from scratch).  Continue
         with ``trainer.fit(..., resume=True, checkpoint=self)``.
 
-        A torn newest file (e.g. the process was killed mid-write and
-        the filesystem surfaced a truncated replacement) is skipped and
-        the next-newest checkpoint restored instead; resume then re-runs
-        the lost epochs, which is bit-identical by the epoch-boundary
-        contract.  If checkpoint files exist but *none* load,
-        :class:`~repro.io.artifacts.ArtifactCorruptError` is raised
-        rather than silently training from scratch.
+        An unreadable newest file (e.g. torn by a kill mid-write, or
+        bit-flipped by storage) is skipped and the next-newest
+        checkpoint restored instead; resume then re-runs the lost
+        epochs, which is bit-identical by the epoch-boundary contract.
+        A file that reads but is not a training checkpoint, or does not
+        fit ``trainer``, raises.  If checkpoint files exist but none
+        reads, :class:`~repro.io.artifacts.ArtifactCorruptError` is
+        raised rather than silently training from scratch.
         """
-        found = self.checkpoints()
-        if not found:
+        restored = self._restore()
+        if restored is None:
             return 0
-        last_error: Optional[ArtifactError] = None
-        for path in reversed(found):
-            try:
-                _, state, _ = load_checkpoint(path)
-            except ArtifactError as exc:
-                last_error = exc
-                continue
-            trainer.load_state_dict(state)
-            return len(trainer.history.epochs)
-        raise ArtifactCorruptError(
-            f"{self.directory}: all {len(found)} checkpoint file(s) failed to load; "
-            f"newest error: {last_error}"
-        ) from last_error
+        _, (_, state, _) = restored
+        trainer.load_state_dict(state)
+        return len(trainer.history.epochs)
 
 
-class PipelineCheckpointer:
+def _read_step(path: Path) -> dict:
+    """One pipeline step file as restore data."""
+    header, arrays = read_container(path, expect_kind="pipeline")
+    meta = header["meta"]
+    ctx = str(path)
+    phase = _field(meta, "phase", str, ctx)
+    if phase not in ("phase1", "phase2"):
+        raise ArtifactSchemaError(f"{ctx}: unknown pipeline phase {phase!r}")
+    snapshots = None
+    if meta.get("has_snapshots"):
+        snapshots = _snapshots_from_arrays(arrays, _int_field(meta, "n_snapshots", ctx))
+    return {
+        "phase": phase,
+        "config": _field(meta, "config", dict, ctx),
+        "plan_meta": _field(meta, "plan", dict, ctx),
+        "float_val_error": float(_field(meta, "float_val_error", (int, float), ctx)),
+        "phase1_history": _field(meta, "phase1_history", list, ctx),
+        "trainer": _trainer_state_join(meta, arrays, ctx),
+        "teacher": _unpack(arrays, "teacher"),
+        "snapshots": snapshots,
+    }
+
+
+class PipelineCheckpointer(_RollingFiles):
     """Checkpoints Algorithm 1 across both fine-tuning phases.
 
     Pass to :func:`repro.core.pipeline.run_algorithm1` as
     ``checkpoint=``; the pipeline calls :meth:`begin` once with the run
     context and :meth:`phase1`/:meth:`phase2` at each epoch boundary.
-    Each file is self-contained: config, plan, teacher weights, the
-    phase trainer state, completed phase-1 history and the snapshot
-    series — enough for :func:`resume_algorithm1` to continue in a
-    process with no memory of the original run.
+    Each file (``step_0004.npz``, numbered by epochs across both phases)
+    is self-contained: config, plan, teacher weights, the phase trainer
+    state, completed phase-1 history and the snapshot series — enough
+    for :func:`resume_algorithm1` to continue in a process with no
+    memory of the original run.  Disk use would grow quadratically with
+    epochs if every step survived, so only the newest ``keep`` valid
+    files are kept (a margin of fallbacks, not a history).
     """
 
     def __init__(self, directory, every: int = 1, keep: int = 3):
-        if every < 1:
-            raise ValueError("checkpoint interval must be >= 1")
-        if keep < 1:
-            raise ValueError("must keep at least one checkpoint")
-        self.directory = Path(directory)
-        self.every = every
-        self.keep = keep
+        super().__init__(directory, "step", _read_step, keep=keep, every=every)
         self._ctx: Optional[dict] = None
         self._phase1_history: list = []
 
@@ -255,7 +308,6 @@ class PipelineCheckpointer:
     def _save(self, phase: str, trainer, seq: int) -> Path:
         if self._ctx is None:
             raise CheckpointStateError("PipelineCheckpointer.begin was never called")
-        self.directory.mkdir(parents=True, exist_ok=True)
         meta, arrays = _trainer_state_split(trainer.state_dict())
         snapshots = self._ctx["snapshots"]
         meta.update(
@@ -271,60 +323,20 @@ class PipelineCheckpointer:
         )
         arrays.update(_pack("teacher", self._ctx["teacher"]))
         arrays.update(_snapshot_arrays(snapshots))
-        path = self.directory / f"step_{seq:04d}.npz"
-        write_container(path, "pipeline", meta, arrays)
-        # Each file is self-contained (teacher + full snapshot series),
-        # so disk use would grow quadratically with epochs if every step
-        # survived; resume reads the newest *loadable* file, so prune to
-        # the last ``keep`` verified ones (a margin of fallbacks, not a
-        # history) — a torn newest file must never evict the newest
-        # valid state resume would fall back to.
-        _prune_verified(self.checkpoints(), self.keep)
-        return path
-
-    def checkpoints(self) -> list[Path]:
-        return _list_checkpoints(self.directory, "step")
-
-    def latest(self) -> Optional[Path]:
-        found = self.checkpoints()
-        return found[-1] if found else None
+        return self._write(seq, write_container, "pipeline", meta, arrays)
 
     def load_latest(self) -> dict:
-        """Load the newest *loadable* pipeline checkpoint as restore data.
+        """Load the newest valid pipeline checkpoint as restore data.
 
-        A torn newest step file is skipped in favour of the next-newest
-        one (resume re-runs the lost epochs bit-identically); if step
-        files exist but none load,
+        An unreadable newest step file is skipped in favour of the
+        next-newest one (resume re-runs the lost epochs bit-identically);
+        if step files exist but none reads,
         :class:`~repro.io.artifacts.ArtifactCorruptError` is raised.
         """
-        found = self.checkpoints()
-        if not found:
+        restored = self._restore()
+        if restored is None:
             raise ArtifactError(f"no pipeline checkpoint found under {self.directory}")
-        path = None
-        for candidate in reversed(found):
-            if _is_readable(candidate):
-                path = candidate
-                break
-        if path is None:
-            raise ArtifactCorruptError(
-                f"{self.directory}: all {len(found)} pipeline step file(s) are unreadable"
-            )
-        header, arrays = read_container(path, expect_kind="pipeline")
-        meta = header["meta"]
-        ctx = str(path)
-        snapshots = None
-        if meta.get("has_snapshots"):
-            snapshots = _snapshots_from_arrays(arrays, _int_field(meta, "n_snapshots", ctx))
-        return {
-            "phase": _field(meta, "phase", str, ctx),
-            "config": _field(meta, "config", dict, ctx),
-            "plan_meta": _field(meta, "plan", dict, ctx),
-            "float_val_error": float(_field(meta, "float_val_error", (int, float), ctx)),
-            "phase1_history": _field(meta, "phase1_history", list, ctx),
-            "trainer": _trainer_state_join(meta, arrays, ctx),
-            "teacher": _unpack(arrays, "teacher"),
-            "snapshots": snapshots,
-        }
+        return restored[1]
 
 
 def resume_algorithm1(
@@ -350,12 +362,7 @@ def resume_algorithm1(
     config cannot reproduce the original trajectory).
     """
     from repro.core.mfdfp import MFDFPNetwork
-    from repro.core.pipeline import (
-        MFDFPConfig,
-        MFDFPResult,
-        phase1_finetune,
-        phase2_distill,
-    )
+    from repro.core.pipeline import MFDFPConfig, _run_phases
     from repro.core.quantizer import NetworkQuantizer
     from repro.nn.trainer import EpochResult, TrainHistory
 
@@ -389,49 +396,12 @@ def resume_algorithm1(
     quantizer.apply(float_net, plan)
     mfdfp = MFDFPNetwork(float_net, plan)
 
-    snapshots = data["snapshots"]
-    checkpoint.begin(
-        plan=plan,
-        config=config,
-        teacher=teacher,
-        float_val_error=data["float_val_error"],
-        snapshots=snapshots,
-    )
-    if data["phase"] == "phase1":
-        history1 = phase1_finetune(
-            mfdfp,
-            train,
-            val,
-            config,
-            rng=rng,
-            snapshots=snapshots,
-            resume_state=data["trainer"],
-            checkpoint=checkpoint.phase1,
-        )
-        checkpoint.phase1_complete(history1)
-        history2 = phase2_distill(
-            mfdfp, teacher, train, val, config, rng=rng, checkpoint=checkpoint.phase2
-        )
-    elif data["phase"] == "phase2":
+    # A phase-2 step file means phase 1 finished: its history is restored
+    # and the trainer state belongs to phase 2.
+    history1 = None
+    if data["phase"] == "phase2":
         history1 = TrainHistory([EpochResult(**e) for e in data["phase1_history"]])
-        checkpoint.phase1_complete(history1)
-        history2 = phase2_distill(
-            mfdfp,
-            teacher,
-            train,
-            val,
-            config,
-            rng=rng,
-            resume_state=data["trainer"],
-            checkpoint=checkpoint.phase2,
-        )
-    else:
-        raise ArtifactSchemaError(f"unknown pipeline phase {data['phase']!r}")
-    return MFDFPResult(
-        mfdfp=mfdfp,
-        plan=plan,
-        phase1=history1,
-        phase2=history2,
-        float_val_error=data["float_val_error"],
-        phase1_snapshots=snapshots,
+    return _run_phases(
+        mfdfp, teacher, train, val, config, rng, data["float_val_error"], data["snapshots"],
+        checkpoint, resume_state=data["trainer"], phase1_history=history1,
     )

@@ -12,10 +12,12 @@ refuses on load to mix rows from a different grid or configuration
 
 Files are ``exploration_<count>.npz`` where ``<count>`` is the number of
 evaluations inside — monotone over a run, so "newest" and "most
-complete" coincide.  Rolling retention and torn-file handling reuse the
-trainer checkpointer's machinery: only *verified* files count toward the
-kept window, and a truncated newest file (a kill mid-write never
-produces one, but a torn copy might) is skipped, not trusted.
+complete" coincide.  Retention and restore are the trainer
+checkpointers' rolling-file policy (:mod:`repro.io.checkpoint`): a file
+is valid when its full read succeeds, only valid files count toward the
+kept window, and an unreadable newest file (torn or bit-flipped) is
+skipped in favour of the next-newest one.  A file for a different space
+or config is never skipped: it raises.
 """
 
 from __future__ import annotations
@@ -25,17 +27,19 @@ from pathlib import Path
 import numpy as np
 
 from repro.io.artifacts import ArtifactSchemaError, read_container, write_container
-from repro.io.checkpoint import _is_readable, _list_checkpoints, _prune_verified
-
-_PREFIX = "exploration"
+from repro.io.checkpoint import _RollingFiles
 
 
-class ExplorationCheckpointer:
+def _read(path: Path) -> tuple[dict, dict]:
+    return read_container(path, expect_kind="exploration")
+
+
+class ExplorationCheckpointer(_RollingFiles):
     """Persist/restore completed exploration evaluations.
 
     Args:
         directory: Checkpoint directory (created on first save).
-        keep: Newest verified files retained (older ones are pruned).
+        keep: Newest valid files retained (older ones are pruned).
 
     Duck-typed against :func:`repro.explore.explorer.explore`'s
     ``checkpoint`` parameter: ``save`` is called every
@@ -44,10 +48,7 @@ class ExplorationCheckpointer:
     """
 
     def __init__(self, directory, keep: int = 2):
-        if keep < 1:
-            raise ValueError("keep must be >= 1")
-        self.directory = Path(directory)
-        self.keep = keep
+        super().__init__(directory, "exploration", _read, keep=keep, width=0)
 
     # -- write ---------------------------------------------------------------
     def save(self, evaluations, space, config) -> Path:
@@ -58,17 +59,12 @@ class ExplorationCheckpointer:
             if not isinstance(row, EvaluatedPoint):
                 raise TypeError(f"expected EvaluatedPoint rows, got {type(row).__name__}")
         rows = sorted(evaluations, key=lambda e: (e.rung, e.point.index))
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.directory / f"{_PREFIX}_{len(rows)}.npz"
-        write_container(
-            path,
-            kind="exploration",
-            meta={
-                "space": space.spec(),
-                "config": config.spec(),
-                "count": len(rows),
-            },
-            arrays={
+        return self._write(
+            len(rows),
+            write_container,
+            "exploration",
+            {"space": space.spec(), "config": config.spec(), "count": len(rows)},
+            {
                 "point_index": np.array([r.point.index for r in rows], dtype=np.int64),
                 "rung": np.array([r.rung for r in rows], dtype=np.int64),
                 "full": np.array([r.full for r in rows], dtype=np.uint8),
@@ -79,31 +75,24 @@ class ExplorationCheckpointer:
                 "energy_uj": np.array([r.energy_uj for r in rows], dtype=np.float64),
             },
         )
-        _prune_verified(_list_checkpoints(self.directory, _PREFIX), self.keep)
-        return path
 
     # -- read ----------------------------------------------------------------
-    def latest(self):
-        """Newest *verified* checkpoint path, or None."""
-        for path in reversed(_list_checkpoints(self.directory, _PREFIX)):
-            if _is_readable(path):
-                return path
-        return None
-
     def load(self, space, config) -> dict:
         """Restore ``{(rung, point index): EvaluatedPoint}`` or ``{}``.
 
-        Raises :class:`~repro.io.artifacts.ArtifactSchemaError` when the
-        stored space or config spec does not match the caller's — rows
-        measured on a different grid or seed must never silently seed a
-        resumed search.
+        Reads the newest valid file.  Raises
+        :class:`~repro.io.artifacts.ArtifactSchemaError` when the stored
+        space or config spec does not match the caller's — rows measured
+        on a different grid or seed must never silently seed a resumed
+        search — and :class:`~repro.io.artifacts.ArtifactCorruptError`
+        when files exist but none reads.
         """
         from repro.explore.explorer import EvaluatedPoint
 
-        path = self.latest()
-        if path is None:
+        restored = self._restore()
+        if restored is None:
             return {}
-        header, arrays = read_container(path, expect_kind="exploration")
+        path, (header, arrays) = restored
         meta = header["meta"]
         if meta.get("space") != space.spec():
             raise ArtifactSchemaError(

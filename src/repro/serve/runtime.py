@@ -144,8 +144,6 @@ class ServerRuntime:
         pool_workers: Process count for ``backend="process"``
             (default: ``os.cpu_count()``).  The pool forks eagerly in
             the constructor, before any serving thread starts.
-        mp_context: Start method for the process pool (name or
-            :mod:`multiprocessing` context).
     """
 
     def __init__(
@@ -165,7 +163,6 @@ class ServerRuntime:
         engine_provider=None,
         backend: str = "thread",
         pool_workers: Optional[int] = None,
-        mp_context=None,
     ):
         if workers < 1:
             raise ValueError("need at least one worker per model")
@@ -206,7 +203,6 @@ class ServerRuntime:
             # workers never inherit a mid-critical-section lock.
             self._runner = ProcessPoolRunner(
                 pool_workers or (_os.cpu_count() or 1),
-                mp_context=mp_context,
                 initializer=_worker.mark_decode_baseline,
             )
             provider = self._wrap_process_provider(provider)

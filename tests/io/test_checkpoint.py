@@ -20,7 +20,6 @@ from repro.io import (
     save_checkpoint,
 )
 from repro.io.artifacts import ArtifactCorruptError, ArtifactError, ArtifactSchemaError
-from repro.io.checkpoint import _prune_verified
 from repro.nn import SGD, PlateauScheduler, Trainer
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU
 from repro.nn.network import Network
@@ -179,7 +178,7 @@ class TestTornCheckpoints:
         valid = ck.path_for(1)
         torn = ck.path_for(2)
         torn.write_bytes(b"PK\x03\x04 torn to pieces")
-        _prune_verified(ck.checkpoints(), 1)
+        ck._prune()
         assert valid.is_file(), "pruning evicted the only loadable checkpoint"
         assert torn.is_file(), "torn files are evidence; pruning must not reap them"
         fresh, train, test = _problem()
@@ -239,7 +238,7 @@ class TestTornCheckpoints:
         torn = tmp_path / "step_0003.npz"
         torn.write_bytes(b"half a zip")
         ck = PipelineCheckpointer(tmp_path, keep=1)
-        deleted = _prune_verified(ck.checkpoints(), ck.keep)
+        deleted = ck._prune()
         assert deleted == [valid[0]]
         assert valid[1].is_file() and torn.is_file()
 

@@ -1,10 +1,15 @@
 """CLI smoke tests (fast subcommands only; table2/fig3 train and are
 exercised through their underlying library functions elsewhere)."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -264,6 +269,22 @@ class TestFastCommands:
         assert "Proposed MF-DFP(8,4)" in out
         assert "16.52" in out
 
+    def test_closed_pipe_exits_without_traceback(self):
+        """``python -m repro chaos --list | true`` must not print a traceback."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "chaos", "--list"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=60)
+        assert err.decode() == ""
+        assert proc.returncode == 1
+
     def test_chaos_list_names_the_serve_sites(self, capsys):
         main(["chaos", "--list"])
         out = capsys.readouterr().out
@@ -417,6 +438,28 @@ class TestPersistenceCommands:
         trainer.fit(train, test, epochs=2, checkpoint=Checkpointer(ck_dir))
         with pytest.raises(SystemExit, match="nothing to train"):
             main(["resume", "--checkpoint-dir", str(ck_dir), "--epochs", "2"])
+
+    def test_resume_names_the_file_it_restored(self, tmp_path, capsys):
+        """A truncated newest checkpoint is skipped, and the message says so."""
+        from repro.cli import _surrogate_trainer
+        from repro.io import Checkpointer
+
+        trainer, train, test = _surrogate_trainer()
+        ck = Checkpointer(tmp_path / "ck")
+        trainer.fit(train, test, epochs=2, checkpoint=ck)
+        newest = ck.path_for(2)
+        newest.write_bytes(newest.read_bytes()[: newest.stat().st_size // 2])
+
+        main(["resume", "--checkpoint-dir", str(ck.directory), "--epochs", "3"])
+        out = capsys.readouterr().out
+        assert "resuming surrogate training at epoch 2/3 (from epoch_0001.npz)" in out
+
+    def test_resume_with_only_unreadable_checkpoints_fails_cleanly(self, tmp_path):
+        ck_dir = tmp_path / "ck"
+        ck_dir.mkdir()
+        (ck_dir / "epoch_0001.npz").write_bytes(b"PK\x03\x04 torn")
+        with pytest.raises(SystemExit, match="error: .*unreadable"):
+            main(["resume", "--checkpoint-dir", str(ck_dir)])
 
     def test_resume_continues_surrogate_training(self, tmp_path, capsys):
         from repro.cli import _surrogate_trainer
