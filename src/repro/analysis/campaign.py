@@ -73,7 +73,6 @@ def evaluate_batched(
     *,
     cache: Optional[EngineCache] = None,
     batch_size: int = 256,
-    check_widths: bool = False,
     stats: Optional[CacheStats] = None,
 ) -> float:
     """Top-1 accuracy of an executable artifact on a labelled batch.
@@ -105,7 +104,7 @@ def evaluate_batched(
         raise ValueError(f"x has {len(x)} samples but y has {len(y)} labels")
     if isinstance(model, DeployedMFDFP):
         engine_cache = cache if cache is not None else _SHARED_CACHE
-        engine = engine_cache.get(model, check_widths=check_widths, stats=stats)
+        engine = engine_cache.get(model, stats=stats)
         correct = 0
         for start in range(0, len(x), batch_size):
             codes = engine.run_codes(x[start : start + batch_size])

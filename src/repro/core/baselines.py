@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dfp import DFPFormat, choose_fraction_length, dfp_quantize
+from repro.core.dfp import MIN_BITS, DFPFormat, choose_fraction_length, dfp_quantize
 
 
 class BinaryWeightQuantizer:
@@ -84,8 +84,8 @@ class FixedPointWeightQuantizer:
     """
 
     def __init__(self, bits: int = 8):
-        if bits < 2:
-            raise ValueError("need at least 2 bits")
+        if bits < MIN_BITS:
+            raise ValueError(f"need at least {MIN_BITS} bits")
         self.bits = bits
 
     def __call__(self, w: np.ndarray) -> np.ndarray:

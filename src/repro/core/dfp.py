@@ -17,6 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Narrowest DFP width: a sign bit plus one magnitude bit.
+MIN_BITS = 2
+
 
 @dataclass(frozen=True)
 class DFPFormat:
@@ -31,8 +34,8 @@ class DFPFormat:
     frac: int = 0
 
     def __post_init__(self):
-        if self.bits < 2:
-            raise ValueError(f"DFP needs at least 2 bits, got {self.bits}")
+        if self.bits < MIN_BITS:
+            raise ValueError(f"DFP needs at least {MIN_BITS} bits, got {self.bits}")
 
     @property
     def max_code(self) -> int:
@@ -99,7 +102,7 @@ def choose_fraction_length(x: np.ndarray, bits: int = 8, margin: int = 0) -> int
         The fractional length ``f`` (clamped to ``[-64, 64]``).
     """
     max_abs = float(np.max(np.abs(x))) if np.asarray(x).size else 0.0
-    max_code = (1 << (bits - 1)) - 1
+    max_code = DFPFormat(bits).max_code
     if max_abs == 0.0:
         return bits - 1
     # Largest f with max_code * 2^-f >= max_abs.  Computed as a log

@@ -37,17 +37,15 @@ import numpy as np
 from repro.core.dfp import DFPFormat, dfp_to_codes
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
 from repro.hw.datapath import (
+    DatapathOverflowError,
     accumulator_route,
-    check_width,
+    datapath_widths,
     div_round_half_even,
     requantize_codes,
     saturate,
 )
 from repro.nn.layers.conv import im2col, patch_index_table
 from repro.nn.layers.pool import pool_output_size
-
-#: Accumulator wire width checked when ``check_widths`` is on.
-ACCUMULATOR_BITS = 32
 
 #: LUT over the 16 possible 4-bit weight codes (bit 3 = sign, bits 2..0 =
 #: ``-e``): entry ``c`` is the signed shift multiplier ``s << (7 + e)``,
@@ -199,8 +197,32 @@ def _with_sentinel(codes2d: np.ndarray, fill: int, dtype=np.int64) -> np.ndarray
     return out
 
 
+# -- the accumulator proof -------------------------------------------------------
+def _proved_code_max(deployed: DeployedMFDFP) -> int:
+    """The network's ``code_max``, once every accumulator is proved wide enough.
+
+    Codes never exceed ``code_max`` nor shift products ``code_max << 7``,
+    so no conv or dense accumulator exceeds ``fan_in * 2^7 * code_max +
+    max|bias_int|``; raises :class:`~repro.hw.datapath.DatapathOverflowError`
+    naming the first op where that does not fit.  Reads biases, not weights.
+    """
+    widths = datapath_widths(deployed.bits)
+    for op in deployed.ops:
+        if op.kind not in ("conv", "dense"):
+            continue
+        fan_in = op.weight_codes.size // (op.out_channels if op.kind == "conv" else op.out_features)
+        bias = 0 if op.bias_int is None else np.abs(op.bias_int.astype(np.float64)).max(initial=0)
+        worst = fan_in * (widths.code_max << 7) + int(bias)
+        if worst >= 1 << (widths.accumulator - 1):
+            raise DatapathOverflowError(
+                f"{op.name}: worst-case accumulator {worst} exceeds the "
+                f"{widths.accumulator}-bit accumulator of a {widths.bits}-bit datapath"
+            )
+    return widths.code_max
+
+
 # -- reference (eager) ops -------------------------------------------------------
-def _conv_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool) -> np.ndarray:
+def _conv_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
     n = codes.shape[0]
     k = op.kernel_size
     g = op.groups or 1
@@ -212,20 +234,16 @@ def _conv_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool) ->
     acc = acc.reshape(n, op.out_channels, -1)
     if op.bias_int is not None:
         acc += op.bias_int[None, :, None]
-    if check_widths:
-        check_width(acc, ACCUMULATOR_BITS, f"{op.name} accumulator")
-    out = accumulator_route(acc, op.in_frac + 7, op.out_frac, op.activation)
+    out = accumulator_route(acc, op.in_frac + 7, op.out_frac, op.activation, max_code=max_code)
     return out.reshape(n, op.out_channels, oh, ow)
 
 
-def _dense_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool) -> np.ndarray:
+def _dense_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
     w_int = shift_weight_ints(op.weight_codes).reshape(op.out_features, op.in_features)
     acc = codes.astype(np.int64) @ w_int.T
     if op.bias_int is not None:
         acc += op.bias_int[None, :]
-    if check_widths:
-        check_width(acc, ACCUMULATOR_BITS, f"{op.name} accumulator")
-    return accumulator_route(acc, op.in_frac + 7, op.out_frac, op.activation)
+    return accumulator_route(acc, op.in_frac + 7, op.out_frac, op.activation, max_code=max_code)
 
 
 def _pool_windows(codes: np.ndarray, op: DeployedLayer, fill: int):
@@ -242,13 +260,13 @@ def _pool_windows(codes: np.ndarray, op: DeployedLayer, fill: int):
     return win[:, :, ::s, ::s][:, :, :oh, :ow], oh, ow
 
 
-def _maxpool_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool) -> np.ndarray:
+def _maxpool_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
     win, _, _ = _pool_windows(codes, op, fill=np.iinfo(np.int64).min)
     out = win.max(axis=(-1, -2))
-    return requantize_codes(out, op.in_frac, op.out_frac)
+    return requantize_codes(out, op.in_frac, op.out_frac, max_code)
 
 
-def _avgpool_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool) -> np.ndarray:
+def _avgpool_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
     win, oh, ow = _pool_windows(codes, op, fill=0)
     sums = win.sum(axis=(-1, -2), dtype=np.int64)
     ones = np.ones((1, 1) + codes.shape[2:], dtype=np.int64)
@@ -258,21 +276,21 @@ def _avgpool_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool)
         out = div_round_half_even(sums << shift, counts[None, None])
     else:
         out = div_round_half_even(sums, counts[None, None] << (-shift))
-    return saturate(out)
+    return saturate(out, max_code)
 
 
-def _flatten_reference(op: DeployedLayer, codes: np.ndarray, check_widths: bool) -> np.ndarray:
+def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
     return codes.reshape(codes.shape[0], -1)
 
 
 # -- compiled kernels ------------------------------------------------------------
 #
-# The compute kernels run their GEMM in float64 to reach BLAS: every shift
-# product fits 16 bits and every accumulator 32 bits, far below the 2^53
-# integers IEEE doubles represent exactly, so each partial sum is an exact
-# integer and the result is bit-identical to int64 arithmetic regardless
-# of summation order.  ``astype(np.int64)`` afterwards is lossless.
-def _conv_compile(op: DeployedLayer, in_shape: tuple, plane: Optional[np.ndarray] = None):
+# The compute kernels run their GEMM in float64 to reach BLAS: the compiler
+# has proved every partial sum fits its accumulator (at most 40 bits, far
+# below the 2^53 integers IEEE doubles represent exactly), so the result
+# is bit-identical to int64 arithmetic regardless of summation order and
+# ``astype(np.int64)`` is lossless.  Kernels ignore a second argument.
+def _conv_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Optional[np.ndarray] = None):
     c, h, w = in_shape
     k, g = op.kernel_size, op.groups or 1
     syn = (c // g) * k * k
@@ -288,7 +306,7 @@ def _conv_compile(op: DeployedLayer, in_shape: tuple, plane: Optional[np.ndarray
     # (c*k*k, positions, N), which reshapes — without copies — into the
     # (g, syn, positions*N) operand of one large GEMM per group instead of
     # N small ones.
-    def kernel(codes: np.ndarray, check_widths: bool = False) -> np.ndarray:
+    def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         n = codes.shape[0]
         flat_t = np.empty((chw + 1, n), dtype=np.float64)
         flat_t[:-1] = codes.reshape(n, chw).T
@@ -299,47 +317,43 @@ def _conv_compile(op: DeployedLayer, in_shape: tuple, plane: Optional[np.ndarray
         if bias is not None:
             acc_f = acc_f + bias
         acc = acc_f.astype(np.int64)
-        if check_widths:
-            check_width(acc, ACCUMULATOR_BITS, f"{op.name} accumulator")
-        out = accumulator_route(acc, acc_frac, op.out_frac, op.activation)
+        out = accumulator_route(acc, acc_frac, op.out_frac, op.activation, max_code=max_code)
         return out.reshape(n, op.out_channels, oh, ow)
 
     return kernel, (op.out_channels, oh, ow)
 
 
-def _dense_compile(op: DeployedLayer, in_shape: tuple, plane: Optional[np.ndarray] = None):
+def _dense_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Optional[np.ndarray] = None):
     shape = (op.in_features, op.out_features)
     w_t = decode_weight_plane(op) if plane is None else _check_plane(op, plane, shape)
     bias = None if op.bias_int is None else op.bias_int[None, :].astype(np.float64)
     acc_frac = op.in_frac + 7
 
-    def kernel(codes: np.ndarray, check_widths: bool = False) -> np.ndarray:
+    def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         acc_f = codes.astype(np.float64, copy=False) @ w_t
         if bias is not None:
             acc_f = acc_f + bias
         acc = acc_f.astype(np.int64)
-        if check_widths:
-            check_width(acc, ACCUMULATOR_BITS, f"{op.name} accumulator")
-        return accumulator_route(acc, acc_frac, op.out_frac, op.activation)
+        return accumulator_route(acc, acc_frac, op.out_frac, op.activation, max_code=max_code)
 
     return kernel, (op.out_features,)
 
 
-def _maxpool_compile(op: DeployedLayer, in_shape: tuple):
+def _maxpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
     c, h, w = in_shape
     index, oh, ow = _pool_indices(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
     fill = int(np.iinfo(np.int64).min)
 
-    def kernel(codes: np.ndarray, check_widths: bool = False) -> np.ndarray:
+    def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         n = codes.shape[0]
         flat = _with_sentinel(codes.reshape(n * c, h * w), fill=fill)
         out = flat[:, index].max(axis=-1)
-        return requantize_codes(out, op.in_frac, op.out_frac).reshape(n, c, oh, ow)
+        return requantize_codes(out, op.in_frac, op.out_frac, max_code).reshape(n, c, oh, ow)
 
     return kernel, (c, oh, ow)
 
 
-def _avgpool_compile(op: DeployedLayer, in_shape: tuple):
+def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
     c, h, w = in_shape
     index, oh, ow = _pool_indices(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
     counts = (index != h * w).sum(axis=-1).astype(np.int64)  # in-bounds taps per window
@@ -349,20 +363,20 @@ def _avgpool_compile(op: DeployedLayer, in_shape: tuple):
     else:
         num_shift, den = 0, counts[None] << (-shift)
 
-    def kernel(codes: np.ndarray, check_widths: bool = False) -> np.ndarray:
+    def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         n = codes.shape[0]
         flat = _with_sentinel(codes.reshape(n * c, h * w), fill=0)
         sums = flat[:, index].sum(axis=-1)
         out = div_round_half_even(sums << num_shift, den)
-        return saturate(out).reshape(n, c, oh, ow)
+        return saturate(out, max_code).reshape(n, c, oh, ow)
 
     return kernel, (c, oh, ow)
 
 
-def _flatten_compile(op: DeployedLayer, in_shape: tuple):
+def _flatten_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
     features = int(np.prod(in_shape))
 
-    def kernel(codes: np.ndarray, check_widths: bool = False) -> np.ndarray:
+    def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         return codes.reshape(codes.shape[0], features)
 
     return kernel, (features,)
@@ -373,19 +387,19 @@ def _flatten_compile(op: DeployedLayer, in_shape: tuple):
 class LayerOpHandler:
     """One op kind: an eager reference and a kernel compiler.
 
-    ``reference(op, codes, check_widths)`` maps a batch of input codes to
-    output codes directly from the :class:`DeployedLayer`.
-    ``compile(op, in_shape)`` returns ``(kernel, out_shape)`` where
-    ``kernel(codes, check_widths)`` is the precomputed batched closure.
-    Weighted kinds (conv/dense) additionally accept
-    ``compile(op, in_shape, plane)`` — a pre-decoded weight plane
+    ``reference(op, codes, max_code)`` maps a batch of input codes to
+    output codes (saturating at ``±max_code``) directly from the
+    :class:`DeployedLayer`.  ``compile(op, in_shape, max_code)`` returns
+    ``(kernel, out_shape)`` where ``kernel(codes)`` is the precomputed
+    batched closure.  Weighted kinds (conv/dense) additionally accept
+    ``compile(op, in_shape, max_code, plane)`` — a pre-decoded weight plane
     (see :func:`decode_weight_plane`), typically a zero-copy
     shared-memory view, used instead of decoding the op's codes.
     """
 
     kind: str
-    reference: Callable[[DeployedLayer, np.ndarray, bool], np.ndarray]
-    compile: Callable[[DeployedLayer, tuple], tuple]
+    reference: Callable[[DeployedLayer, np.ndarray, int], np.ndarray]
+    compile: Callable[..., tuple]
 
 
 #: The single source of truth for executable op kinds; both the eager
@@ -413,18 +427,18 @@ def _handler(kind: str) -> LayerOpHandler:
 
 
 # -- reference entry point -------------------------------------------------------
-def execute_deployed(
-    deployed: DeployedMFDFP, x: np.ndarray, check_widths: bool = False
-) -> np.ndarray:
+def execute_deployed(deployed: DeployedMFDFP, x: np.ndarray) -> np.ndarray:
     """Run a deployed network on a batch, all-integer; returns out codes.
 
     This is the eager reference path: weights are decoded and windows
     rebuilt on every call.  :class:`BatchedEngine` produces bit-identical
-    codes while amortizing that work across calls.
+    codes while amortizing that work across calls, and raises the same
+    ``DatapathOverflowError`` before running.
     """
+    max_code = _proved_code_max(deployed)
     codes = dfp_to_codes(x, DFPFormat(deployed.bits, deployed.input_frac))
     for op in deployed.ops:
-        codes = _handler(op.kind).reference(op, codes, check_widths)
+        codes = _handler(op.kind).reference(op, codes, max_code)
     return codes
 
 
@@ -554,7 +568,7 @@ class EngineCache:
         self.capacity = capacity
         self._lock = threading.Lock()
         self._compile_lock = threading.Lock()
-        self._engines: OrderedDict[tuple, BatchedEngine] = OrderedDict()
+        self._engines: OrderedDict[str, BatchedEngine] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
@@ -562,7 +576,7 @@ class EngineCache:
         with self._lock:
             return len(self._engines)
 
-    def _lookup_locked(self, key: tuple) -> Optional[BatchedEngine]:
+    def _lookup_locked(self, key: str) -> Optional[BatchedEngine]:
         """Return and LRU-touch the cached engine for ``key``; caller holds ``_lock``."""
         engine = self._engines.get(key)
         if engine is not None:
@@ -583,12 +597,7 @@ class EngineCache:
         with self._lock:
             return self.hits, self.misses
 
-    def get(
-        self,
-        deployed: DeployedMFDFP,
-        check_widths: bool = False,
-        stats: Optional[CacheStats] = None,
-    ) -> BatchedEngine:
+    def get(self, deployed: DeployedMFDFP, stats: Optional[CacheStats] = None) -> BatchedEngine:
         """The cached engine for ``deployed``, compiling on first use.
 
         ``stats`` attributes this lookup (hit, or miss-then-compile) to
@@ -597,7 +606,7 @@ class EngineCache:
         in-flight compile of the same network counts as a hit: this
         consumer paid no compile.
         """
-        key = (engine_fingerprint(deployed), bool(check_widths))
+        key = engine_fingerprint(deployed)
         with self._lock:
             engine = self._lookup_locked(key)
         if engine is not None:
@@ -611,7 +620,7 @@ class EngineCache:
                 if stats is not None:
                     stats.record(hit=True)
                 return engine
-            engine = BatchedEngine(deployed, check_widths=check_widths)
+            engine = BatchedEngine(deployed)
             with self._lock:
                 self.misses += 1
                 self._engines[key] = engine
@@ -628,7 +637,7 @@ class EngineCache:
         planes install the result here, so every later content-equal
         lookup (``get``) hits without decoding a private plane copy.
         """
-        key = (engine.fingerprint, bool(engine.check_widths))
+        key = engine.fingerprint
         with self._lock:
             self._engines[key] = engine
             self._engines.move_to_end(key)
@@ -643,11 +652,15 @@ class EngineCache:
 # -- compiled engine -------------------------------------------------------------
 @dataclass(frozen=True)
 class CompiledOp:
-    """One compiled layer: its kernel closure plus shape bookkeeping."""
+    """One compiled layer: its kernel closure plus shape bookkeeping.
+
+    ``kernel(codes)`` ignores a second positional argument, which
+    ``perfbench/layers.py`` passes: the retired run-time width flag.
+    """
 
     name: str
     kind: str
-    kernel: Callable[[np.ndarray, bool], np.ndarray]
+    kernel: Callable[..., np.ndarray]
     out_shape: tuple
 
 
@@ -660,10 +673,11 @@ class BatchedEngine:
     Outputs are bit-identical to :func:`execute_deployed` for every batch
     size (integer arithmetic is exact, so batching cannot change values).
 
+    Compiling raises :class:`~repro.hw.datapath.DatapathOverflowError`
+    naming the op if an accumulator could overflow.
+
     Args:
         deployed: The frozen network to compile.
-        check_widths: Verify accumulator wire widths on every run
-            (slower; used by the verification tests).
         weight_planes: Optional ``{op_index: decoded plane}`` mapping
             (see :func:`decode_weight_plane`).  Ops present in the map
             compile against the given plane — typically a read-only
@@ -672,16 +686,11 @@ class BatchedEngine:
             decode as usual.
     """
 
-    def __init__(
-        self,
-        deployed: DeployedMFDFP,
-        check_widths: bool = False,
-        weight_planes: Optional[dict] = None,
-    ):
+    def __init__(self, deployed: DeployedMFDFP, weight_planes: Optional[dict] = None):
         if not deployed.ops:
             raise ValueError("cannot compile an empty deployed network")
+        max_code = _proved_code_max(deployed)
         self.deployed = deployed
-        self.check_widths = check_widths
         self.shared_planes = bool(weight_planes)
         self.input_shape = tuple(deployed.input_shape)
         self.input_fmt = DFPFormat(deployed.bits, deployed.input_frac)
@@ -690,9 +699,9 @@ class BatchedEngine:
         for i, op in enumerate(deployed.ops):
             plane = weight_planes.get(i) if weight_planes else None
             if plane is not None:
-                kernel, shape = _handler(op.kind).compile(op, shape, plane)
+                kernel, shape = _handler(op.kind).compile(op, shape, max_code, plane)
             else:
-                kernel, shape = _handler(op.kind).compile(op, shape)
+                kernel, shape = _handler(op.kind).compile(op, shape, max_code)
             self.program.append(CompiledOp(op.name, op.kind, kernel, shape))
         self.output_shape = shape
         self._out_scale = 2.0 ** (-deployed.ops[-1].out_frac)
@@ -721,7 +730,7 @@ class BatchedEngine:
             )
         codes = dfp_to_codes(x, self.input_fmt)
         for op in self.program:
-            codes = op.kernel(codes, self.check_widths)
+            codes = op.kernel(codes)
         return codes
 
     def run(self, x: np.ndarray) -> np.ndarray:

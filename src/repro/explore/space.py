@@ -19,7 +19,8 @@ import itertools
 import numbers
 from dataclasses import dataclass
 
-from repro.hw.cost import TECHNOLOGY_PRESETS, CostModelError, NPUDesign
+from repro.hw.cost import TECHNOLOGY_PRESETS
+from repro.hw.datapath import MAX_BITS, MIN_BITS
 
 #: Rounding modes understood by ``MFDFPNetwork.from_float``.
 WEIGHT_MODES = ("deterministic", "stochastic")
@@ -87,7 +88,7 @@ class DesignSpace:
     technologies: tuple = ("65nm",)
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", _int_axis("bits", self.bits, 1, 16))
+        object.__setattr__(self, "bits", _int_axis("bits", self.bits, MIN_BITS, MAX_BITS))
         object.__setattr__(self, "min_exps", _int_axis("min_exps", self.min_exps, -32, -1))
         object.__setattr__(self, "num_pus", _int_axis("num_pus", self.num_pus, 1, 8))
         modes = tuple(self.weight_modes)
@@ -111,13 +112,6 @@ class DesignSpace:
         if len(set(techs)) != len(techs):
             raise DesignSpaceError(f"technologies axis has duplicate values: {techs}")
         object.__setattr__(self, "technologies", techs)
-        # every (bits, num_pus) pair must be a priceable NPU design
-        for b in self.bits:
-            for n in self.num_pus:
-                try:
-                    NPUDesign(activation_bits=b, num_pus=n)
-                except CostModelError as exc:
-                    raise DesignSpaceError(str(exc)) from exc
 
     def __len__(self) -> int:
         return (

@@ -1,7 +1,7 @@
 """Hardware accelerator model (Section 5 of the paper).
 
-* :mod:`repro.hw.datapath` — bit-accurate integer primitives: shift
-  products, the widening 16→20-bit adder tree, round/saturate routing.
+* :mod:`repro.hw.datapath` — bit-accurate integer primitives: per-bits
+  wire widths, shift products, the widening adder tree, round/saturate.
 * :mod:`repro.hw.neuron` — the single neuron of Figure 2(a).
 * :mod:`repro.hw.npu` — processing units (16 neurons × 16 synapses) and
   the neural processing unit of Figure 2(b).

@@ -42,8 +42,6 @@ class AcceleratorConfig:
             parallel (Phase 3).
         clock_mhz: Core clock; the paper fixes 250 MHz for all designs.
         buffers: Optional buffer geometry override.
-        check_widths: Verify datapath wire widths during execution
-            (slower; used by the verification tests).
         dma_bandwidth: Off-chip bandwidth in bytes per cycle, or None for
             the paper's compute-bound setting (main memory excluded from
             the evaluation).  When set, layers whose transfers exceed
@@ -55,7 +53,6 @@ class AcceleratorConfig:
     num_pus: int = 1
     clock_mhz: float = 250.0
     buffers: Optional[BufferConfig] = None
-    check_widths: bool = False
     dma_bandwidth: Optional[float] = None
 
     def __post_init__(self):
@@ -205,7 +202,7 @@ class Accelerator:
 
         if self.config.precision != "mfdfp":
             raise ValueError("run() executes MF-DFP networks; use run_float for the baseline")
-        codes = execute_deployed(deployed, x, check_widths=self.config.check_widths)
+        codes = execute_deployed(deployed, x)
         last = deployed.ops[-1]
         return codes.astype(np.float64) * 2.0 ** (-last.out_frac)
 
@@ -223,7 +220,7 @@ class Accelerator:
         so sweeping many networks through one accelerator cannot grow
         memory without bound.
         """
-        return self._engine_cache.get(deployed, check_widths=self.config.check_widths)
+        return self._engine_cache.get(deployed)
 
     def run_batched(self, deployed: DeployedMFDFP, x: np.ndarray) -> np.ndarray:
         """Compiled-engine inference; bit-identical to :meth:`run`.

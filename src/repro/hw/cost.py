@@ -20,10 +20,10 @@ paper's reported savings (87.97% area / 89.79% power for one PU, 76.0% /
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
+from repro.hw.datapath import datapath_widths
 from repro.hw.memory import BufferConfig
 
 #: Synthesis anchors from Table 1 (the FP32 baseline, one processing unit).
@@ -126,10 +126,9 @@ def technology(name: str) -> TechnologyParams:
 class NPUDesign:
     """A parameterized MF-DFP NPU configuration for design-space exploration.
 
-    ``activation_bits`` sets the dynamic-fixed-point activation width: shift
-    products are ``activation_bits + 8`` wide (a 4-bit ⟨s, e⟩ weight shifts
-    by at most 8), and the widening adder tree / pipeline registers scale
-    with them.  ``activation_bits=8`` reproduces the paper's Figure 2(a)
+    ``activation_bits`` sets the dynamic-fixed-point activation width, from
+    which :func:`repro.hw.datapath.datapath_widths` sizes (and bounds) every
+    wire.  ``activation_bits=8`` reproduces the paper's Figure 2(a)
     datapath — and the legacy ``CostModel.evaluate("mfdfp", ...)`` bill —
     exactly.  ``num_pus=2`` is the ensemble design of Table 1.
     """
@@ -138,11 +137,10 @@ class NPUDesign:
     num_pus: int = 1
 
     def __post_init__(self):
-        bits = _require_positive_int("activation_bits", self.activation_bits)
-        if bits > 16:
-            raise CostModelError(
-                f"activation_bits must be <= 16 (datapath model limit), got {bits}"
-            )
+        try:
+            bits = datapath_widths(self.activation_bits).bits
+        except ValueError as exc:
+            raise CostModelError(f"activation_bits: {exc}") from None
         object.__setattr__(self, "activation_bits", bits)
         object.__setattr__(self, "num_pus", _require_positive_int("num_pus", self.num_pus))
 
@@ -273,26 +271,10 @@ class CostModel:
         if precision == "fixed8":
             # 8-bit dynamic fixed-point datapath *with* multipliers — the
             # representation of [9, 13] the paper improves on.  Products
-            # are 16-bit, so the tree matches the MF-DFP widths.
-            tree_bits = 8 * 17 + 4 * 18 + 2 * 19 + 1 * 20
-            return [
-                CostItem("multipliers", lanes * int_multiplier_ge(8), 0, "int_mult"),
-                CostItem("adder_tree", self.NEURONS * int_adder_ge(tree_bits), 0, "int_add"),
-                CostItem(
-                    "accumulators",
-                    self.NEURONS * (int_adder_ge(32) + register_ge(32)),
-                    0,
-                    "int_add",
-                ),
-                CostItem("routing", self.NEURONS * barrel_shifter_ge(32, 6), 0, "shift"),
-                CostItem(
-                    "pipeline_regs",
-                    self.PIPELINE_STAGES * lanes * register_ge(16),
-                    0,
-                    "register",
-                ),
-                CostItem("nonlinearity", self.NEURONS * 200.0, 0, "nl"),
-            ]
+            # are 16-bit, so it is the 8-bit MF-DFP PU with its shifters
+            # (the first item) swapped for multipliers.
+            multipliers = CostItem("multipliers", lanes * int_multiplier_ge(8), 0, "int_mult")
+            return [multipliers] + self._mfdfp_pu_items(8)[1:]
         if precision == "mfdfp":
             return self._mfdfp_pu_items(8)
         raise ValueError(f"unknown precision {precision!r}")
@@ -300,31 +282,26 @@ class CostModel:
     def _mfdfp_pu_items(self, activation_bits: int) -> list[CostItem]:
         """MF-DFP processing unit at a parameterized activation width.
 
-        Generalizes the widening adder tree of Figure 2(a): shift products
-        are ``p = activation_bits + 8`` bits wide (the 4-bit ⟨s, e⟩ code
-        shifts by at most 8), and each of the ``log2(SYNAPSES)`` tree
-        levels adds one carry bit, so level ``i`` holds ``SYNAPSES >> i``
-        adders of width ``p + i``.  At ``activation_bits=8`` this is
-        exactly the paper's 8x17b + 4x18b + 2x19b + 1x20b tree, and the
-        resulting bill is bit-identical to the legacy ``"mfdfp"`` one.
+        Every wire width comes from :func:`repro.hw.datapath.datapath_widths`;
+        tree level ``i`` holds ``SYNAPSES >> i`` adders of width ``tree[i-1]``.
+        At ``activation_bits=8`` this is the paper's 8x17b + 4x18b + 2x19b +
+        1x20b tree with a 32-bit accumulator and router, and the bill is
+        bit-identical to the legacy ``"mfdfp"`` one.
         """
-        bits = _require_positive_int("activation_bits", activation_bits)
+        widths = datapath_widths(activation_bits)
         lanes = self.NEURONS * self.SYNAPSES
-        product = bits + 8
-        levels = int(math.log2(self.SYNAPSES))
-        tree_bits = sum((self.SYNAPSES >> level) * (product + level) for level in range(1, levels + 1))
+        product, acc = widths.product, widths.accumulator
+        tree_bits = sum((self.SYNAPSES >> i) * w for i, w in enumerate(widths.tree, 1))
         return [
             CostItem("shifters", lanes * barrel_shifter_ge(product, 3), 0, "shift"),
             CostItem("adder_tree", self.NEURONS * int_adder_ge(tree_bits), 0, "int_add"),
             CostItem(
                 "accumulators",
-                self.NEURONS * (int_adder_ge(32) + register_ge(32)),
+                self.NEURONS * (int_adder_ge(acc) + register_ge(acc)),
                 0,
                 "int_add",
             ),
-            CostItem(
-                "routing", self.NEURONS * barrel_shifter_ge(32, 6), 0, "shift"
-            ),
+            CostItem("routing", self.NEURONS * barrel_shifter_ge(acc, 6), 0, "shift"),
             CostItem(
                 "pipeline_regs",
                 self.PIPELINE_STAGES * lanes * register_ge(product),

@@ -1,12 +1,15 @@
 """Bit-accurate integer primitives of the multiplier-free datapath.
 
-All activations travel as 8-bit DFP codes (integers in ``[-127, 127]``,
-value = code * 2^-m).  A weight ⟨s, e⟩ turns the multiply ``x * w`` into
-``(s * x) << (7 + e)``: because ``e >= -7``, the shift amount is
-non-negative, and every product lands on the common accumulator grid
-``2^-(m+7)``.  Products fit 16 bits; the 16-input adder tree widens
-16→17→18→19→20 bits so no intermediate value can overflow (the paper:
-"we ensure that all intermediate signals have large enough word-width").
+Activations travel as ``bits``-bit DFP codes (``|code| <= code_max``,
+value = code * 2^-m; the paper's ``bits`` is 8).  A weight ⟨s, e⟩ turns
+the multiply ``x * w`` into ``(s * x) << (7 + e)``: because ``e >= -7``,
+the shift amount is non-negative, and every product lands on the common
+accumulator grid ``2^-(m+7)``.  :func:`datapath_widths` sizes every wire
+from ``bits``: ``bits + 8``-bit products, a 16-input tree widening one
+bit per level, and an accumulator 12 bits wider than the root (2^12
+chunks) — at 8 bits, 16→17→18→19→20 and 32 — so no intermediate value
+can overflow (the paper: "we ensure that all intermediate signals have
+large enough word-width").
 
 Rounding throughout is round-half-to-even, matching numpy's ``rint`` so
 the integer datapath and the float simulation agree bit for bit.
@@ -14,16 +17,41 @@ the integer datapath and the float simulation agree bit for bit.
 
 from __future__ import annotations
 
+import functools
+import numbers
+from dataclasses import dataclass
+
 import numpy as np
 
-#: Magnitude bits of an 8-bit sign-magnitude DFP code.
-CODE_MAX = 127
+from repro.core.dfp import MIN_BITS, DFPFormat
 
-#: Bits of the product wire in Figure 2(a).
-PRODUCT_BITS = 16
+#: Widest admitted activation width: every accumulator then fits 40 bits
+#: (exact in float64).  The narrowest, ``MIN_BITS``, is DFP's own.
+MAX_BITS = 16
 
-#: Bits of the adder-tree levels in Figure 2(a) (16 inputs -> 4 levels).
-TREE_BITS = (17, 18, 19, 20)
+
+@dataclass(frozen=True)
+class DatapathWidths:
+    """Wire widths of a ``bits``-bit datapath (Figure 2(a))."""
+
+    bits: int
+    code_max: int  # DFPFormat(bits).max_code
+    product: int  # bits + 8
+    tree: tuple  # the four adder-tree levels, product + 1 .. product + 4
+    accumulator: int  # the tree root + 12, for up to 2^12 chunks
+
+
+def datapath_widths(bits: int) -> DatapathWidths:
+    """The :class:`DatapathWidths` of ``bits``; ``ValueError`` outside the range."""
+    if isinstance(bits, bool) or not isinstance(bits, numbers.Integral) or not MIN_BITS <= bits <= MAX_BITS:
+        raise ValueError(f"datapath bits must be an integer in [{MIN_BITS}, {MAX_BITS}], got {bits!r}")
+    return _widths(int(bits))
+
+
+@functools.lru_cache(maxsize=None)
+def _widths(bits: int) -> DatapathWidths:
+    tree = tuple(bits + 8 + level for level in range(1, 5))
+    return DatapathWidths(bits, DFPFormat(bits).max_code, bits + 8, tree, tree[-1] + 12)
 
 
 class DatapathOverflowError(RuntimeError):
@@ -47,52 +75,57 @@ def check_width(values: np.ndarray, bits: int, what: str) -> None:
         )
 
 
-def shift_product(x_codes: np.ndarray, w_sign: np.ndarray, w_exp: np.ndarray) -> np.ndarray:
+def shift_product(x_codes: np.ndarray, w_sign: np.ndarray, w_exp: np.ndarray, bits: int = 8) -> np.ndarray:
     """The multiplier-free product: ``(s * x) << (7 + e)``.
 
     Args:
-        x_codes: Input activation codes (int, ``|x| <= 127``).
+        x_codes: Input activation codes (int, ``|x| <= code_max``).
         w_sign: Weight signs (±1).
         w_exp: Weight exponents (``-7 <= e <= 0``).
+        bits: Activation width of the datapath.
 
     Returns:
         Product integers on the ``2^-(m+7)`` grid; guaranteed to fit the
-        16-bit product wire.
+        ``bits + 8``-bit product wire.
     """
+    widths = datapath_widths(bits)
     x_codes = np.asarray(x_codes, dtype=np.int64)
     w_exp = np.asarray(w_exp, dtype=np.int64)
-    if np.any(np.abs(x_codes) > CODE_MAX):
-        raise ValueError("input codes exceed 8-bit sign-magnitude range")
+    if np.any(np.abs(x_codes) > widths.code_max):
+        raise ValueError(f"input codes exceed {bits}-bit sign-magnitude range")
     if np.any(w_exp < -7) or np.any(w_exp > 0):
         raise ValueError("weight exponents must lie in [-7, 0]")
     products = (np.asarray(w_sign, dtype=np.int64) * x_codes) << (7 + w_exp)
-    check_width(products, PRODUCT_BITS, "shift product")
+    check_width(products, widths.product, "shift product")
     return products
 
 
-def adder_tree(products: np.ndarray, check_widths: bool = True) -> np.ndarray:
+def adder_tree(products: np.ndarray, check_widths: bool = True, bits: int = 8) -> np.ndarray:
     """Sum 16 products pairwise through the widening tree of Figure 2(a).
 
     Args:
         products: Array whose *last* axis has length 16 (one per synapse).
         check_widths: Verify each tree level against its declared width.
+        bits: Activation width of the datapath the tree belongs to.
 
     Returns:
-        Per-neuron partial sums (last axis reduced), 20-bit safe.
+        Per-neuron partial sums (last axis reduced), safe in the tree's
+        ``bits + 12``-bit root.
     """
+    widths = datapath_widths(bits)
     level = np.asarray(products, dtype=np.int64)
     if level.shape[-1] != 16:
         raise ValueError(f"adder tree expects 16 inputs, got {level.shape[-1]}")
     if check_widths:
-        check_width(level, PRODUCT_BITS, "adder tree input")
-    for bits in TREE_BITS:
+        check_width(level, widths.product, "adder tree input")
+    for width in widths.tree:
         level = level[..., 0::2] + level[..., 1::2]
         if check_widths:
-            check_width(level, bits, f"adder tree level ({bits}-bit)")
+            check_width(level, width, f"adder tree level ({width}-bit)")
     return level[..., 0]
 
 
-def saturate(values: np.ndarray, max_code: int = CODE_MAX) -> np.ndarray:
+def saturate(values: np.ndarray, max_code: int) -> np.ndarray:
     """Clamp to the symmetric code range ``[-max_code, max_code]``."""
     return np.clip(np.asarray(values, dtype=np.int64), -max_code, max_code)
 
@@ -130,11 +163,11 @@ def div_round_half_even(num: np.ndarray, den) -> np.ndarray:
     return q + round_up.astype(np.int64)
 
 
-def requantize_codes(codes: np.ndarray, in_frac: int, out_frac: int, max_code: int = CODE_MAX) -> np.ndarray:
+def requantize_codes(codes: np.ndarray, in_frac: int, out_frac: int, max_code: int) -> np.ndarray:
     """Move codes from grid ``2^-in_frac`` to ``2^-out_frac`` (round+sat).
 
     This is the "Accumulator & Routing" radix realignment: a shift by
-    ``in_frac - out_frac`` followed by saturation to 8 bits.
+    ``in_frac - out_frac`` followed by saturation to ``±max_code``.
     """
     shifted = rshift_round_half_even(codes, in_frac - out_frac)
     return saturate(shifted, max_code)
@@ -145,14 +178,15 @@ def accumulator_route(
     acc_frac: int,
     out_frac: int,
     activation: str = "none",
-    max_code: int = CODE_MAX,
+    *,
+    max_code: int,
 ) -> np.ndarray:
     """The full Accumulator & Routing stage of Figure 2(a).
 
     Applies the fused non-linearity on the wide accumulator value, then
     shifts from the accumulator grid (fraction ``acc_frac = m + 7``) to
-    the output grid ``n = out_frac`` and saturates to 8 bits.  ``m`` and
-    ``n`` are the radix control signals of the paper.
+    the output grid ``n = out_frac`` and saturates to ``±max_code``.
+    ``m`` and ``n`` are the radix control signals of the paper.
     """
     acc = np.asarray(acc, dtype=np.int64)
     if activation == "relu":

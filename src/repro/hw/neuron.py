@@ -16,11 +16,9 @@ from repro.hw.datapath import (
     accumulator_route,
     adder_tree,
     check_width,
+    datapath_widths,
     shift_product,
 )
-
-#: Accumulator width: 20-bit chunk sums accumulated over up to 2^12 chunks.
-ACCUMULATOR_BITS = 32
 
 
 class Neuron:
@@ -30,13 +28,15 @@ class Neuron:
         num_synapses: Synapses per cycle (the paper's design: 16).
         check_widths: Verify every wire against its declared width; keep
             on for verification, off for speed.
+        bits: Activation width; sizes every wire (``datapath_widths``).
     """
 
-    def __init__(self, num_synapses: int = 16, check_widths: bool = True):
+    def __init__(self, num_synapses: int = 16, check_widths: bool = True, bits: int = 8):
         if num_synapses != 16:
             raise ValueError("the Figure 2(a) adder tree is built for 16 synapses")
         self.num_synapses = num_synapses
         self.check_widths = check_widths
+        self.widths = datapath_widths(bits)
         self.acc = np.int64(0)
 
     def reset(self) -> None:
@@ -56,20 +56,20 @@ class Neuron:
         x_codes = np.asarray(x_codes)
         if x_codes.shape != (self.num_synapses,):
             raise ValueError(f"expected {self.num_synapses} synapses, got shape {x_codes.shape}")
-        products = shift_product(x_codes, w_sign, w_exp)
-        partial = adder_tree(products, check_widths=self.check_widths)
+        products = shift_product(x_codes, w_sign, w_exp, self.widths.bits)
+        partial = adder_tree(products, self.check_widths, self.widths.bits)
         self.acc = np.int64(self.acc + partial)
         if self.check_widths:
-            check_width(np.array([self.acc]), ACCUMULATOR_BITS, "accumulator")
+            check_width(np.array([self.acc]), self.widths.accumulator, "accumulator")
         return self.acc
 
     def emit(self, m: int, n: int, activation: str = "none") -> int:
-        """Finish the output: NL + radix routing to an 8-bit code.
+        """Finish the output: NL + radix routing to a ``bits``-bit code.
 
         ``m``/``n`` are the input/output radix indices of Figure 2(a); the
         accumulator grid has fraction length ``m + 7``.
         """
-        out = accumulator_route(np.array([self.acc]), m + 7, n, activation)
+        out = accumulator_route(np.array([self.acc]), m + 7, n, activation, max_code=self.widths.code_max)
         return int(out[0])
 
     def compute_output(
@@ -85,7 +85,7 @@ class Neuron:
         """Convenience: full dot product over any number of synapses.
 
         Inputs are split into 16-wide chunks (zero-padded); the result is
-        the neuron's 8-bit output code.
+        the neuron's ``bits``-bit output code.
         """
         x_codes = np.asarray(x_codes, dtype=np.int64).ravel()
         w_sign = np.asarray(w_sign, dtype=np.int64).ravel()

@@ -19,14 +19,14 @@ class ProcessingUnit:
 
     The per-cycle interface mirrors the hardware: a shared 16-wide input
     vector is broadcast to all neurons, each neuron applying its own 16
-    weights (weight-stationary tile).
+    weights (weight-stationary tile); ``bits`` sizes every neuron's wires.
     """
 
     NEURONS = 16
     SYNAPSES = 16
 
-    def __init__(self, check_widths: bool = True):
-        self.neurons = [Neuron(self.SYNAPSES, check_widths) for _ in range(self.NEURONS)]
+    def __init__(self, check_widths: bool = True, bits: int = 8):
+        self.neurons = [Neuron(self.SYNAPSES, check_widths, bits) for _ in range(self.NEURONS)]
 
     def reset(self) -> None:
         for neuron in self.neurons:

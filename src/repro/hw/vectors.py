@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from repro.core.pow2 import pow2_code_fields
+from repro.hw.datapath import datapath_widths
 from repro.hw.neuron import Neuron
 
 
@@ -86,18 +87,19 @@ def generate_neuron_vectors(
     bias-only path.
     """
     rng = rng or np.random.default_rng(0)  # repro-lint: disable=rng-discipline (golden test-vector sets are defined by this fixed seed)
+    top = datapath_widths(8).code_max  # the format carries the paper's 8-bit neuron
     cases = []
     if include_corners:
-        cases.append((0, 0, "none", (127,) * 16, (0x0,) * 16, 0))        # +max products
-        cases.append((0, 0, "none", (127,) * 16, (0x8,) * 16, 0))        # -max products
+        cases.append((0, 0, "none", (top,) * 16, (0x0,) * 16, 0))        # +max products
+        cases.append((0, 0, "none", (top,) * 16, (0x8,) * 16, 0))        # -max products
         cases.append((4, 4, "relu", (0,) * 16, (0x7,) * 16, 0))          # zeros
         cases.append((4, 4, "none", (0,) * 16, (0x0,) * 16, 2047))       # bias only
-        cases.append((7, 0, "relu", (-127,) * 16, (0x8,) * 16, -1))      # sign interplay
+        cases.append((7, 0, "relu", (-top,) * 16, (0x8,) * 16, -1))      # sign interplay
     while len(cases) < count:
         m = int(rng.integers(0, 8))
         n = int(rng.integers(0, 8))
         activation = "relu" if rng.random() < 0.5 else "none"
-        xs = tuple(int(v) for v in rng.integers(-127, 128, size=16))
+        xs = tuple(int(v) for v in rng.integers(-top, top + 1, size=16))
         ws = tuple(int(v) for v in rng.integers(0, 16, size=16))
         bias = int(rng.integers(-(2**12), 2**12))
         cases.append((m, n, activation, xs, ws, bias))

@@ -51,6 +51,7 @@ from repro.core.dfp import DFPFormat
 from repro.core.engine import engine_fingerprint
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
 from repro.core.quantizer import LayerQuantSpec, QuantizationPlan
+from repro.hw.datapath import datapath_widths
 
 #: Current container format version.  Bumping it requires adding the
 #: matching loader branch to :data:`DEPLOYED_LOADERS` (enforced by
@@ -345,11 +346,16 @@ def _load_deployed_meta(meta: dict, arrays: dict, path, v1: bool) -> DeployedMFD
     input_shape = _field(meta, "input_shape", list, ctx)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in input_shape):
         raise ArtifactSchemaError(f"{ctx}: input_shape entries must be integers")
+    bits = _int_field(meta, "bits", ctx)
+    try:
+        datapath_widths(bits)
+    except ValueError as exc:
+        raise ArtifactSchemaError(f"{ctx}: field 'bits': {exc}") from None
     deployed = DeployedMFDFP(
         name=name,
         input_shape=tuple(input_shape),
         input_frac=_int_field(meta, "input_frac", ctx),
-        bits=_int_field(meta, "bits", ctx),
+        bits=bits,
     )
     ops_meta = _field(meta, "ops", list, ctx)
     for i, op_meta in enumerate(ops_meta):

@@ -33,17 +33,10 @@ class SharedEngineProxy:
     once, requests carry only the fingerprint and the batch.
     """
 
-    def __init__(
-        self,
-        runner: ProcessPoolRunner,
-        deployed: DeployedMFDFP,
-        spec: ArenaSpec,
-        check_widths: bool = False,
-    ):
+    def __init__(self, runner: ProcessPoolRunner, deployed: DeployedMFDFP, spec: ArenaSpec):
         self.runner = runner
         self.deployed = deployed
         self.spec = spec
-        self.check_widths = check_widths
         self.fingerprint = spec.fingerprint
         self.input_shape = tuple(deployed.input_shape)
 
@@ -51,9 +44,7 @@ class SharedEngineProxy:
         try:
             return self.runner.call(worker_mod.run_batch, self.fingerprint, x)
         except worker_mod.ModelNotLoadedError:
-            return self.runner.call(
-                worker_mod.install_and_run, self.deployed, self.spec, x, self.check_widths
-            )
+            return self.runner.call(worker_mod.install_and_run, self.deployed, self.spec, x)
 
     def __repr__(self) -> str:
         return (

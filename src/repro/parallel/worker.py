@@ -55,11 +55,7 @@ def mark_decode_baseline() -> None:
     _DECODE_BASELINE = engine_mod.plane_decode_count()
 
 
-def init_serving(
-    deployed: DeployedMFDFP,
-    spec: Optional[ArenaSpec] = None,
-    check_widths: bool = False,
-) -> None:
+def init_serving(deployed: DeployedMFDFP, spec: Optional[ArenaSpec] = None) -> None:
     """Pool initializer: zero decode accounting, then pre-install a model.
 
     With this as the pool's ``initializer`` (and the picklable
@@ -68,14 +64,10 @@ def init_serving(
     ``(fingerprint, batch)`` per request — never the artifact.
     """
     mark_decode_baseline()
-    install_model(deployed, spec, check_widths)
+    install_model(deployed, spec)
 
 
-def install_model(
-    deployed: DeployedMFDFP,
-    spec: Optional[ArenaSpec] = None,
-    check_widths: bool = False,
-) -> str:
+def install_model(deployed: DeployedMFDFP, spec: Optional[ArenaSpec] = None) -> str:
     """Compile ``deployed`` in this worker (idempotent); returns its fingerprint.
 
     With an :class:`ArenaSpec`, the engine's weight planes are the
@@ -87,7 +79,7 @@ def install_model(
     if fingerprint in _MODELS:
         return fingerprint
     planes = attach_planes(spec) if spec is not None else None
-    engine = BatchedEngine(deployed, check_widths=check_widths, weight_planes=planes)
+    engine = BatchedEngine(deployed, weight_planes=planes)
     _MODELS[fingerprint] = engine
     from repro.analysis.campaign import shared_engine_cache
 
@@ -103,14 +95,9 @@ def run_batch(fingerprint: str, x: np.ndarray) -> np.ndarray:
     return engine.run(x)
 
 
-def install_and_run(
-    deployed: DeployedMFDFP,
-    spec: Optional[ArenaSpec],
-    x: np.ndarray,
-    check_widths: bool = False,
-) -> np.ndarray:
+def install_and_run(deployed: DeployedMFDFP, spec: Optional[ArenaSpec], x: np.ndarray) -> np.ndarray:
     """Install-if-needed then run: the proxy's cold-path fallback."""
-    return run_batch(install_model(deployed, spec, check_widths), x)
+    return run_batch(install_model(deployed, spec), x)
 
 
 def worker_stats() -> dict:

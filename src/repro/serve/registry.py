@@ -29,12 +29,9 @@ class ModelRegistry:
 
     Args:
         cache_capacity: Bound on distinct compiled engines kept live.
-        check_widths: Compile engines with accumulator width checking
-            (slower; verification runs only).
     """
 
-    def __init__(self, cache_capacity: int = 8, check_widths: bool = False):
-        self.check_widths = check_widths
+    def __init__(self, cache_capacity: int = 8):
         self._lock = threading.RLock()
         self._builders: dict[str, Callable[[], DeployedMFDFP]] = {}
         self._artifacts: dict[str, DeployedMFDFP] = {}
@@ -166,7 +163,7 @@ class ModelRegistry:
 
     def engine(self, name: str) -> BatchedEngine:
         """The model's compiled engine — same object on every cache hit."""
-        return self._cache.get(self.deployed(name), check_widths=self.check_widths)
+        return self._cache.get(self.deployed(name))
 
     def reload(self, name: str, version: Optional[int] = None) -> BatchedEngine:
         """Re-resolve a model and return its fresh engine (rollover hook).

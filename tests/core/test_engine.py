@@ -14,6 +14,7 @@ from repro.core.engine import (
 from repro.core.mfdfp import DeployedLayer
 from repro.core.pow2 import pow2_code_fields
 from repro.hw import Accelerator, AcceleratorConfig
+from repro.hw.datapath import DatapathOverflowError, datapath_widths
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 
@@ -115,14 +116,24 @@ class TestBitExactness:
         scalar = np.concatenate([execute_deployed(deployed, x[i : i + 1]) for i in range(9)])
         assert np.array_equal(engine.run_codes(x), scalar)
 
-    def test_check_widths_mode_matches(self):
+    def test_accumulator_bound_is_proved_at_compile_time(self):
+        """A dense op whose bias pushes ``fan_in * 2^7 * code_max + |bias|``
+        to the accumulator's limit fails to compile on both paths, naming
+        the op; one LSB less compiles and runs bit-identically."""
         rng = np.random.default_rng(1)
-        deployed = _deploy(_conv_net(rng), rng)
-        engine = BatchedEngine(deployed, check_widths=True)
-        x = rng.normal(scale=0.8, size=(4, 3, 16, 16)).astype(np.float32)
-        assert np.array_equal(
-            engine.run_codes(x), execute_deployed(deployed, x, check_widths=True)
-        )
+        x = rng.normal(size=(3, 12)).astype(np.float32)
+        widths = datapath_widths(8)
+        headroom = (1 << (widths.accumulator - 1)) - 16 * (widths.code_max << 7)
+        for sign in (1, -1):
+            deployed = _deploy(_mlp(rng), rng)
+            deployed.ops[-1].bias_int[0] = sign * headroom
+            with pytest.raises(DatapathOverflowError, match="d2"):
+                BatchedEngine(deployed)
+            with pytest.raises(DatapathOverflowError, match="d2"):
+                execute_deployed(deployed, x)
+            deployed = _deploy(_mlp(rng), rng)
+            deployed.ops[-1].bias_int[0] = sign * (headroom - 1)
+            assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
 
     def test_logits_match_accelerator_run(self):
         rng = np.random.default_rng(2)

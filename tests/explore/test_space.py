@@ -75,6 +75,8 @@ class TestValidation:
         with pytest.raises(DesignSpaceError):
             DesignSpace(bits=(0,))
         with pytest.raises(DesignSpaceError):
+            DesignSpace(bits=(1,))
+        with pytest.raises(DesignSpaceError):
             DesignSpace(bits=(17,))
 
     def test_nonnegative_min_exp_rejected(self):

@@ -41,7 +41,7 @@ class TestBitAccuracy:
     def test_exact_match_on_maxpool_network(self, rng):
         """Integer datapath == float64 quantized simulation, bit for bit."""
         mf, dep, calib = deployed_pair(maxpool_net, rng)
-        acc = Accelerator(AcceleratorConfig(check_widths=True))
+        acc = Accelerator(AcceleratorConfig())
         x = rng.normal(size=(16, 2, 8, 8))
         hw = acc.run(dep, x)
         sw = mf.logits(x)
@@ -53,7 +53,7 @@ class TestBitAccuracy:
         ties differently than the exact rational hardware divider, so we
         allow at most 1 LSB of divergence."""
         mf, dep, calib = deployed_pair(lambda: cifar10_small(size=16, dtype=np.float64), rng)
-        acc = Accelerator(AcceleratorConfig(check_widths=True))
+        acc = Accelerator(AcceleratorConfig())
         x = rng.normal(size=(8, 3, 16, 16))
         f = dep.ops[-1].out_frac
         hw_codes = np.rint(acc.run(dep, x) * 2.0**f)

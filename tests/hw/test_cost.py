@@ -134,6 +134,8 @@ class TestNPUDesign:
             NPUDesign(num_pus=0)
         with pytest.raises(CostModelError):
             NPUDesign(activation_bits=2.5)
+        with pytest.raises(CostModelError):
+            NPUDesign(activation_bits=np.array(8))
 
     def test_numpy_widths_normalized_to_python_ints(self):
         d = NPUDesign(activation_bits=np.int64(8), num_pus=np.int32(2))

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hw.datapath import (
-    CODE_MAX,
+    MAX_BITS,
+    MIN_BITS,
     DatapathOverflowError,
     accumulator_route,
     adder_tree,
     check_width,
+    datapath_widths,
     div_round_half_even,
     requantize_codes,
     rshift_round_half_even,
@@ -18,9 +20,45 @@ from repro.hw.datapath import (
     shift_product,
 )
 
+CODE_MAX = datapath_widths(8).code_max
 codes_st = st.integers(-CODE_MAX, CODE_MAX)
 exps_st = st.integers(-7, 0)
 signs_st = st.sampled_from([-1, 1])
+
+
+class TestDatapathWidths:
+    def test_paper_widths_at_8_bits(self):
+        widths = datapath_widths(8)
+        assert widths.code_max == 127
+        assert widths.product == 16
+        assert widths.tree == (17, 18, 19, 20)
+        assert widths.accumulator == 32
+
+    @pytest.mark.parametrize("bits", range(MIN_BITS, MAX_BITS + 1))
+    def test_every_wire_follows_bits(self, bits):
+        widths = datapath_widths(bits)
+        assert widths.code_max == 2 ** (bits - 1) - 1
+        assert widths.tree == tuple(bits + 8 + i for i in range(1, 5))
+        assert widths.accumulator == bits + 24 <= 40
+
+    @pytest.mark.parametrize("bits", [0, 1, 17, 64, 8.0, True, np.array(8)])
+    def test_rejects_widths_outside_the_range(self, bits):
+        with pytest.raises(ValueError, match="datapath bits"):
+            datapath_widths(bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 12, 16])
+    def test_extreme_products_fit_every_level(self, bits):
+        code_max = datapath_widths(bits).code_max
+        for sign in (1, -1):
+            products = shift_product(
+                np.full(16, code_max), np.full(16, sign), np.zeros(16, dtype=np.int64), bits
+            )
+            assert adder_tree(products, check_widths=True, bits=bits) == sign * code_max * 128 * 16
+
+    def test_shift_product_range_check_follows_bits(self):
+        shift_product(np.array([7]), np.array([1]), np.array([0]), bits=4)
+        with pytest.raises(ValueError, match="4-bit"):
+            shift_product(np.array([8]), np.array([1]), np.array([0]), bits=4)
 
 
 class TestCheckWidth:
@@ -159,34 +197,38 @@ class TestRounding:
 
 class TestSaturateAndRoute:
     def test_saturate(self):
-        assert np.array_equal(saturate(np.array([200, -200, 5])), [127, -127, 5])
+        assert np.array_equal(saturate(np.array([200, -200, 5]), CODE_MAX), [127, -127, 5])
 
     def test_requantize_coarser(self):
         # value 16 at f=4 (i.e. 1.0) -> f=2 -> code 4
-        assert requantize_codes(np.array([16]), 4, 2)[0] == 4
+        assert requantize_codes(np.array([16]), 4, 2, CODE_MAX)[0] == 4
 
     def test_requantize_finer_saturates(self):
         # code 127 at f=0 -> f=2 would need 508: saturate at 127
-        assert requantize_codes(np.array([127]), 0, 2)[0] == 127
+        assert requantize_codes(np.array([127]), 0, 2, CODE_MAX)[0] == 127
 
     def test_route_relu_zeroes_negative_accumulator(self):
-        out = accumulator_route(np.array([-5000, 5000]), acc_frac=10, out_frac=3, activation="relu")
+        out = accumulator_route(
+            np.array([-5000, 5000]), acc_frac=10, out_frac=3, activation="relu", max_code=CODE_MAX
+        )
         assert out[0] == 0
         assert out[1] > 0
 
     def test_route_none_keeps_negative(self):
-        out = accumulator_route(np.array([-5000]), acc_frac=10, out_frac=3, activation="none")
+        out = accumulator_route(
+            np.array([-5000]), acc_frac=10, out_frac=3, activation="none", max_code=CODE_MAX
+        )
         assert out[0] < 0
 
     def test_route_rejects_unknown_activation(self):
         with pytest.raises(ValueError):
-            accumulator_route(np.array([1]), 10, 3, activation="tanh")
+            accumulator_route(np.array([1]), 10, 3, activation="tanh", max_code=CODE_MAX)
 
     def test_route_matches_float_reference(self, rng):
         """Route == quantize(value) computed in floats."""
         m, n = 4, 2
         acc = rng.integers(-(2**20), 2**20, size=100)
-        out = accumulator_route(acc, m + 7, n, "none")
+        out = accumulator_route(acc, m + 7, n, "none", max_code=CODE_MAX)
         real = acc / 2.0 ** (m + 7)
         want = np.clip(np.rint(real * 2.0**n), -127, 127)
         assert np.array_equal(out, want.astype(np.int64))

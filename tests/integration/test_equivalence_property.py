@@ -2,19 +2,27 @@
 randomly generated network topologies.
 
 This is the strongest verification in the suite: hypothesis draws random
-conv/pool/dense stacks, random weights, and random inputs; the deployed
-integer datapath must agree with the float64 quantized simulation on
-every sample (exactly for maxpool-only nets, within 1 LSB when average
-pooling's non-dyadic division is involved).
+conv/pool/dense stacks, random weights, random inputs and every
+activation width the datapath admits; the deployed integer datapath
+(eager, compiled, and the process backend's shared-memory planes) must
+agree with the float64 quantized simulation on every sample (exactly for
+maxpool-only nets, within 1 LSB when average pooling's non-dyadic
+division is involved).
 """
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import execute_deployed
+from repro.core.dfp import DFPFormat, dfp_to_codes
+from repro.core.engine import BatchedEngine, execute_deployed
 from repro.core.mfdfp import MFDFPNetwork
+from repro.core.pow2 import pow2_code_fields
+from repro.hw import ProcessingUnit
+from repro.hw.datapath import MAX_BITS, MIN_BITS
 from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, Network, ReLU
 
 
@@ -48,37 +56,104 @@ def net_specs(draw):
     channels = [draw(st.sampled_from([2, 4, 8])) for _ in range(n_blocks)]
     use_avgpool = draw(st.booleans())
     scale = draw(st.floats(0.2, 3.0))
-    return seed, n_blocks, channels, use_avgpool, scale
+    bits = draw(st.integers(MIN_BITS, MAX_BITS))
+    return seed, n_blocks, channels, use_avgpool, scale, bits
+
+
+def deploy_spec(spec):
+    """Quantize and deploy one drawn net; returns ``(mf, dep, x, use_avgpool)``.
+
+    Half of the inputs are drawn at 16 times the calibration scale, so
+    every layer's saturation at ``±code_max`` is exercised.
+    """
+    seed, n_blocks, channels, use_avgpool, scale, bits = spec
+    rng = np.random.default_rng(seed)
+    net = build_random_net(rng, n_blocks, channels, use_avgpool)
+    calib = rng.normal(scale=scale, size=(12, 3, 8, 8))
+    mf = MFDFPNetwork.from_float(net, calib, bits=bits)
+    mf.calibrate_bias_to_accumulator_grid()
+    x = rng.normal(scale=scale, size=(6, 3, 8, 8))
+    x[3:] *= 16.0
+    return mf, mf.deploy(), x, use_avgpool
+
+
+def assert_matches_simulation(mf, dep, x, use_avgpool, hw_codes):
+    """``hw_codes`` equal the float simulation on the output grid."""
+    sw_codes = np.rint(mf.logits(x) * 2.0 ** dep.ops[-1].out_frac)
+    tolerance = 1 if use_avgpool else 0
+    assert np.abs(hw_codes - sw_codes).max() <= tolerance
 
 
 class TestRandomNetEquivalence:
     @given(spec=net_specs())
     @settings(max_examples=25, deadline=None)
     def test_hw_matches_sw_quantized_simulation(self, spec):
-        seed, n_blocks, channels, use_avgpool, scale = spec
+        mf, dep, x, use_avgpool = deploy_spec(spec)
+        hw_codes = execute_deployed(dep, x)
+        assert np.array_equal(BatchedEngine(dep).run_codes(x), hw_codes)
+        assert_matches_simulation(mf, dep, x, use_avgpool, hw_codes)
+
+    @pytest.fixture(scope="class")
+    def process_backend(self):
+        from repro.parallel import ProcessPoolRunner, SharedWeightArena
+
+        with SharedWeightArena(prefix=f"repro-prop-{os.getpid()}") as arena:
+            with ProcessPoolRunner(1) as runner:
+                yield runner, arena
+
+    @given(spec=net_specs())
+    @settings(max_examples=4, deadline=None)
+    def test_process_backend_planes_match_eager(self, spec, process_backend):
+        """The process backend runs the engine over shared-memory planes
+        in a worker; its logits are the eager codes on the output grid."""
+        from repro.parallel import SharedEngineProxy
+
+        runner, arena = process_backend
+        mf, dep, x, use_avgpool = deploy_spec(spec)
+        proxy = SharedEngineProxy(runner, dep, arena.publish(dep))
+        hw_codes = execute_deployed(dep, x)
+        assert np.array_equal(proxy.run(x), hw_codes * 2.0 ** -dep.ops[-1].out_frac)
+        assert_matches_simulation(mf, dep, x, use_avgpool, hw_codes)
+
+    @given(
+        seed=st.integers(0, 2**20),
+        bits=st.integers(MIN_BITS, MAX_BITS).filter(lambda b: b != 8),
+        in_features=st.integers(1, 40),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_processing_unit_matches_engine_off_8_bits(self, seed, bits, in_features):
+        """One 16-output dense layer through the structural PU, whose
+        per-wire checks run at the drawn width, equals the engine."""
         rng = np.random.default_rng(seed)
-        net = build_random_net(rng, n_blocks, channels, use_avgpool)
-        calib = rng.normal(scale=scale, size=(12, 3, 8, 8))
-        mf = MFDFPNetwork.from_float(net, calib)
+        net = Network(
+            [Dense(in_features, 16, dtype=np.float64, rng=rng, name="fc"), ReLU(name="relu")],
+            input_shape=(in_features,),
+            name="dense16",
+        )
+        calib = rng.normal(size=(16, in_features))
+        mf = MFDFPNetwork.from_float(net, calib, bits=bits)
         mf.calibrate_bias_to_accumulator_grid()
         dep = mf.deploy()
-        x = rng.normal(scale=scale, size=(6, 3, 8, 8))
-        hw_codes = execute_deployed(dep, x, check_widths=True)
-        f = dep.ops[-1].out_frac
-        sw_codes = np.rint(mf.logits(x) * 2.0**f)
-        tolerance = 1 if use_avgpool else 0
-        assert np.abs(hw_codes - sw_codes).max() <= tolerance
+        x = rng.normal(size=(3, in_features))
+        x[0] *= 4.0
+        expected = execute_deployed(dep, x)
+        (op,) = [op for op in dep.ops if op.kind == "dense"]
+        sign, exp = pow2_code_fields(op.weight_codes.reshape(16, in_features))
+        pu = ProcessingUnit(bits=bits)
+        for codes, want in zip(dfp_to_codes(x, DFPFormat(bits, dep.input_frac)), expected):
+            got = pu.compute_tile(codes, sign, exp, op.bias_int, op.in_frac, op.out_frac, op.activation)
+            assert np.array_equal(got, want)
 
     @given(spec=net_specs())
     @settings(max_examples=10, deadline=None)
     def test_deploy_roundtrip_preserves_execution(self, spec, tmp_path_factory):
         from repro.io import load_deployed, save_deployed
 
-        seed, n_blocks, channels, use_avgpool, scale = spec
+        seed, n_blocks, channels, use_avgpool, scale, bits = spec
         rng = np.random.default_rng(seed)
         net = build_random_net(rng, n_blocks, channels, use_avgpool)
         calib = rng.normal(scale=scale, size=(8, 3, 8, 8))
-        dep = MFDFPNetwork.from_float(net, calib).deploy()
+        dep = MFDFPNetwork.from_float(net, calib, bits=bits).deploy()
         path = tmp_path_factory.mktemp("dep") / "net.npz"
         save_deployed(dep, path)
         loaded = load_deployed(path)
@@ -95,7 +170,7 @@ class TestSaturationBehaviour:
         mf = MFDFPNetwork.from_float(net, calib)
         dep = mf.deploy()
         x = rng.normal(scale=scale, size=(4, 3, 8, 8))
-        codes = execute_deployed(dep, x, check_widths=True)
+        codes = execute_deployed(dep, x)
         assert np.abs(codes).max() <= 127
 
 

@@ -180,6 +180,15 @@ class TestDeployed:
         with pytest.raises(ArtifactSchemaError, match=missing):
             load_deployed(bad)
 
+    @pytest.mark.parametrize("bits", [0, 1, 17, 64])
+    def test_bits_outside_the_datapath_range_rejected(self, tmp_path, deployed, bits):
+        """Regression: such files loaded, then failed in the engine with a
+        builtin ``ValueError`` (0, 1) or silently ran 8-bit (17, 64)."""
+        deployed.bits = bits
+        save_deployed(deployed, tmp_path / "d.npz")
+        with pytest.raises(ArtifactSchemaError, match="'bits'"):
+            load_deployed(tmp_path / "d.npz")
+
     def test_mistyped_field(self, tmp_path, deployed):
         path = tmp_path / "d.npz"
         save_deployed(deployed, path)

@@ -253,6 +253,9 @@ class TestParser:
         """A bad grid must fail fast, not after paying for surrogate training."""
         with pytest.raises(SystemExit, match="error:"):
             main(["explore", "--bits", "0"])
+        # Regression: one bit trained, then died in a math domain error.
+        with pytest.raises(SystemExit, match=r"^error: [^\n]*bits[^\n]*$"):
+            main(["explore", "--bits", "1", "--rung-epochs", "0", "--final-epochs", "1", "--epochs", "1"])
         with pytest.raises(SystemExit, match="error:"):
             main(["explore", "--technologies", "7nm"])
         with pytest.raises(SystemExit, match="error:"):
