@@ -15,8 +15,8 @@ once per module:
   per-call dispatch that dominates solo runs, and the BLAS kernels
   release the GIL so batches of different models overlap.
 * **Sustained-load p99** — a paced open-loop stream (bounded in-flight
-  window, ~half the machine's measured capacity) against the adaptive
-  batcher must keep the served p99 under the configured SLO target.
+  window, ~half the machine's measured capacity) against the runtime's
+  greedy batching must keep the served p99 under the 50 ms target.
 * **Rollover under load** — ``rollover()`` fired mid-stream between two
   store-published versions must drop nothing: every future resolves,
   each is bit-identical to the engine of whichever version served it
@@ -188,7 +188,6 @@ class TestSustainedLoadP99:
             workers=2,
             max_batch=WINDOW,
             max_queue=10_000,
-            target_p99_s=TARGET_P99_S,
         )
 
     def test_paced_stream_accounting_is_exact(self, registry, quick):
@@ -219,11 +218,10 @@ class TestSustainedLoadP99:
         snap = runtime.metrics("cifar10_full").snapshot()
         p99_ms = 1e3 * snap["latency_p99_s"]
         rps = n / elapsed
-        slo = runtime.health()["models"]["cifar10_full"]["slo"]
         print(
             f"\nsustained {rps:.0f} req/s over {n} requests: "
             f"p50 {1e3 * snap['latency_p50_s']:.2f} ms, p99 {p99_ms:.2f} ms "
-            f"(target {1e3 * TARGET_P99_S:.0f} ms, recent window met={slo['met']})"
+            f"(target {1e3 * TARGET_P99_S:.0f} ms)"
         )
         bench_metrics["sustained_rps"] = round(rps, 1)
         bench_metrics["sustained_p99_ms"] = round(p99_ms, 3)

@@ -10,8 +10,7 @@ Usage::
     python -m repro table2 [--epochs N] [--no-compiled] [--profile]
                                       # accuracy/time/energy (Table 2)
     python -m repro serve [--models a,b] [--workers N] [--batch N] \
-        [--max-queue N] [--requests N] [--store DIR] \
-        [--target-p99-ms MS] [--min-batch N] [--quarantine-after N] \
+        [--max-queue N] [--requests N] [--store DIR] [--quarantine-after N] \
         [--backend thread|process] [--pool-workers N] [--health]
                                       # supervised multi-model serving
     python -m repro sweep CAMPAIGN [--jobs N] [--backend thread|process] \
@@ -43,9 +42,9 @@ the supervised per-model actors of :class:`repro.serve.ServerRuntime`,
 pushes interleaved requests through the per-model micro-batch mailboxes,
 and prints a per-model metrics summary — served/shed counts, batch fill,
 latency percentiles, and the modeled silicon throughput next to the
-measured one.  ``--target-p99-ms`` turns on SLO-driven adaptive batching
-(``--min-batch`` bounds the shrink), ``--quarantine-after`` sets the
-consecutive-failure budget before a crashing model is quarantined, and
+measured one.  Each claim takes every pending request up to ``--batch``
+(greedy fill).  ``--quarantine-after`` sets the consecutive-failure
+budget before a crashing model is quarantined, and
 ``--health`` prints the structured supervision/health surface as JSON
 instead of running the demo traffic.
 
@@ -223,6 +222,8 @@ def _cmd_serve(args) -> None:
     from repro.hw import Accelerator, AcceleratorConfig
     from repro.serve import ModelRegistry, QueueFullError, ServerRuntime, SupervisorPolicy
 
+    if args.pool_workers is not None and args.backend != "process":
+        raise SystemExit("error: --pool-workers needs --backend process")
     if args.store is not None:
         from repro.io import ArtifactError
 
@@ -241,10 +242,6 @@ def _cmd_serve(args) -> None:
     for name in models:  # fail fast, before any model compiles
         if name not in known:
             raise SystemExit(f"error: unknown model {name!r}; registered: {', '.join(known)}")
-    if args.min_batch > args.batch:
-        raise SystemExit(
-            f"error: --min-batch ({args.min_batch}) must not exceed --batch ({args.batch})"
-        )
     runtime = ServerRuntime(
         registry,
         models,
@@ -252,8 +249,6 @@ def _cmd_serve(args) -> None:
         max_batch=args.batch,
         max_queue=args.max_queue,
         accelerator=Accelerator(AcceleratorConfig(precision="mfdfp")),
-        target_p99_s=args.target_p99_ms / 1e3 if args.target_p99_ms else None,
-        min_batch=args.min_batch,
         policy=SupervisorPolicy(max_failures=args.quarantine_after),
         backend=args.backend,
         pool_workers=args.pool_workers,
@@ -615,13 +610,6 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _positive_float(value: str) -> float:
-    x = float(value)
-    if x <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number, got {x}")
-    return x
-
-
 def _int_list(value: str):
     try:
         items = [int(item) for item in value.split(",") if item.strip()]
@@ -750,7 +738,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="process workers for --backend process (default: every core)",
     )
-    p4.add_argument("--batch", type=_positive_int, default=64, help="largest micro-batch")
+    p4.add_argument(
+        "--batch",
+        type=_positive_int,
+        default=64,
+        help="largest micro-batch; each claim takes every pending request up to it",
+    )
     p4.add_argument(
         "--max-queue",
         type=_positive_int,
@@ -759,21 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p4.add_argument(
         "--requests", type=_positive_int, default=256, help="requests per model"
-    )
-    p4.add_argument(
-        "--target-p99-ms",
-        type=_positive_float,
-        default=None,
-        metavar="MS",
-        help="p99 latency SLO: batches shrink when the recent p99 exceeds "
-        "it and grow back under queue pressure (default: latency-blind "
-        "greedy fill at --batch)",
-    )
-    p4.add_argument(
-        "--min-batch",
-        type=_positive_int,
-        default=1,
-        help="smallest micro-batch the SLO loop may shrink to",
     )
     p4.add_argument(
         "--quarantine-after",

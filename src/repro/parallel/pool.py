@@ -301,18 +301,22 @@ class ProcessPoolRunner:
 
         Queued-but-unserved tasks resolve with :class:`PoolClosedError`;
         workers finish their in-flight task, then exit on the sentinel
-        (stragglers are terminated after ``timeout``).
+        (stragglers are terminated after ``timeout``).  A broken pool is
+        terminated at once: its pending futures have already failed, and
+        a worker killed mid-``get`` can leave the task queue's lock held,
+        so the survivors might never read their sentinel.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            broken = self._broken is not None
         for _ in self._processes:
             try:
                 self._tasks.put(None)
             except (OSError, ValueError):
                 break  # queue already torn down
-        deadline = timeout
+        deadline = 0.0 if broken else timeout
         for process in self._processes:
             process.join(timeout=max(0.1, deadline))
             if process.is_alive():

@@ -5,7 +5,7 @@
 tier touches — ``run``, ``input_shape``, ``deployed``, ``fingerprint``
 — but ships each batch to a :class:`~repro.parallel.pool.ProcessPoolRunner`
 worker, where the real engine runs over shared-memory weight planes.
-Supervision, metrics, adaptive batching, and rollover all operate on it
+Supervision, metrics, batching, and rollover all operate on it
 unchanged; a worker crash surfaces through ``run`` as
 :class:`~repro.parallel.pool.WorkerCrashedError`, which the Supervisor
 already treats as actor death.

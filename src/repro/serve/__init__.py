@@ -3,9 +3,6 @@
 A supervised, concurrent, multi-tenant server in front of the compiled
 :class:`repro.core.engine.BatchedEngine`:
 
-* :class:`repro.serve.batching.AdaptiveBatchPolicy` — SLO-driven batch
-  sizing: grow under queue pressure, shrink when recent p99 latency
-  exceeds the target.
 * :class:`repro.serve.registry.ModelRegistry` — named deployable
   models, built lazily and compiled once behind the thread-safe
   content-addressed :class:`repro.core.engine.EngineCache`; store-backed
@@ -17,8 +14,9 @@ A supervised, concurrent, multi-tenant server in front of the compiled
   (:class:`repro.serve.supervisor.SupervisorPolicy`) and quarantined
   after repeated failure, isolating faults per model.
 * :class:`repro.serve.runtime.ServerRuntime` — the facade: admission
-  control (typed load shedding), zero-downtime version rollover, the
-  structured health surface, and per-model
+  control (typed load shedding), greedy micro-batching (each claim
+  takes up to ``max_batch`` pending requests), zero-downtime version
+  rollover, the structured health surface, and per-model
   :class:`repro.serve.metrics.ModelMetrics`.
 * :mod:`repro.serve.errors` — the typed rejections
   (:class:`UnknownModelError`, :class:`QueueFullError`,
@@ -29,7 +27,6 @@ A supervised, concurrent, multi-tenant server in front of the compiled
 Exposed on the command line as ``python -m repro serve``.
 """
 
-from repro.serve.batching import AdaptiveBatchPolicy
 from repro.serve.errors import (
     CrashError,
     ModelQuarantinedError,
@@ -44,7 +41,6 @@ from repro.serve.runtime import ServerRuntime
 from repro.serve.supervisor import ModelActor, Supervisor, SupervisorPolicy
 
 __all__ = [
-    "AdaptiveBatchPolicy",
     "CrashError",
     "ModelActor",
     "ModelMetrics",

@@ -3,8 +3,8 @@
 :class:`ModelMetrics` is the one instrumentation object the runtime
 keeps per hosted model: request counters (submitted / completed /
 rejected / crashed), batch-fill accounting, a live queue-depth gauge, a
-bounded latency reservoir with (optionally windowed) percentile
-readout, and wall-clock throughput.
+bounded latency reservoir with percentile readout, and wall-clock
+throughput.
 
 The queue-depth gauge is **owned by the counters**, not by call sites:
 ``record_submit`` is the only increment and ``record_claim`` the only
@@ -23,7 +23,6 @@ instance lock — workers and client threads record concurrently.
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 import time
 from collections import deque
@@ -31,9 +30,6 @@ from typing import Callable, Optional
 
 #: Most recent per-request latencies kept for percentile readout.
 LATENCY_RESERVOIR = 4096
-
-#: Default recent-window size for SLO-facing percentile readout.
-SLO_WINDOW = 256
 
 
 class ModelMetrics:
@@ -122,33 +118,19 @@ class ModelMetrics:
         with self._lock:
             return self.batch_samples / self.batches if self.batches else 0.0
 
-    def latency_percentile(self, q: float, window: Optional[int] = None) -> float:
+    def latency_percentile(self, q: float) -> float:
         """Nearest-rank percentile of recorded latencies, in seconds.
 
         Nearest-rank always returns an observed latency and is monotone
-        in ``q``; returns ``nan`` before any completion.  ``window``
-        restricts the readout to the most recent ``window`` completions
-        — the SLO-facing view the adaptive batcher steers on, which must
-        react to *current* latency, not the whole reservoir's history.
-
-        Edge cases are pinned, never accidental: ``q=0`` is the minimum
-        and ``q=100`` the maximum recorded latency; a ``window`` larger
-        than the reservoir reads everything retained; ``q`` outside
-        ``[0, 100]`` (including NaN) and non-integral or non-positive
-        ``window`` raise the documented ``ValueError``.
+        in ``q``; returns ``nan`` before any completion.  Edge cases are
+        pinned, never accidental: ``q=0`` is the minimum and ``q=100``
+        the maximum recorded latency; ``q`` outside ``[0, 100]``
+        (including NaN) raises the documented ``ValueError``.
         """
         if not 0 <= q <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {q}")  # repro-lint: disable=error-taxonomy (public-API argument validation; ValueError is the documented contract)
-        if window is not None:
-            if isinstance(window, bool) or not isinstance(window, numbers.Integral):
-                raise ValueError(f"window must be an integer, got {window!r}")  # repro-lint: disable=error-taxonomy (public-API argument validation; ValueError is the documented contract)
-            if window < 1:
-                raise ValueError(f"window must be positive, got {window}")  # repro-lint: disable=error-taxonomy (public-API argument validation; ValueError is the documented contract)
-            window = int(window)
         with self._lock:
             recent = list(self._latencies)
-        if window is not None:
-            recent = recent[-window:]
         if not recent:
             return float("nan")
         ordered = sorted(recent)

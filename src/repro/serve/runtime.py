@@ -8,7 +8,7 @@ model's compiled :class:`~repro.core.engine.BatchedEngine`.  The design
 in one breath::
 
     clients ──submit()──▶ per-model actor mailboxes ──claim──▶ per-model workers
-                │ admission control                       │ adaptive batch ≤ max
+                │ admission control                       │ greedy batch ≤ max
                 ▼ (QueueFullError /                       ▼
             Future     ModelQuarantinedError)   engine.run(batch) → futures
                                                     │ crash = actor death
@@ -32,10 +32,8 @@ Guarantees:
 * **No cross-model bleed** — a claim takes requests from exactly one
   mailbox, so a batch only ever contains one model's samples, and each
   future is resolved from its own batch row (a private copy).
-* **SLO-driven batching** — claim sizes follow
-  :class:`~repro.serve.batching.AdaptiveBatchPolicy`: grow under queue
-  pressure, shrink when the recent p99 exceeds ``target_p99_s``
-  (latency-blind greedy fill when no target is set).
+* **Greedy batching** — each claim takes ``min(max_batch, pending)``
+  requests: the whole backlog, up to the batch bound.
 * **Zero-downtime rollover** — :meth:`rollover` resolves the new
   version while the old engine keeps serving, then swaps atomically:
   requests claimed before the swap finish on the old engine, requests
@@ -78,7 +76,6 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from repro.serve.batching import AdaptiveBatchPolicy
 from repro.serve.errors import (
     ModelQuarantinedError,
     QueueFullError,
@@ -121,11 +118,6 @@ class ServerRuntime:
             the measured metrics.
         policy: Restart/quarantine rule (default:
             :class:`SupervisorPolicy` defaults).
-        batch_policy: Adaptive sizing rule; defaults to
-            ``AdaptiveBatchPolicy(min_batch, max_batch, target_p99_s)``.
-        target_p99_s: SLO target for the default batch policy (``None``
-            = latency-blind greedy fill at ``max_batch``).
-        min_batch: Smallest adaptive batch for the default policy.
         sleep: Backoff sleep used by the supervisor (injectable; tests
             pass a fake-clock-advancing sleep).
         engine_provider: ``provider(name, version) -> (engine, label)``
@@ -143,7 +135,8 @@ class ServerRuntime:
             :class:`repro.parallel.WorkerCrashedError`).
         pool_workers: Process count for ``backend="process"``
             (default: ``os.cpu_count()``).  The pool forks eagerly in
-            the constructor, before any serving thread starts.
+            the constructor, before any serving thread starts.  Setting
+            it on the thread backend raises ``ValueError``.
     """
 
     def __init__(
@@ -156,9 +149,6 @@ class ServerRuntime:
         clock: Callable[[], float] = time.monotonic,
         accelerator=None,
         policy: Optional[SupervisorPolicy] = None,
-        batch_policy: Optional[AdaptiveBatchPolicy] = None,
-        target_p99_s: Optional[float] = None,
-        min_batch: int = 1,
         sleep: Callable[[float], None] = time.sleep,
         engine_provider=None,
         backend: str = "thread",
@@ -166,12 +156,8 @@ class ServerRuntime:
     ):
         if workers < 1:
             raise ValueError("need at least one worker per model")
-        if batch_policy is None:
-            if max_batch < 1:
-                raise ValueError("max_batch must be at least 1")
-            batch_policy = AdaptiveBatchPolicy(
-                min_batch=min_batch, max_batch=max_batch, target_p99_s=target_p99_s
-            )
+        if max_batch < 1:
+            raise ValueError("max_batch must be at least 1")
         if max_queue < 1:
             raise ValueError("max_queue must be at least 1")
         names = list(models)
@@ -181,13 +167,14 @@ class ServerRuntime:
             raise ValueError(f"duplicate model names in {names}")
         self.registry = registry
         self.workers = workers
-        self.max_batch = batch_policy.max_batch
+        self.max_batch = max_batch
         self.max_queue = max_queue
         self.accelerator = accelerator
-        self.batch_policy = batch_policy
         self.policy = policy or SupervisorPolicy()
         if backend not in ("thread", "process"):
             raise ValueError(f"unknown backend {backend!r}; choose 'thread' or 'process'")
+        if pool_workers is not None and backend != "process":
+            raise ValueError("pool_workers needs backend='process'")
         self.backend = backend
         self._runner = None
         self._arena = None
@@ -210,7 +197,7 @@ class ServerRuntime:
             if name not in registry:
                 raise UnknownModelError(name, tuple(registry.names()))
         self._actors: dict[str, ModelActor] = {
-            name: ModelActor(name, ModelMetrics(name, clock=clock), batch_policy)
+            name: ModelActor(name, ModelMetrics(name, clock=clock), max_batch)
             for name in names
         }
         self._order = list(self._actors.values())
@@ -393,9 +380,8 @@ class ServerRuntime:
         JSON-serializable (modulo NaN percentiles before any traffic):
         per model the full metrics snapshot plus ``state`` /
         ``active_version`` / ``restarts`` / ``consecutive_failures`` /
-        ``restart_budget_remaining`` / ``crashes`` / ``last_error`` /
-        ``current_batch`` (and an ``slo`` block when a p99 target is
-        set), alongside runtime-level configuration.  Exposed on the
+        ``restart_budget_remaining`` / ``crashes`` / ``last_error``,
+        alongside runtime-level configuration.  Exposed on the
         command line as ``python -m repro serve --health``.
         """
         return {
@@ -404,6 +390,7 @@ class ServerRuntime:
                 for actor in self._order
             },
             "workers_per_model": self.workers,
+            "max_batch": self.max_batch,
             "max_queue": self.max_queue,
             "stopping": self._stopping,
             "policy": {
@@ -411,11 +398,6 @@ class ServerRuntime:
                 "backoff_initial_s": self.policy.backoff_initial_s,
                 "backoff_factor": self.policy.backoff_factor,
                 "backoff_cap_s": self.policy.backoff_cap_s,
-            },
-            "batch_policy": {
-                "min_batch": self.batch_policy.min_batch,
-                "max_batch": self.batch_policy.max_batch,
-                "target_p99_s": self.batch_policy.target_p99_s,
             },
         }
 

@@ -7,9 +7,9 @@ SCADA nodes, transplanted to model serving):
 
 * :class:`ModelActor` — one hosted model's mailbox and serving state: a
   bounded pending deque, the live engine (plus the version label it
-  serves), adaptive batch size, and the failure bookkeeping supervision
-  steers on.  Actors never share queues, so one model's failures cannot
-  starve another's traffic.
+  serves), and the failure bookkeeping supervision steers on.  Actors
+  never share queues, so one model's failures cannot starve another's
+  traffic.
 * :class:`SupervisorPolicy` — the restart rule: capped exponential
   backoff between restarts and quarantine after ``max_failures``
   consecutive crashes.
@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.chaos.registry import inject, register_site
 from repro.retry import RetryPolicy
-from repro.serve.batching import AdaptiveBatchPolicy
 from repro.serve.errors import ModelQuarantinedError, ServerClosedError
 from repro.serve.metrics import ModelMetrics
 
@@ -144,15 +143,10 @@ class ModelActor:
     :class:`Supervisor` runs worker loops against it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        metrics: ModelMetrics,
-        batch_policy: AdaptiveBatchPolicy,
-    ):
+    def __init__(self, name: str, metrics: ModelMetrics, max_batch: int):
         self.name = name
         self.metrics = metrics
-        self.batch_policy = batch_policy
+        self.max_batch = max_batch
         self.lock = threading.Lock()
         self.work = threading.Condition(self.lock)
         self.pending: deque = deque()
@@ -170,7 +164,6 @@ class ModelActor:
         self.crashes = 0
         self.last_error: Optional[str] = None
         self.retry_at = 0.0
-        self.current_batch = batch_policy.initial
 
     # All methods below expect ``self.work`` to be held by the caller.
     def install_engine_locked(self, engine, version: Optional[str]) -> None:
@@ -184,8 +177,8 @@ class ModelActor:
         self.work.notify_all()
 
     def claim_locked(self) -> list[Request]:
-        """Pop up to ``current_batch`` requests off the mailbox."""
-        n = min(self.current_batch, len(self.pending))
+        """Pop up to ``max_batch`` requests off the mailbox (greedy fill)."""
+        n = min(self.max_batch, len(self.pending))
         requests = [self.pending.popleft() for _ in range(n)]
         self.metrics.record_claim(n)
         return requests
@@ -348,13 +341,6 @@ class Supervisor:
                         return ("sleep", actor.retry_at - now)
                     actor.building = True
                     return ("build", None)
-                if actor.batch_policy.target_p99_s is not None:
-                    p99 = actor.metrics.latency_percentile(
-                        99, window=actor.batch_policy.slo_window
-                    )
-                    actor.current_batch = actor.batch_policy.next_size(
-                        actor.current_batch, len(actor.pending), p99
-                    )
                 requests = actor.claim_locked()
                 return ("execute", (actor.engine, actor.version, actor.generation, requests))
 
@@ -451,16 +437,5 @@ class Supervisor:
                 ),
                 crashes=actor.crashes,
                 last_error=actor.last_error,
-                current_batch=actor.current_batch,
             )
-            target = actor.batch_policy.target_p99_s
-            if target is not None:
-                p99 = actor.metrics.latency_percentile(
-                    99, window=actor.batch_policy.slo_window
-                )
-                snap["slo"] = {
-                    "target_p99_s": target,
-                    "recent_p99_s": p99,
-                    "met": bool(not (p99 == p99) or p99 <= target),  # nan → vacuously met
-                }
             return snap

@@ -11,6 +11,7 @@ division is involved).
 """
 
 import os
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -24,40 +25,71 @@ from repro.core.pow2 import pow2_code_fields
 from repro.hw import ProcessingUnit
 from repro.hw.datapath import MAX_BITS, MIN_BITS
 from repro.nn import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, Network, ReLU
+from repro.nn.layers.conv import conv_output_size
+from repro.nn.layers.pool import pool_output_size
 
 
-def build_random_net(rng, n_blocks, channels, use_avgpool, size=8, classes=4):
+class Block(NamedTuple):
+    """One 3x3 conv(+relu)(+stride-2 pool) block of a random net."""
+
+    out_channels: int
+    groups: int = 1
+    stride: int = 1
+    pad: int = 1
+    pool_kernel: Optional[int] = 2  # None: no pool
+    ceil_mode: bool = True
+
+
+def build_random_net(rng, blocks, use_avgpool, size=8, classes=4):
     """Random conv(+relu)(+pool) stack ending in flatten+dense."""
     layers = []
     in_ch = 3
-    cur = size
-    for i in range(n_blocks):
-        out_ch = channels[i]
+    for i, block in enumerate(blocks):
         layers.append(
-            Conv2D(in_ch, out_ch, 3, pad=1, dtype=np.float64, rng=rng, name=f"conv{i}")
+            Conv2D(
+                in_ch, block.out_channels, 3, stride=block.stride, pad=block.pad,
+                groups=block.groups, dtype=np.float64, rng=rng, name=f"conv{i}",
+            )
         )
         layers.append(ReLU(name=f"relu{i}"))
-        if cur >= 4 and i < 2:
+        if block.pool_kernel is not None:
             pool_cls = AvgPool2D if use_avgpool else MaxPool2D
-            layers.append(pool_cls(2, stride=2, name=f"pool{i}"))
-            cur //= 2
-        in_ch = out_ch
+            layers.append(
+                pool_cls(block.pool_kernel, stride=2, ceil_mode=block.ceil_mode, name=f"pool{i}")
+            )
+        in_ch = block.out_channels
     layers.append(Flatten(name="flat"))
-    layers.append(
-        Dense(in_ch * cur * cur, classes, dtype=np.float64, rng=rng, name="fc")
-    )
+    shape = (3, size, size)
+    for layer in layers:
+        shape = layer.output_shape(shape)
+    layers.append(Dense(shape[0], classes, dtype=np.float64, rng=rng, name="fc"))
     return Network(layers, input_shape=(3, size, size), name="randnet")
 
 
 @st.composite
 def net_specs(draw):
+    """Random nets over the conv geometries the zoo uses: grouped convs,
+    stride 1/2, pad 0/1, and 2x2 or 3x3 pools in floor or ceil mode."""
     seed = draw(st.integers(0, 2**20))
-    n_blocks = draw(st.integers(1, 3))
-    channels = [draw(st.sampled_from([2, 4, 8])) for _ in range(n_blocks)]
+    blocks, in_ch, cur = [], 3, 8
+    for i in range(draw(st.integers(1, 3))):
+        out_ch = draw(st.sampled_from([2, 3, 4, 6, 8]))
+        groups = draw(st.sampled_from([g for g in (1, 2, 3, 4) if in_ch % g == out_ch % g == 0]))
+        stride, pad = draw(
+            st.sampled_from([(s, p) for s in (1, 2) for p in (0, 1) if cur + 2 * p >= 3])
+        )
+        cur = conv_output_size(cur, 3, stride, pad)
+        pool_kernel, ceil_mode = None, True
+        if i < 2 and cur >= 3:
+            pool_kernel = draw(st.sampled_from([2, 3]))
+            ceil_mode = draw(st.booleans())
+            cur = pool_output_size(cur, pool_kernel, 2, 0, ceil_mode)
+        blocks.append(Block(out_ch, groups, stride, pad, pool_kernel, ceil_mode))
+        in_ch = out_ch
     use_avgpool = draw(st.booleans())
     scale = draw(st.floats(0.2, 3.0))
     bits = draw(st.integers(MIN_BITS, MAX_BITS))
-    return seed, n_blocks, channels, use_avgpool, scale, bits
+    return seed, blocks, use_avgpool, scale, bits
 
 
 def deploy_spec(spec):
@@ -66,9 +98,9 @@ def deploy_spec(spec):
     Half of the inputs are drawn at 16 times the calibration scale, so
     every layer's saturation at ``±code_max`` is exercised.
     """
-    seed, n_blocks, channels, use_avgpool, scale, bits = spec
+    seed, blocks, use_avgpool, scale, bits = spec
     rng = np.random.default_rng(seed)
-    net = build_random_net(rng, n_blocks, channels, use_avgpool)
+    net = build_random_net(rng, blocks, use_avgpool)
     calib = rng.normal(scale=scale, size=(12, 3, 8, 8))
     mf = MFDFPNetwork.from_float(net, calib, bits=bits)
     mf.calibrate_bias_to_accumulator_grid()
@@ -149,9 +181,9 @@ class TestRandomNetEquivalence:
     def test_deploy_roundtrip_preserves_execution(self, spec, tmp_path_factory):
         from repro.io import load_deployed, save_deployed
 
-        seed, n_blocks, channels, use_avgpool, scale, bits = spec
+        seed, blocks, use_avgpool, scale, bits = spec
         rng = np.random.default_rng(seed)
-        net = build_random_net(rng, n_blocks, channels, use_avgpool)
+        net = build_random_net(rng, blocks, use_avgpool)
         calib = rng.normal(scale=scale, size=(8, 3, 8, 8))
         dep = MFDFPNetwork.from_float(net, calib, bits=bits).deploy()
         path = tmp_path_factory.mktemp("dep") / "net.npz"
@@ -165,7 +197,7 @@ class TestSaturationBehaviour:
     @pytest.mark.parametrize("scale", [10.0, 100.0])
     def test_out_of_calibration_inputs_saturate_gracefully(self, rng, scale):
         """Inputs far beyond calibration range saturate, never overflow."""
-        net = build_random_net(rng, 2, [4, 4], use_avgpool=False)
+        net = build_random_net(rng, [Block(4), Block(4)], use_avgpool=False)
         calib = rng.normal(size=(8, 3, 8, 8))  # unit-scale calibration
         mf = MFDFPNetwork.from_float(net, calib)
         dep = mf.deploy()

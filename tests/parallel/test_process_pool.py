@@ -76,6 +76,23 @@ class TestCrash:
         finally:
             runner.close()
 
+    def test_broken_pool_closes_without_waiting_on_survivors(self):
+        """Regression: close() gave a broken pool's survivors the full
+        graceful timeout, though a worker killed mid-``get`` can hold the
+        task queue's lock so that no survivor ever reads its sentinel."""
+        runner = ProcessPoolRunner(2)
+        busy = runner.submit(worker_mod.hang, 60.0)
+        time.sleep(0.3)  # one worker picks up the hang task
+        with pytest.raises(WorkerCrashedError):
+            runner.call(worker_mod.crash)  # the other dies
+        assert runner.broken
+        start = time.monotonic()
+        runner.close()
+        assert time.monotonic() - start < 5.0
+        assert runner.alive_workers() == 0
+        with pytest.raises(WorkerCrashedError):
+            busy.result(timeout=0)
+
 
 class TestLifecycle:
     def test_close_is_idempotent_and_rejects_submits(self):

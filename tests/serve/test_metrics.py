@@ -51,6 +51,10 @@ class TestLatencyPercentiles:
         with pytest.raises(ValueError, match="percentile"):
             metrics.latency_percentile(-1)
 
+    def test_nan_percentile_rejected(self, metrics):
+        with pytest.raises(ValueError, match="percentile"):
+            metrics.latency_percentile(float("nan"))
+
     def test_reservoir_is_bounded(self, metrics, fake_clock):
         for _ in range(LATENCY_RESERVOIR + 100):
             metrics.record_done(fake_clock())
@@ -105,65 +109,6 @@ class TestCountersAndSnapshot:
         assert snap["latency_p50_s"] == pytest.approx(0.5)
         assert snap["latency_p99_s"] == pytest.approx(0.5)
         assert snap["throughput_rps"] == pytest.approx(2.0)
-
-
-class TestWindowedPercentiles:
-    def test_window_sees_only_recent_completions(self, metrics, fake_clock):
-        for latency in (1.0, 1.0, 1.0, 0.1, 0.1):
-            start = metrics.record_submit()
-            fake_clock.advance(latency)
-            metrics.record_done(start)
-        assert metrics.latency_percentile(99) == pytest.approx(1.0)
-        assert metrics.latency_percentile(99, window=2) == pytest.approx(0.1)
-
-    def test_invalid_window_rejected(self, metrics):
-        with pytest.raises(ValueError, match="window"):
-            metrics.latency_percentile(50, window=0)
-
-    def test_window_larger_than_reservoir_reads_everything(self, metrics, fake_clock):
-        """An oversize window is the whole-reservoir view, not an error
-        and not a silent empty readout."""
-        for latency in (0.2, 0.4, 0.6):
-            start = metrics.record_submit()
-            fake_clock.advance(latency)
-            metrics.record_done(start)
-        huge = LATENCY_RESERVOIR * 10
-        assert metrics.latency_percentile(50, window=huge) == metrics.latency_percentile(50)
-        assert metrics.latency_percentile(0, window=huge) == pytest.approx(0.2)
-        assert metrics.latency_percentile(100, window=huge) == pytest.approx(0.6)
-
-    def test_extreme_percentiles_with_window(self, metrics, fake_clock):
-        """q=0 / q=100 inside a window are the window's min/max."""
-        for latency in (1.0, 0.3, 0.7):
-            start = metrics.record_submit()
-            fake_clock.advance(latency)
-            metrics.record_done(start)
-        assert metrics.latency_percentile(0, window=2) == pytest.approx(0.3)
-        assert metrics.latency_percentile(100, window=2) == pytest.approx(0.7)
-
-    @pytest.mark.parametrize("bad", [2.5, "3", True, float("nan")])
-    def test_non_integral_window_rejected(self, metrics, fake_clock, bad):
-        """A float window used to slip past the positivity check and blow
-        up as a TypeError inside the slice; now it is the documented
-        ValueError whether or not latencies were recorded."""
-        with pytest.raises(ValueError, match="window"):
-            metrics.latency_percentile(50, window=bad)
-        start = metrics.record_submit()
-        fake_clock.advance(0.5)
-        metrics.record_done(start)
-        with pytest.raises(ValueError, match="window"):
-            metrics.latency_percentile(50, window=bad)
-
-    def test_nan_percentile_rejected(self, metrics):
-        with pytest.raises(ValueError, match="percentile"):
-            metrics.latency_percentile(float("nan"))
-
-    def test_numpy_integer_window_accepted(self, metrics, fake_clock):
-        for latency in (0.2, 0.8):
-            start = metrics.record_submit()
-            fake_clock.advance(latency)
-            metrics.record_done(start)
-        assert metrics.latency_percentile(99, window=np.int64(1)) == pytest.approx(0.8)
 
 
 class TestQueueDepthGauge:

@@ -1,11 +1,13 @@
 """ServerRuntime process-worker mode: identity, metrics, health, crashes, pool death."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.chaos import FaultPlan, FaultRule, installed
+from repro.core.engine import BatchedEngine
 from repro.parallel import PoolClosedError, SharedEngineProxy, WorkerCrashedError
 from repro.parallel import worker as worker_mod
 from repro.serve import CrashError, ModelQuarantinedError, ServerRuntime, SupervisorPolicy
@@ -198,3 +200,111 @@ class TestPoolDeath:
                 rt.submit("tiny_a", x[2])
         finally:
             rt.stop(drain=False)
+
+
+class TestRolloverUnderWorkerKill:
+    def test_sigkill_mid_rollover_is_typed_bounded_and_exact(
+        self, registry, deployed_a, make_tiny_deployed, tmp_path
+    ):
+        """A worker SIGKILLed while ``rollover()`` resolves the new version:
+        every wait is bounded, every failure is typed, and every served
+        future is bit-identical to the version it names.
+
+        The provider parks the rollover mid-resolve until the kill has
+        happened; the plan is installed only then, so the first pool
+        submit after it (the next batch on the old version) is the one
+        that kills.  One dead worker breaks the whole pool, so after the
+        swap the new version crashes until the model quarantines.
+        """
+        engines = {
+            "v1": BatchedEngine(deployed_a),
+            "v2": BatchedEngine(make_tiny_deployed(99, 6, 3, "tiny_a")),
+        }
+        current = {"label": "v1"}
+        resolving = threading.Event()
+        killed = tmp_path / "killed"
+
+        def provider(name, version):
+            if version is not None:  # the rollover's resolution
+                resolving.set()
+                deadline = time.monotonic() + 30
+                while not killed.exists():
+                    assert time.monotonic() < deadline, "the kill never happened"
+                    time.sleep(0.005)
+                current["label"] = "v2"
+            label = current["label"]
+            return engines[label], label
+
+        plan = FaultPlan(
+            rules=[
+                FaultRule(
+                    site="parallel.pool.submit",
+                    fault="sigkill-worker",
+                    trigger={"calls": [1]},
+                    params={"release": str(killed)},
+                )
+            ]
+        )
+        typed = (WorkerCrashedError, CrashError, ModelQuarantinedError)
+        x = _requests(24, 6, seed=11)
+        rt = ServerRuntime(
+            registry,
+            ["tiny_a"],
+            workers=1,
+            max_batch=4,
+            max_queue=64,
+            backend="process",
+            pool_workers=2,
+            engine_provider=provider,
+            policy=SupervisorPolicy(max_failures=2, backoff_initial_s=0.01),
+        ).start()
+        futures, refused = [], []
+
+        def send(samples):
+            for sample in samples:
+                try:
+                    futures.append((sample, rt.submit("tiny_a", sample)))
+                except typed as error:
+                    refused.append(error)
+
+        def settle():
+            for _, future in futures:
+                future.exception(timeout=30)  # raises TimeoutError on a hang
+
+        try:
+            send(x[:8])  # before the rollover: a healthy pool
+            settle()
+            outcome = []
+            roller = threading.Thread(
+                target=lambda: outcome.append(rt.rollover("tiny_a")), daemon=True
+            )
+            roller.start()
+            assert resolving.wait(30)
+            with installed(plan):
+                send(x[8:16])  # mid-rollover, on the old version
+                settle()
+            roller.join(30)
+            assert not roller.is_alive() and outcome == ["v2"]
+            assert plan.fired == [("parallel.pool.submit", 1, "sigkill-worker")]
+            deadline = time.monotonic() + 30
+            while not rt._runner.broken:
+                assert time.monotonic() < deadline, "the dead worker went unnoticed"
+                time.sleep(0.01)
+            send(x[16:])  # after the swap, on a broken pool
+            settle()
+        finally:
+            rt.stop(drain=False)
+
+        served = 0
+        for sample, future in futures:
+            error = future.exception(timeout=0)
+            if error is not None:
+                assert isinstance(error, typed), repr(error)
+                continue
+            version = future.serving_version
+            expected = engines[version].run(sample[None])[0]
+            assert np.array_equal(future.result(timeout=0), expected), version
+            served += 1
+        assert all(isinstance(error, typed) for error in refused)
+        assert served >= 8  # the pre-rollover traffic at least
+        assert rt.health()["models"]["tiny_a"]["state"] == "quarantined"

@@ -42,6 +42,8 @@ class TestValidation:
             ServerRuntime(registry, [])
         with pytest.raises(ValueError, match="duplicate"):
             ServerRuntime(registry, ["tiny_a", "tiny_a"])
+        with pytest.raises(ValueError, match="pool_workers needs backend='process'"):
+            ServerRuntime(registry, ["tiny_a"], pool_workers=2)
 
     def test_unknown_model_at_construction(self, registry):
         with pytest.raises(UnknownModelError):

@@ -20,7 +20,6 @@ from repro.chaos import FaultPlan, FaultRule, installed
 from repro.core.engine import BatchedEngine
 from repro.io.store import ArtifactStore
 from repro.serve import (
-    AdaptiveBatchPolicy,
     CrashError,
     ModelQuarantinedError,
     ModelRegistry,
@@ -464,65 +463,6 @@ class TestRollover:
             runtime.rollover("tiny_a")
 
 
-class TestAdaptiveBatchingIntegration:
-    def test_claims_shrink_when_p99_breaches_target(
-        self, registry, fake_clock, samples_a
-    ):
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            clock=fake_clock,
-            batch_policy=AdaptiveBatchPolicy(
-                min_batch=1, max_batch=8, target_p99_s=0.5, step=2.0, slo_window=16
-            ),
-        )
-        metrics = runtime.metrics("tiny_a")
-        # Seed the SLO window with over-target latencies: every claim
-        # re-consults the policy, so sizes halve 8 -> 4 -> 2 -> 1 -> 1.
-        for _ in range(4):
-            start = fake_clock()
-            fake_clock.advance(1.0)
-            metrics.record_done(start)
-        futures = [runtime.submit("tiny_a", s) for s in samples_a[:8]]
-        runtime.stop(drain=True)
-        assert all(f.done() for f in futures)
-        assert metrics.batches == 4  # 4 + 2 + 1 + 1
-        assert runtime.health()["models"]["tiny_a"]["current_batch"] == 1
-        slo = runtime.health()["models"]["tiny_a"]["slo"]
-        assert slo["target_p99_s"] == 0.5 and not slo["met"]
-
-    def test_claims_grow_back_under_pressure_once_slo_recovers(
-        self, registry, fake_clock, samples_a
-    ):
-        runtime = ServerRuntime(
-            registry,
-            ["tiny_a"],
-            workers=1,
-            clock=fake_clock,
-            max_queue=64,
-            batch_policy=AdaptiveBatchPolicy(
-                min_batch=1, max_batch=8, target_p99_s=0.5, step=2.0,
-                grow_pressure=2.0, slo_window=4,
-            ),
-        )
-        metrics = runtime.metrics("tiny_a")
-        for _ in range(4):  # slow history fills the (tiny) window
-            start = fake_clock()
-            fake_clock.advance(1.0)
-            metrics.record_done(start)
-        x = np.random.default_rng(9).normal(scale=0.5, size=(30, 6)).astype(np.float32)
-        futures = [runtime.submit("tiny_a", s) for s in x]
-        runtime.stop(drain=True)
-        assert all(f.result(timeout=0) is not None for f in futures)
-        # Claim 1 shrinks (8 -> 4) on the stale slow window; its 4
-        # zero-latency completions (fake clock) flush the window, and
-        # the 26-deep backlog grows claims back to the ceiling:
-        # 4 + 8 + 8 + 8 + 2 = 30 requests in 5 batches.
-        assert metrics.batches == 5
-        assert runtime.health()["models"]["tiny_a"]["current_batch"] == 8
-
-
 class TestHealthSurface:
     def test_health_is_structured_and_json_serializable(
         self, registry, fake_clock, samples_a
@@ -534,24 +474,22 @@ class TestHealthSurface:
             max_batch=8,
             max_queue=32,
             clock=fake_clock,
-            target_p99_s=0.25,
         )
         futures = [runtime.submit("tiny_a", s) for s in samples_a[:3]]
         health = runtime.health()
-        assert health["workers_per_model"] == 3
+        assert health["workers_per_model"] == 3 and health["max_batch"] == 8
         assert health["max_queue"] == 32 and health["stopping"] is False
         assert set(health["models"]) == {"tiny_a", "tiny_b"}
         snap = health["models"]["tiny_a"]
         for key in (
             "state", "active_version", "restarts", "consecutive_failures",
-            "restart_budget_remaining", "crashes", "last_error", "current_batch",
+            "restart_budget_remaining", "crashes", "last_error",
             "queue_depth", "submitted", "completed", "rejected", "crashed",
-            "latency_p99_s", "throughput_rps", "slo",
+            "latency_p99_s", "throughput_rps",
         ):
             assert key in snap, key
         assert snap["queue_depth"] == 3
         assert health["policy"]["max_failures"] == 3
-        assert health["batch_policy"]["target_p99_s"] == 0.25
         json.dumps(health)  # NaN percentiles are permitted by json's default
         runtime.stop(drain=True)
         assert all(f.done() for f in futures)

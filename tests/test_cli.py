@@ -49,48 +49,35 @@ class TestParser:
                 "--batch", "8",
                 "--max-queue", "128",
                 "--requests", "32",
+                "--quarantine-after", "5",
+                "--health",
             ]
         )
         assert args.models == ["alexnet", "cifar10_full"]
         assert args.workers == 4 and args.max_queue == 128
         assert args.batch == 8 and args.requests == 32
+        assert args.quarantine_after == 5 and args.health is True
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.models is None  # resolved at run time: zoo default or store contents
         assert args.store is None
         assert args.workers == 2 and args.max_queue == 1024
-        assert args.target_p99_ms is None and args.min_batch == 1
         assert args.quarantine_after == 3 and args.health is False
-
-    def test_serve_slo_flags(self):
-        args = build_parser().parse_args(
-            [
-                "serve",
-                "--target-p99-ms", "5.5",
-                "--min-batch", "2",
-                "--quarantine-after", "5",
-                "--health",
-            ]
-        )
-        assert args.target_p99_ms == 5.5 and args.min_batch == 2
-        assert args.quarantine_after == 5 and args.health is True
-
-    def test_serve_rejects_nonpositive_slo_target(self, capsys):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--target-p99-ms", "0"])
 
     @pytest.mark.parametrize(
         "argv, match",
         [
             (["--models", "nope"], "error: unknown model 'nope'; registered: "),
             (["--models", ","], "error: argument --models: expected at least one name"),
-            (["--min-batch", "128", "--batch", "64"], r"error: --min-batch \(128\) must not exceed"),
+            (["--pool-workers", "2"], r"^error: --pool-workers needs --backend process\n"),
         ],
-        ids=["unknown-model", "no-model", "min-batch-above-batch"],
+        ids=["unknown-model", "no-model", "pool-workers-without-process-backend"],
     )
     def test_serve_rejects_bad_input_in_one_line(self, argv, match, capsys):
-        """Regression: these used to raise a raw traceback before any model compiled.
+        """Regression: these used to raise a raw traceback (or, for
+        ``--pool-workers`` on the thread backend, be silently ignored)
+        before any model compiled.
 
         An empty ``--models`` list is refused by the parser, which prints
         its error line to stderr; the others exit with the message itself.
