@@ -24,7 +24,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.engine import engine_fingerprint
+from repro.core.engine import engine_cache, engine_fingerprint
 from repro.io import ArtifactStore
 from repro.serve import ModelRegistry
 from repro.zoo import alexnet_deployable, cifar10_full_deployable
@@ -51,6 +51,7 @@ def store(tmp_path_factory):
 
 
 def _registry_rebuild() -> ModelRegistry:
+    engine_cache().clear()  # both paths pay the compile
     registry = ModelRegistry()
     for name, builder in BUILDERS.items():
         registry.register(name, builder)
@@ -60,6 +61,7 @@ def _registry_rebuild() -> ModelRegistry:
 
 
 def _registry_cold_start(store) -> ModelRegistry:
+    engine_cache().clear()
     registry = ModelRegistry.from_store(store)
     for name in BUILDERS:
         registry.engine(name)

@@ -28,10 +28,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.analysis.campaign import DEFAULT_POINTS, EngineCache, run_campaign
+from repro.analysis.campaign import DEFAULT_POINTS, run_campaign
 from repro.analysis.faults import _point_rng, accuracy_under_faults, inject_weight_faults
 from repro.analysis.sweeps import bitwidth_sweep
-from repro.core.engine import execute_deployed
+from repro.core.engine import engine_cache, execute_deployed
 from repro.core.mfdfp import MFDFPNetwork, deploy_calibrated
 from repro.datasets import cifar10_surrogate
 from repro.nn import SGD, Trainer, error_rate
@@ -83,14 +83,9 @@ def _serial_eager_faults(deployed, x, y, seed=0, per_sample=False):
 
 def _parallel_batched_faults(deployed, x, y, seed=0, jobs=JOBS):
     """The campaign path, cold engine cache per run (compiles included)."""
+    engine_cache().clear()
     return accuracy_under_faults(
-        deployed,
-        x,
-        y,
-        BERS,
-        rng=np.random.default_rng(seed),
-        jobs=jobs,
-        cache=EngineCache(capacity=len(BERS) + 1),
+        deployed, x, y, BERS, rng=np.random.default_rng(seed), jobs=jobs
     )
 
 
@@ -139,7 +134,6 @@ def test_fault_campaign_identical_for_any_jobs(problem):
 def test_campaign_runner_matches_direct_call(problem):
     """`run_campaign` is a thin veneer: same points, honest accounting."""
     test = problem["test"]
-    cache = EngineCache(capacity=len(BERS) + 1)
     result = run_campaign(
         "faults",
         deployed=problem["deployed"],
@@ -147,7 +141,6 @@ def test_campaign_runner_matches_direct_call(problem):
         y=test.y,
         jobs=2,
         rng=np.random.default_rng(0),
-        cache=cache,
     )
     direct = accuracy_under_faults(
         problem["deployed"],
@@ -157,7 +150,7 @@ def test_campaign_runner_matches_direct_call(problem):
         rng=np.random.default_rng(0),
     )
     assert result.points == direct
-    assert result.cache_hits + result.cache_misses >= len(result.points)
+    assert result.cache_hits + result.cache_misses == len(result.points)
 
 
 def test_campaign_4x_serial_eager_baseline(problem, full_only, bench_metrics):

@@ -26,7 +26,6 @@ from repro.analysis.campaign import (
     evaluate_batched,
     parallel_map,
     run_campaign,
-    shared_engine_cache,
     train_surrogate,
 )
 from repro.analysis.faults import (
@@ -78,7 +77,6 @@ __all__ = [
     "quantization_noise_campaign",
     "quantization_noise_of",
     "run_campaign",
-    "shared_engine_cache",
     "sqnr_db",
     "stochastic_vs_deterministic",
     "train_surrogate",

@@ -7,9 +7,9 @@ on a labelled test batch.  This module factors that shape out:
 
 * :func:`evaluate_batched` — the one evaluation API every campaign
   routes through.  Deployed integer artifacts run through the compiled
-  :class:`~repro.core.engine.BatchedEngine` behind a shared
-  content-addressed :class:`~repro.core.engine.EngineCache` (compile
-  once per content, bit-identical to the eager reference path);
+  :class:`~repro.core.engine.BatchedEngine` from the process-wide
+  :func:`~repro.core.engine.engine_cache` (compile once per content,
+  bit-identical to the eager reference path);
   quantized-simulation networks run through the same chunked top-k
   evaluation the trainer uses, so sweep numbers are unchanged to the
   last bit relative to ``error_rate``.
@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.engine import CacheStats, EngineCache
+from repro.core.engine import deployed_accuracy, labelled_batch
 from repro.core.mfdfp import DeployedMFDFP, MFDFPNetwork
 from repro.nn.data import ArrayDataset
 from repro.nn.network import Network
@@ -54,40 +54,23 @@ from repro.nn.trainer import TrainHistory, Trainer, topk_correct
 #: Evaluation artifacts :func:`evaluate_batched` accepts.
 Evaluable = Union[Network, MFDFPNetwork, DeployedMFDFP]
 
-#: Engines compiled for campaign evaluations are shared process-wide by
-#: default, so sweeping the same artifact through many campaigns (or the
-#: same campaign twice) compiles it once.  Bounded LRU; fault campaigns
-#: stream corrupted variants through it without growing memory.
-_SHARED_CACHE = EngineCache(capacity=32)
-
-
-def shared_engine_cache() -> EngineCache:
-    """The process-wide engine cache campaign evaluations default to."""
-    return _SHARED_CACHE
-
-
 def evaluate_batched(
     model: Evaluable,
     x: np.ndarray,
     y: np.ndarray,
     *,
-    cache: Optional[EngineCache] = None,
     batch_size: int = 256,
-    stats: Optional[CacheStats] = None,
 ) -> float:
     """Top-1 accuracy of an executable artifact on a labelled batch.
 
     The single evaluation entry point for sweeps, fault studies, and the
     campaign runner:
 
-    * :class:`~repro.core.mfdfp.DeployedMFDFP` — executed through the
-      compiled :class:`~repro.core.engine.BatchedEngine` obtained from
-      ``cache`` (default: the shared campaign cache), in ``batch_size``
-      slices.  Bit-identical to eager ``execute_deployed`` for every
-      slice size; the engine compiles once per network *content*.
-      ``stats`` attributes the cache lookup to one consumer's
-      :class:`~repro.core.engine.CacheStats` (the campaign runner's
-      per-campaign accounting) even when the cache is shared.
+    * :class:`~repro.core.mfdfp.DeployedMFDFP` — executed through
+      :func:`~repro.core.engine.deployed_accuracy`: the compiled engine
+      from the process-wide cache, in ``batch_size`` slices.
+      Bit-identical to eager ``execute_deployed`` for every slice size;
+      the engine compiles once per network *content*.
     * :class:`~repro.core.mfdfp.MFDFPNetwork` / plain
       :class:`~repro.nn.network.Network` — the quantized (or float)
       simulation, evaluated through the trainer's chunked top-k path, so
@@ -96,20 +79,9 @@ def evaluate_batched(
 
     Returns the accuracy as a fraction in ``[0, 1]``.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if len(x) == 0:
-        raise ValueError("cannot evaluate on an empty batch")
-    if len(x) != len(y):
-        raise ValueError(f"x has {len(x)} samples but y has {len(y)} labels")
     if isinstance(model, DeployedMFDFP):
-        engine_cache = cache if cache is not None else _SHARED_CACHE
-        engine = engine_cache.get(model, stats=stats)
-        correct = 0
-        for start in range(0, len(x), batch_size):
-            codes = engine.run_codes(x[start : start + batch_size])
-            correct += int((codes.argmax(axis=1) == y[start : start + batch_size]).sum())
-        return correct / len(x)
+        return deployed_accuracy(model, x, y, batch_size)
+    x, y = labelled_batch(x, y)
     net = model.net if isinstance(model, MFDFPNetwork) else model
     return topk_correct(net, x, y, k=1, batch_size=batch_size) / len(x)
 
@@ -263,14 +235,12 @@ class CampaignResult:
             ``None``).
         elapsed_s: Wall-clock seconds for the point evaluations.
         cache_hits / cache_misses: Engine-cache traffic during this
-            campaign (misses == compiles), attributed per campaign: a
-            :class:`~repro.core.engine.CacheStats` rides along with
-            every lookup this campaign makes, so two campaigns running
-            concurrently against the shared cache each see exactly
-            their own traffic (``hits + misses`` equals the campaign's
-            lookup count).  With ``backend="process"``, lookups happen
-            in the workers' own caches, so the host-side stats count
-            only host work (typically zero).
+            campaign (misses == compiles): each fault point reports
+            whether its own engine lookup hit, wherever it ran, and
+            the campaign sums those flags.  Two concurrent campaigns
+            therefore each see exactly their own traffic, and
+            ``hits + misses`` equals the point count on either
+            backend (zero for campaigns that compile no engines).
         backend: ``"thread"`` or ``"process"`` — how points fanned out.
     """
 
@@ -320,7 +290,6 @@ def run_campaign(
     points: Optional[int] = None,
     jobs: Optional[int] = 1,
     rng: Optional[np.random.Generator] = None,
-    cache: Optional[EngineCache] = None,
     backend: str = "thread",
 ) -> CampaignResult:
     """Run one named experiment campaign, fanned out over ``jobs`` workers.
@@ -333,8 +302,7 @@ def run_campaign(
     The ``faults`` campaign needs a ``deployed`` artifact; every
     corrupted variant runs through the shared compiled-engine path.
 
-    ``points`` selects a prefix of :data:`DEFAULT_POINTS`; ``cache``
-    overrides the shared engine cache (useful for isolation in tests).
+    ``points`` selects a prefix of :data:`DEFAULT_POINTS`.
     ``backend="process"`` evaluates points in pool workers
     (bit-identical to the thread backend — pinned by the cross-backend
     property tests).
@@ -347,17 +315,17 @@ def run_campaign(
     jobs = resolve_jobs(jobs)
     if x is None or y is None:
         raise ValueError("campaigns need labelled test arrays x and y")
-    engine_cache = cache if cache is not None else _SHARED_CACHE
-    stats = CacheStats()
+    hits = misses = 0
     start = time.perf_counter()
     fan_out = {"jobs": jobs, "backend": backend}
 
     if kind == "faults":
         if deployed is None:
             raise ValueError("the faults campaign needs a deployed network")
-        result_points = faults_mod.accuracy_under_faults(
-            deployed, x, y, selected, rng=rng, cache=engine_cache, stats=stats, **fan_out
-        )
+        curve = faults_mod._fault_curve(deployed, x, y, selected, rng, **fan_out)
+        result_points = [(ber, acc) for ber, acc, _ in curve]
+        hits = sum(hit for _, _, hit in curve)
+        misses = len(curve) - hits
     else:
         if net is None or calibration_x is None:
             raise ValueError(f"the {kind} campaign needs net and calibration_x")
@@ -380,7 +348,6 @@ def run_campaign(
             )
 
     elapsed = time.perf_counter() - start
-    hits, misses = stats.counters()
     return CampaignResult(
         kind=kind,
         points=list(result_points),

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.engine import CacheStats, EngineCache
+from repro.core.engine import CacheStats, deployed_accuracy
 from repro.core.mfdfp import DeployedMFDFP
 
 
@@ -100,36 +100,41 @@ class _FaultPoint:
 
     Injection randomness is fully determined by ``(entropy, ber)`` via
     :func:`_point_rng`, so the same task object produces the same point
-    in any thread, any process, any placement.  ``cache`` and ``stats``
-    ride along only on the thread backend (an ``EngineCache`` or
-    :class:`CacheStats` holds a lock and cannot pickle); process workers
-    fall back to their own shared campaign cache with no host-side
-    attribution.
+    in any thread, any process, any placement.  The point returns
+    ``(ber, accuracy, hit)``: ``hit`` says whether its engine lookup in
+    the running process's :func:`~repro.core.engine.engine_cache` found
+    a compiled engine, so campaign accounting needs nothing pickled
+    back but the flag.
     """
 
-    def __init__(self, deployed, ber, entropy, x, y, batch_size, cache, stats=None):
+    def __init__(self, deployed, ber, entropy, x, y, batch_size):
         self.deployed = deployed
         self.ber = ber
         self.entropy = entropy
         self.x = x
         self.y = y
         self.batch_size = batch_size
-        self.cache = cache
-        self.stats = stats
 
-    def __call__(self) -> tuple[float, float]:
-        from repro.analysis.campaign import evaluate_batched
-
+    def __call__(self) -> tuple[float, float, bool]:
         result = inject_weight_faults(self.deployed, self.ber, _point_rng(self.entropy, self.ber))
-        acc = evaluate_batched(
-            result.faulty,
-            self.x,
-            self.y,
-            cache=self.cache,
-            batch_size=self.batch_size,
-            stats=self.stats,
-        )
-        return (float(self.ber), acc)
+        stats = CacheStats()
+        acc = deployed_accuracy(result.faulty, self.x, self.y, self.batch_size, stats)
+        return (float(self.ber), acc, stats.hits == 1)
+
+
+def _fault_curve(
+    deployed, x, y, bit_error_rates, rng, *, jobs=1, batch_size=256, backend="thread"
+) -> list[tuple[float, float, bool]]:
+    """:func:`accuracy_under_faults` with each point's cache-hit flag."""
+    from repro.analysis.campaign import parallel_map
+
+    rng = rng or np.random.default_rng(0)  # repro-lint: disable=rng-discipline (deterministic fallback; fault campaigns derive per-point streams from this parent)
+    entropy = int(rng.integers(0, 2**63))
+    return parallel_map(
+        [_FaultPoint(deployed, ber, entropy, x, y, batch_size) for ber in bit_error_rates],
+        jobs=jobs,
+        backend=backend,
+    )
 
 
 def accuracy_under_faults(
@@ -141,15 +146,13 @@ def accuracy_under_faults(
     *,
     jobs: Optional[int] = 1,
     batch_size: int = 256,
-    cache: Optional[EngineCache] = None,
     backend: str = "thread",
-    stats: Optional[CacheStats] = None,
 ) -> list[tuple[float, float]]:
     """Accuracy vs bit-error-rate curve on a labelled batch.
 
     Returns ``(bit_error_rate, accuracy)`` pairs.  Every corrupted
     network executes through the compiled batched engine
-    (:func:`repro.analysis.campaign.evaluate_batched` — bit-identical to
+    (:func:`repro.core.engine.deployed_accuracy` — bit-identical to
     the eager reference execution), and points fan out over ``jobs``
     workers on the chosen ``backend``.  Each point draws from an
     independent child generator keyed by the BER value, so
@@ -160,17 +163,7 @@ def accuracy_under_faults(
     independent trials at one BER, call again with a different parent
     ``rng``.
     """
-    from repro.analysis.campaign import parallel_map
-
-    rng = rng or np.random.default_rng(0)  # repro-lint: disable=rng-discipline (deterministic fallback; fault campaigns derive per-point streams from this parent)
-    entropy = int(rng.integers(0, 2**63))
-    point_cache = None if backend == "process" else cache
-    point_stats = None if backend == "process" else stats
-    return parallel_map(
-        [
-            _FaultPoint(deployed, ber, entropy, x, y, batch_size, point_cache, point_stats)
-            for ber in bit_error_rates
-        ],
-        jobs=jobs,
-        backend=backend,
+    curve = _fault_curve(
+        deployed, x, y, bit_error_rates, rng, jobs=jobs, batch_size=batch_size, backend=backend
     )
+    return [(ber, acc) for ber, acc, _ in curve]

@@ -305,7 +305,7 @@ def _cmd_serve(args) -> None:
     print(
         f"  total         {served} served / {shed} shed in {elapsed:.3f}s "
         f"({served / elapsed:.1f} samples/s measured); "
-        f"engine cache: {cache['engines']} compiled, {cache['hits']} hits"
+        f"engine cache: {cache['misses']} compiled, {cache['hits']} hits"
     )
     for name in models:
         hist = np.bincount(np.argmax(np.stack(logits[name]), axis=1), minlength=10)
@@ -315,8 +315,9 @@ def _cmd_serve(args) -> None:
 def _cmd_sweep(args) -> None:
     import time
 
-    from repro.analysis import run_campaign, shared_engine_cache, train_surrogate
+    from repro.analysis import run_campaign, train_surrogate
     from repro.analysis.campaign import campaign_points
+    from repro.core.engine import engine_cache
     from repro.core.mfdfp import deploy_calibrated
     from repro.datasets import cifar10_surrogate
     from repro.zoo import cifar10_small
@@ -365,10 +366,9 @@ def _cmd_sweep(args) -> None:
         f"({len(result.points) / result.elapsed_s:.1f} points/s)"
     )
     if deployed is not None:  # only the fault study runs compiled engines
-        cache = shared_engine_cache()
         summary += (
             f"; engine cache: {result.cache_misses} compiled, "
-            f"{result.cache_hits} hits ({len(cache)} resident)"
+            f"{result.cache_hits} hits ({len(engine_cache())} resident)"
         )
     print(summary)
     if deployed is not None:

@@ -454,10 +454,10 @@ def engine_fingerprint(deployed: DeployedMFDFP) -> str:
     orders of magnitude cheaper than a compile, which is what lets
     :class:`EngineCache` promise compile-once semantics per content.
 
-    The digest is memoized on the artifact so hot paths (e.g.
-    ``Accelerator.run_batched`` hitting the cache per call) hash the
-    tensors once, not per lookup.  The memo is paired with ``id(self)``,
-    so copies (``inject_weight_faults`` builds a fresh artifact around
+    The digest is memoized on the artifact so hot paths (e.g. a served
+    model's :meth:`EngineCache.get` per call) hash the tensors once, not
+    per lookup.  The memo is paired with ``id(self)``, so copies
+    (``inject_weight_faults`` builds a fresh artifact around
     shared-or-replaced tensors) never inherit a stale digest — and a
     corrupted copy whose content happens to be unchanged (zero flips)
     legitimately re-derives the *same* digest and shares the compiled
@@ -505,10 +505,10 @@ class CacheStats:
     """Per-consumer hit/miss accounting for :class:`EngineCache` lookups.
 
     An :class:`EngineCache` keeps process-global ``hits``/``misses``
-    totals, but a *shared* cache serves many consumers at once — two
-    concurrent campaigns sweeping through the shared campaign cache used
-    to measure each other's traffic when they read before/after deltas
-    off the global counters.  A ``CacheStats`` instance is the fix: pass
+    totals, but :func:`engine_cache` serves every consumer in the
+    process at once — two concurrent campaigns (or a registry beside
+    them) would measure each other's traffic in before/after deltas of
+    the global counters.  A ``CacheStats`` instance is the fix: pass
     one to :meth:`EngineCache.get` and exactly the lookups made with it
     are counted here, no matter what other traffic the cache sees.
 
@@ -544,6 +544,10 @@ class CacheStats:
             return self._hits, self._misses
 
 
+#: Compiled engines one process keeps resident (least-recently-used evicted).
+ENGINE_CACHE_CAPACITY = 32
+
+
 class EngineCache:
     """Thread-safe bounded cache of compiled engines, keyed by content.
 
@@ -551,8 +555,9 @@ class EngineCache:
     network's :func:`engine_fingerprint` and returns the *same* engine
     object on every later call with equal content — compile once, serve
     forever.  Eviction is least-recently-used and bounded at
-    ``capacity`` entries so sweeping many networks through one cache
-    cannot grow memory without bound.
+    :data:`ENGINE_CACHE_CAPACITY` entries so sweeping many networks
+    through one cache cannot grow memory without bound.  Every consumer
+    in a process shares one instance, :func:`engine_cache`.
 
     Concurrency: lookups take a short mutex; compilation happens under a
     separate compile lock with a double-check, so concurrent requests
@@ -562,10 +567,7 @@ class EngineCache:
     here, and the simple locking is easy to prove correct.
     """
 
-    def __init__(self, capacity: int = 8):
-        if capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        self.capacity = capacity
+    def __init__(self):
         self._lock = threading.Lock()
         self._compile_lock = threading.Lock()
         self._engines: OrderedDict[str, BatchedEngine] = OrderedDict()
@@ -583,6 +585,13 @@ class EngineCache:
             self._engines.move_to_end(key)
             self.hits += 1
         return engine
+
+    def _store_locked(self, key: str, engine: "BatchedEngine") -> None:
+        """Insert as most recent, evicting past capacity; caller holds ``_lock``."""
+        self._engines[key] = engine
+        self._engines.move_to_end(key)
+        while len(self._engines) > ENGINE_CACHE_CAPACITY:
+            self._engines.popitem(last=False)
 
     def counters(self) -> tuple[int, int]:
         """One consistent ``(hits, misses)`` snapshot of the global totals.
@@ -609,26 +618,26 @@ class EngineCache:
         key = engine_fingerprint(deployed)
         with self._lock:
             engine = self._lookup_locked(key)
-        if engine is not None:
-            if stats is not None:
-                stats.record(hit=True)
-            return engine
-        with self._compile_lock:
-            with self._lock:
-                engine = self._lookup_locked(key)
-            if engine is not None:
-                if stats is not None:
-                    stats.record(hit=True)
-                return engine
-            engine = BatchedEngine(deployed)
-            with self._lock:
-                self.misses += 1
-                self._engines[key] = engine
-                while len(self._engines) > self.capacity:
-                    self._engines.popitem(last=False)
-            if stats is not None:
-                stats.record(hit=False)
-            return engine
+        if engine is None:
+            with self._compile_lock:
+                with self._lock:
+                    engine = self._lookup_locked(key)
+                if engine is None:
+                    engine = BatchedEngine(deployed)
+                    with self._lock:
+                        self.misses += 1
+                        self._store_locked(key, engine)
+                    if stats is not None:
+                        stats.record(hit=False)
+                    return engine
+        if stats is not None:
+            stats.record(hit=True)
+        return engine
+
+    def lookup(self, fingerprint: str) -> Optional[BatchedEngine]:
+        """The resident engine with this fingerprint, or ``None``; never compiles."""
+        with self._lock:
+            return self._lookup_locked(fingerprint)
 
     def install(self, engine: "BatchedEngine") -> None:
         """Seed the cache with an already compiled engine.
@@ -637,16 +646,63 @@ class EngineCache:
         planes install the result here, so every later content-equal
         lookup (``get``) hits without decoding a private plane copy.
         """
-        key = engine.fingerprint
         with self._lock:
-            self._engines[key] = engine
-            self._engines.move_to_end(key)
-            while len(self._engines) > self.capacity:
-                self._engines.popitem(last=False)
+            self._store_locked(engine.fingerprint, engine)
+
+    def engines(self) -> list["BatchedEngine"]:
+        """The resident engines, least recently used first."""
+        with self._lock:
+            return list(self._engines.values())
 
     def clear(self) -> None:
         with self._lock:
             self._engines.clear()
+
+
+_ENGINE_CACHE = EngineCache()
+
+
+def engine_cache() -> EngineCache:
+    """The process-wide engine cache: every consumer's compiled engines.
+
+    Serving, campaigns, the accelerator model and pool workers all look
+    engines up here, so a network compiles once per process.  A forked
+    child inherits the parent's resident engines.
+    """
+    return _ENGINE_CACHE
+
+
+def labelled_batch(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)`` as arrays; raises ``ValueError`` if empty or mismatched."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    if len(x) == 0:
+        raise ValueError("cannot evaluate on an empty batch")
+    if len(x) != len(y):
+        raise ValueError(f"x has {len(x)} samples but y has {len(y)} labels")
+    return x, y
+
+
+def deployed_accuracy(
+    deployed: DeployedMFDFP,
+    x: np.ndarray,
+    y: np.ndarray,
+    batch_size: int = 256,
+    stats: Optional[CacheStats] = None,
+) -> float:
+    """Top-1 accuracy of a deployed network on a labelled batch.
+
+    Runs the :func:`engine_cache` engine in ``batch_size`` slices:
+    bit-identical to :func:`execute_deployed` for every slice size.
+    ``stats`` attributes the cache lookup to one consumer.
+    """
+    x, y = labelled_batch(x, y)
+    engine = engine_cache().get(deployed, stats)
+    correct = 0
+    for start in range(0, len(x), batch_size):
+        codes = engine.run_codes(x[start : start + batch_size])
+        correct += int((codes.argmax(axis=1) == y[start : start + batch_size]).sum())
+    return correct / len(x)
 
 
 # -- compiled engine -------------------------------------------------------------
@@ -683,7 +739,8 @@ class BatchedEngine:
             compile against the given plane — typically a read-only
             view into a :class:`repro.parallel.SharedWeightArena`
             segment — instead of decoding their own copy; absent ops
-            decode as usual.
+            decode as usual.  ``shared_planes`` records whether a map
+            was given.
     """
 
     def __init__(self, deployed: DeployedMFDFP, weight_planes: Optional[dict] = None):
@@ -691,7 +748,7 @@ class BatchedEngine:
             raise ValueError("cannot compile an empty deployed network")
         max_code = _proved_code_max(deployed)
         self.deployed = deployed
-        self.shared_planes = bool(weight_planes)
+        self.shared_planes = weight_planes is not None
         self.input_shape = tuple(deployed.input_shape)
         self.input_fmt = DFPFormat(deployed.bits, deployed.input_frac)
         self.program: list[CompiledOp] = []

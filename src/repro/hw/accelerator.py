@@ -68,11 +68,8 @@ class Accelerator:
     """Area/power/latency/energy model plus bit-accurate execution."""
 
     def __init__(self, config: AcceleratorConfig | None = None, cost_model: CostModel | None = None):
-        from repro.core.engine import EngineCache
-
         self.config = config or AcceleratorConfig()
         self.cost_model = cost_model or CostModel()
-        self._engine_cache = EngineCache(capacity=self.ENGINE_CACHE_SIZE)
         self.breakdown: CostBreakdown = self.cost_model.evaluate(
             self.config.precision, self.config.num_pus, self.config.buffers
         )
@@ -206,60 +203,27 @@ class Accelerator:
         last = deployed.ops[-1]
         return codes.astype(np.float64) * 2.0 ** (-last.out_frac)
 
-    #: Compiled engines kept per accelerator (see :meth:`engine_for`).
-    ENGINE_CACHE_SIZE = 8
-
-    def engine_for(self, deployed: DeployedMFDFP):
-        """The cached :class:`~repro.core.engine.BatchedEngine` for a network.
-
-        Compiles on first use through a content-addressed
-        :class:`~repro.core.engine.EngineCache`: networks with identical
-        integer tensors share one engine even across distinct ``deploy()``
-        calls, lookups are thread-safe, and the cache is bounded at
-        :data:`ENGINE_CACHE_SIZE` entries (least-recently-used evicted)
-        so sweeping many networks through one accelerator cannot grow
-        memory without bound.
-        """
-        return self._engine_cache.get(deployed)
-
-    def run_batched(self, deployed: DeployedMFDFP, x: np.ndarray) -> np.ndarray:
-        """Compiled-engine inference; bit-identical to :meth:`run`.
-
-        Use this for serving-style workloads: the first call compiles the
-        network (weight LUT decode + gather tables), subsequent calls
-        only pay the batched kernels.
-        """
-        if self.config.precision != "mfdfp":
-            raise ValueError("run_batched() executes MF-DFP networks")
-        return self.engine_for(deployed).run(x)
-
     def evaluate_deployed(
         self, deployed: DeployedMFDFP, x: np.ndarray, y: np.ndarray, batch_size: int = 256
     ) -> dict:
         """Accuracy on a labelled set, with *batched* silicon accounting.
 
-        The experiment-campaign companion to :meth:`run_batched`:
-        executes through the cached compiled engine in ``batch_size``
-        slices and prices the workload with :meth:`schedule_batch`
-        (weights resident across each batch) — one schedule per distinct
-        slice size instead of one per sample, the accounting analogue of
-        the batched execution itself.  Returns ``accuracy``, ``samples``,
+        The accuracy is :func:`repro.core.engine.deployed_accuracy`
+        (the process-wide cached engine, in ``batch_size`` slices); the
+        workload is priced with :meth:`schedule_batch` (weights resident
+        across each batch) — one schedule per distinct slice size
+        instead of one per sample, the accounting analogue of the
+        batched execution itself.  Returns ``accuracy``, ``samples``,
         ``modeled_latency_us``, ``modeled_energy_uj`` and the implied
         ``modeled_throughput_ips``.
         """
+        # Lazy: repro.core.engine imports repro.hw.datapath.
+        from repro.core.engine import deployed_accuracy
+
         if self.config.precision != "mfdfp":
             raise ValueError("evaluate_deployed() executes MF-DFP networks")
-        y = np.asarray(y)
+        accuracy = deployed_accuracy(deployed, x, y, batch_size)
         n = len(x)
-        if n == 0:
-            raise ValueError("cannot evaluate on an empty batch")
-        if n != len(y):
-            raise ValueError(f"x has {n} samples but y has {len(y)} labels")
-        engine = self.engine_for(deployed)
-        correct = 0
-        for start in range(0, n, batch_size):
-            codes = engine.run_codes(x[start : start + batch_size])
-            correct += int((codes.argmax(axis=1) == y[start : start + batch_size]).sum())
         full_batches, remainder = divmod(n, batch_size)
         modeled_us = 0.0
         if full_batches:
@@ -268,7 +232,7 @@ class Accelerator:
             modeled_us += self.schedule_batch(deployed, remainder).time_us()
         modeled_uj = self.power_mw * 1e-3 * modeled_us
         return {
-            "accuracy": correct / n,
+            "accuracy": accuracy,
             "samples": n,
             "modeled_latency_us": modeled_us,
             "modeled_energy_uj": modeled_uj,

@@ -1,12 +1,14 @@
 """Worker-process side of the process-pool backend.
 
 Module-level task functions (picklable by reference, as
-:class:`~repro.parallel.pool.ProcessPoolRunner` requires) plus the
-per-process model table they serve from.  A worker installs a model
-once — building a :class:`~repro.core.engine.BatchedEngine` over
-shared-memory weight planes via :func:`repro.parallel.arena.attach_planes`
-— and then executes any number of batches against it by fingerprint,
-with zero per-request pickling of weights and zero LUT decodes.
+:class:`~repro.parallel.pool.ProcessPoolRunner` requires).  A worker
+installs a model once — building a
+:class:`~repro.core.engine.BatchedEngine` over shared-memory weight
+planes via :func:`repro.parallel.arena.attach_planes` into the process's
+one :func:`~repro.core.engine.engine_cache` — and then executes any
+number of batches against it by fingerprint, with zero per-request
+pickling of weights and zero LUT decodes.  Campaign tasks in the same
+worker look engines up in that same cache.
 
 Also home to :func:`runtime_check`, the probe the fork/spawn regression
 tests dispatch to assert the process-global invariants (frozen
@@ -22,22 +24,19 @@ from typing import Optional
 import numpy as np
 
 from repro.core import engine as engine_mod
-from repro.core.engine import BatchedEngine, engine_fingerprint
+from repro.core.engine import BatchedEngine, engine_cache, engine_fingerprint
 from repro.core.mfdfp import DeployedMFDFP
 from repro.parallel.arena import ArenaSpec, attach_planes, attached_segment_count
 
 
 class ModelNotLoadedError(RuntimeError):
-    """This worker has not installed the requested model yet.
+    """This worker has not installed the requested model (or evicted it).
 
     Hosts recover by resending the batch through
     :func:`install_and_run` (see
     :class:`~repro.parallel.proxy.SharedEngineProxy`).
     """
 
-
-#: Engines this worker has compiled, by content fingerprint.
-_MODELS: dict[str, BatchedEngine] = {}
 
 #: Decode-counter value when this worker started serving (fork copies
 #: the parent's counter, so raw counts include pre-fork publisher work).
@@ -55,7 +54,7 @@ def mark_decode_baseline() -> None:
     _DECODE_BASELINE = engine_mod.plane_decode_count()
 
 
-def init_serving(deployed: DeployedMFDFP, spec: Optional[ArenaSpec] = None) -> None:
+def init_serving(deployed: DeployedMFDFP, spec: ArenaSpec) -> None:
     """Pool initializer: zero decode accounting, then pre-install a model.
 
     With this as the pool's ``initializer`` (and the picklable
@@ -67,44 +66,50 @@ def init_serving(deployed: DeployedMFDFP, spec: Optional[ArenaSpec] = None) -> N
     install_model(deployed, spec)
 
 
-def install_model(deployed: DeployedMFDFP, spec: Optional[ArenaSpec] = None) -> str:
-    """Compile ``deployed`` in this worker (idempotent); returns its fingerprint.
+def _served(fingerprint: str) -> Optional[BatchedEngine]:
+    """The resident engine over shared planes for ``fingerprint``, if any.
 
-    With an :class:`ArenaSpec`, the engine's weight planes are the
-    shared-memory views — no decode happens here.  The engine is also
-    seeded into the worker's shared campaign cache, so campaign tasks
-    evaluating the same content hit it instead of recompiling.
+    Workers serve only engines compiled over the arena's planes: a fork
+    inherits the parent's cache, whose engines hold private planes.
+    """
+    engine = engine_cache().lookup(fingerprint)
+    return engine if engine is not None and engine.shared_planes else None
+
+
+def install_model(deployed: DeployedMFDFP, spec: ArenaSpec) -> str:
+    """Compile ``deployed`` into this worker's engine cache (idempotent).
+
+    Returns its fingerprint.  The engine's weight planes are the
+    shared-memory views of ``spec`` — no decode happens here.
     """
     fingerprint = engine_fingerprint(deployed)
-    if fingerprint in _MODELS:
-        return fingerprint
-    planes = attach_planes(spec) if spec is not None else None
-    engine = BatchedEngine(deployed, weight_planes=planes)
-    _MODELS[fingerprint] = engine
-    from repro.analysis.campaign import shared_engine_cache
-
-    shared_engine_cache().install(engine)
+    if _served(fingerprint) is None:
+        engine_cache().install(BatchedEngine(deployed, weight_planes=attach_planes(spec)))
     return fingerprint
 
 
 def run_batch(fingerprint: str, x: np.ndarray) -> np.ndarray:
     """Run one batch on an installed model; raises :class:`ModelNotLoadedError`."""
-    engine = _MODELS.get(fingerprint)
+    engine = _served(fingerprint)
     if engine is None:
         raise ModelNotLoadedError(fingerprint)
     return engine.run(x)
 
 
-def install_and_run(deployed: DeployedMFDFP, spec: Optional[ArenaSpec], x: np.ndarray) -> np.ndarray:
+def install_and_run(deployed: DeployedMFDFP, spec: ArenaSpec, x: np.ndarray) -> np.ndarray:
     """Install-if-needed then run: the proxy's cold-path fallback."""
     return run_batch(install_model(deployed, spec), x)
 
 
 def worker_stats() -> dict:
-    """Accounting snapshot for the single-mapping-per-host assertions."""
+    """Accounting snapshot for the single-mapping-per-host assertions.
+
+    ``models`` lists the installed models: resident engines over
+    shared planes.
+    """
     return {
         "pid": os.getpid(),
-        "models": sorted(_MODELS),
+        "models": sorted(e.fingerprint for e in engine_cache().engines() if e.shared_planes),
         "attached_segments": attached_segment_count(),
         "plane_decodes": engine_mod.plane_decode_count() - _DECODE_BASELINE,
     }
@@ -143,6 +148,8 @@ def runtime_check(
     caches are per-process), so the properties that matter — frozen
     arrays, memoized same-object returns — must be re-established here,
     not inherited; this verifies they are, under fork and spawn alike.
+    With ``deployed``, it also checks that two lookups in this child's
+    :func:`~repro.core.engine.engine_cache` return the same engine.
     """
     im1 = engine_mod._im2col_indices(3, 8, 8, 3, 1, 1)
     im2 = engine_mod._im2col_indices(3, 8, 8, 3, 1, 1)
@@ -156,9 +163,7 @@ def runtime_check(
         "pool_memoized": all(a is b for a, b in zip(pool1, pool2) if isinstance(a, np.ndarray)),
     }
     if deployed is not None:
-        from repro.analysis.campaign import shared_engine_cache
-
-        cache = shared_engine_cache()
+        cache = engine_cache()
         first = cache.get(deployed)
         second = cache.get(deployed)
         out["cache_same_engine"] = first is second

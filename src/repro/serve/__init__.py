@@ -4,8 +4,8 @@ A supervised, concurrent, multi-tenant server in front of the compiled
 :class:`repro.core.engine.BatchedEngine`:
 
 * :class:`repro.serve.registry.ModelRegistry` — named deployable
-  models, built lazily and compiled once behind the thread-safe
-  content-addressed :class:`repro.core.engine.EngineCache`; store-backed
+  models, built lazily and compiled once in the process-wide
+  content-addressed :func:`repro.core.engine.engine_cache`; store-backed
   registries pin and roll model versions.
 * :class:`repro.serve.supervisor.Supervisor` /
   :class:`repro.serve.supervisor.ModelActor` — the supervision tree:

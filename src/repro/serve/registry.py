@@ -3,8 +3,8 @@
 :class:`ModelRegistry` maps model names to *builders* — zero-argument
 callables producing a :class:`~repro.core.mfdfp.DeployedMFDFP`.  The
 artifact is built lazily on first use and memoized; its compiled
-:class:`~repro.core.engine.BatchedEngine` is memoized behind a
-thread-safe, content-addressed :class:`~repro.core.engine.EngineCache`,
+:class:`~repro.core.engine.BatchedEngine` comes from the process-wide,
+thread-safe, content-addressed :func:`~repro.core.engine.engine_cache`,
 so a long-running multi-tenant server compiles each network exactly
 once no matter how many workers race for it.
 
@@ -19,40 +19,36 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional, Sequence
 
-from repro.core.engine import BatchedEngine, EngineCache, engine_fingerprint
+from repro.core.engine import BatchedEngine, CacheStats, engine_cache, engine_fingerprint
 from repro.core.mfdfp import DeployedMFDFP
 from repro.serve.errors import UnknownModelError
 
 
 class ModelRegistry:
-    """Thread-safe name → deployable-artifact → compiled-engine mapping.
+    """Thread-safe name → deployable-artifact → compiled-engine mapping."""
 
-    Args:
-        cache_capacity: Bound on distinct compiled engines kept live.
-    """
-
-    def __init__(self, cache_capacity: int = 8):
+    def __init__(self):
         self._lock = threading.RLock()
         self._builders: dict[str, Callable[[], DeployedMFDFP]] = {}
         self._artifacts: dict[str, DeployedMFDFP] = {}
-        self._cache = EngineCache(capacity=cache_capacity)
+        self._cache_stats = CacheStats()
         self._store = None
         self._store_names: set[str] = set()
         self._store_versions: dict[str, int] = {}
 
     @classmethod
-    def with_defaults(cls, **kwargs) -> "ModelRegistry":
+    def with_defaults(cls) -> "ModelRegistry":
         """A registry pre-loaded with the zoo's serving entry points."""
         from repro.zoo import DEPLOYABLE_BUILDERS
 
-        registry = cls(**kwargs)
+        registry = cls()
         for name, builder in DEPLOYABLE_BUILDERS.items():
             registry.register(name, builder)
         return registry
 
     @classmethod
     def from_store(
-        cls, store, names: Optional[Sequence[str]] = None, **kwargs
+        cls, store, names: Optional[Sequence[str]] = None
     ) -> "ModelRegistry":
         """A registry whose models load from an on-disk artifact store.
 
@@ -69,7 +65,7 @@ class ModelRegistry:
 
         if not isinstance(store, ArtifactStore):
             store = ArtifactStore(store, create=False)
-        registry = cls(**kwargs)
+        registry = cls()
         registry._store = store
         available = store.model_names()
         if names is None:
@@ -163,7 +159,7 @@ class ModelRegistry:
 
     def engine(self, name: str) -> BatchedEngine:
         """The model's compiled engine — same object on every cache hit."""
-        return self._cache.get(self.deployed(name))
+        return engine_cache().get(self.deployed(name), self._cache_stats)
 
     def reload(self, name: str, version: Optional[int] = None) -> BatchedEngine:
         """Re-resolve a model and return its fresh engine (rollover hook).
@@ -210,9 +206,6 @@ class ModelRegistry:
         return None
 
     def cache_stats(self) -> dict:
-        """Engine-cache occupancy and hit/miss counters."""
-        return {
-            "engines": len(self._cache),
-            "hits": self._cache.hits,
-            "misses": self._cache.misses,
-        }
+        """This registry's engine lookups and the process's resident engines."""
+        hits, misses = self._cache_stats.counters()
+        return {"engines": len(engine_cache()), "hits": hits, "misses": misses}

@@ -10,13 +10,12 @@ from repro.analysis.campaign import (
     evaluate_batched,
     parallel_map,
     run_campaign,
-    shared_engine_cache,
     train_surrogate,
 )
 from repro.analysis.faults import accuracy_under_faults
 from repro.analysis.sqnr import layer_sqnr_report, quantization_noise_campaign
 from repro.analysis.sweeps import bitwidth_sweep, exponent_clamp_sweep
-from repro.core.engine import EngineCache, execute_deployed
+from repro.core.engine import ENGINE_CACHE_CAPACITY, EngineCache, engine_cache, execute_deployed
 from repro.core.mfdfp import MFDFPNetwork, deploy_calibrated
 from repro.core.quantizer import strip_quantization
 from repro.hw import Accelerator, AcceleratorConfig
@@ -62,13 +61,14 @@ class TestEvaluateBatched:
         acc = evaluate_batched(problem["net"], test.x, test.y)
         assert acc == 1.0 - error_rate(problem["net"], test)
 
-    def test_uses_provided_cache(self, problem, small_data):
+    def test_uses_the_one_engine_cache(self, problem, small_data, fresh_engine_cache):
         _, test = small_data
-        cache = EngineCache(capacity=4)
-        evaluate_batched(problem["deployed"], test.x[:8], test.y[:8], cache=cache)
-        assert cache.misses == 1
-        evaluate_batched(problem["deployed"], test.x[:8], test.y[:8], cache=cache)
-        assert cache.hits >= 1 and cache.misses == 1
+        hits, misses = fresh_engine_cache.counters()
+        evaluate_batched(problem["deployed"], test.x[:8], test.y[:8])
+        assert fresh_engine_cache.counters()[1] - misses == 1
+        evaluate_batched(problem["deployed"], test.x[:8], test.y[:8])
+        after_hits, after_misses = fresh_engine_cache.counters()
+        assert after_hits - hits >= 1 and after_misses - misses == 1
 
     def test_rejects_empty_and_mismatched(self, problem, small_data):
         _, test = small_data
@@ -124,27 +124,28 @@ class TestCampaignDeterminism:
         )
         assert serial == threaded
 
-    def test_engine_cache_hits_return_same_object(self, problem, small_data):
+    def test_engine_cache_hits_return_same_object(self, problem, small_data, fresh_engine_cache):
         """Across campaign points with equal content, the cache hands back
         the very same compiled engine."""
         _, test = small_data
-        cache = EngineCache(capacity=8)
+        cache = fresh_engine_cache
+        _, misses = cache.counters()
         first = cache.get(problem["deployed"])
         # same content deployed again -> same engine object, no recompile
         again = deploy_calibrated(problem["net"].clone(), problem["calib"])
         assert cache.get(again) is first
         # a zero-BER campaign point shares the clean content too
-        run_campaign(
+        result = run_campaign(
             "faults",
             deployed=problem["deployed"],
             x=test.x[:32],
             y=test.y[:32],
             points=1,  # BER 0.0
             jobs=2,
-            cache=cache,
         )
+        assert (result.cache_hits, result.cache_misses) == (1, 0)
         assert cache.get(problem["deployed"]) is first
-        assert cache.misses == 1
+        assert cache.counters()[1] - misses == 1
 
 
 class TestRunCampaign:
@@ -235,11 +236,11 @@ class TestRunCampaign:
             assert campaign_points(kind, None) == DEFAULT_POINTS[kind]
             assert campaign_points(kind, len(DEFAULT_POINTS[kind])) == DEFAULT_POINTS[kind]
 
-    def test_shared_cache_is_a_bounded_singleton(self):
-        cache = shared_engine_cache()
-        assert cache is shared_engine_cache()
+    def test_engine_cache_is_a_bounded_singleton(self):
+        cache = engine_cache()
+        assert cache is engine_cache()
         assert isinstance(cache, EngineCache)
-        assert cache.capacity >= 8
+        assert ENGINE_CACHE_CAPACITY == 32
 
     def test_result_is_frozen(self):
         result = CampaignResult("faults", [], 1, 0.0, 0, 0)
@@ -253,7 +254,6 @@ class TestRunCampaign:
         import threading
 
         train, test = small_data
-        cache = EngineCache(capacity=16)
         deployments = [
             deploy_calibrated(
                 cifar10_small(size=16, rng=np.random.default_rng(seed)), train.x[:64]
@@ -275,12 +275,12 @@ class TestRunCampaign:
                     points=4,
                     jobs=2,
                     rng=np.random.default_rng(slot),
-                    cache=cache,
                 )
             except Exception as exc:  # pragma: no cover - surfaced via errors
                 errors.append(exc)
 
         threads = [threading.Thread(target=campaign, args=(slot,)) for slot in (0, 1)]
+        hits, misses = engine_cache().counters()
         for t in threads:
             t.start()
         for t in threads:
@@ -291,8 +291,8 @@ class TestRunCampaign:
             # alone: no cross-contamination from the concurrent sibling.
             assert result.cache_hits + result.cache_misses == len(result.points)
         # the shared cache saw exactly the union of both campaigns' traffic
-        hits, misses = cache.counters()
-        assert hits + misses == sum(len(r.points) for r in results)
+        after_hits, after_misses = engine_cache().counters()
+        assert (after_hits - hits) + (after_misses - misses) == sum(len(r.points) for r in results)
 
 
 class TestSqnrCampaign:

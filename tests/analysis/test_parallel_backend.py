@@ -147,6 +147,21 @@ class TestCrossBackendIdentity:
         assert serial.backend == "thread" and fanned.backend == "process"
         assert fanned.jobs == 2
 
+    def test_process_backend_accounts_every_point_lookup(
+        self, problem, small_data, fresh_engine_cache
+    ):
+        """Each point reports its own worker-side lookup, so the process
+        backend counts one hit or miss per point, as the thread backend
+        does.  The workers fork after the host cached the clean network,
+        so the zero-BER point hits."""
+        _, test = small_data
+        fresh_engine_cache.get(problem["deployed"])
+        kwargs = _campaign_kwargs("faults", problem, test, seed=7)
+        kwargs["points"] = 3
+        result = run_campaign("faults", jobs=2, backend="process", **kwargs)
+        assert result.cache_hits + result.cache_misses == len(result.points) == 3
+        assert result.cache_hits >= 1
+
     def test_jobs_none_resolves_to_cpu_count(self, problem, small_data):
         _, test = small_data
         result = run_campaign(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.engine import engine_cache
 from repro.datasets import cifar10_surrogate
 from repro.nn import SGD, Trainer
 from repro.zoo import cifar10_small
@@ -25,6 +26,14 @@ def pytest_configure(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fresh_engine_cache():
+    """The process-wide engine cache, emptied for this test."""
+    cache = engine_cache()
+    cache.clear()
+    return cache
 
 
 @pytest.fixture(scope="session")

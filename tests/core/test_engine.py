@@ -8,6 +8,7 @@ from repro.core.engine import (
     OP_REGISTRY,
     SHIFT_LUT,
     BatchedEngine,
+    engine_cache,
     execute_deployed,
     shift_weight_ints,
 )
@@ -140,7 +141,7 @@ class TestBitExactness:
         deployed = _deploy(_conv_net(rng), rng)
         accel = Accelerator(AcceleratorConfig(precision="mfdfp"))
         x = rng.normal(scale=0.8, size=(6, 3, 16, 16)).astype(np.float32)
-        assert np.array_equal(accel.run(deployed, x), accel.run_batched(deployed, x))
+        assert np.array_equal(accel.run(deployed, x), engine_cache().get(deployed).run(x))
         assert np.array_equal(accel.run(deployed, x), BatchedEngine(deployed).run(x))
 
     def test_predict_is_argmax_of_logits(self):
@@ -191,11 +192,19 @@ class TestEngineStructure:
         with pytest.raises(ValueError, match="expected batch"):
             engine.run(np.zeros((2, 3, 8, 8), dtype=np.float32))
 
-    def test_accelerator_engine_cache(self):
+    def test_accelerator_engine_cache(self, fresh_engine_cache):
+        """Accelerator evaluations compile once, in the one engine cache."""
         rng = np.random.default_rng(8)
         deployed = _deploy(_conv_net(rng), rng)
         accel = Accelerator(AcceleratorConfig(precision="mfdfp"))
-        assert accel.engine_for(deployed) is accel.engine_for(deployed)
+        x = rng.normal(scale=0.8, size=(4, 3, 16, 16)).astype(np.float32)
+        y = np.zeros(4, dtype=np.int64)
+        _, misses = fresh_engine_cache.counters()
+        accel.evaluate_deployed(deployed, x, y)
+        engine = fresh_engine_cache.get(deployed)
+        accel.evaluate_deployed(deployed, x, y)
+        assert fresh_engine_cache.get(deployed) is engine
+        assert fresh_engine_cache.counters()[1] - misses == 1
 
 
 class TestBatchedSchedules:

@@ -1,7 +1,7 @@
 """Fork/spawn safety of engine globals + shared-plane serving invariants.
 
 Regression tests for the process backend's core correctness claims:
-``lru_cache`` gather tables and the shared EngineCache behave in
+``lru_cache`` gather tables and the process-wide engine cache behave in
 children under *both* start methods, attached planes are frozen and
 mapped once per process, and workers serving from shared memory perform
 zero LUT decodes of their own.
@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.engine import BatchedEngine, engine_fingerprint
+from repro.core.engine import BatchedEngine, engine_cache, engine_fingerprint
 from repro.core.mfdfp import MFDFPNetwork
 from repro.parallel import ProcessPoolRunner, SharedEngineProxy, SharedWeightArena
 from repro.parallel import worker as worker_mod
@@ -33,6 +33,11 @@ def deployed():
 @pytest.fixture
 def prefix():
     return f"repro-test-{os.getpid()}"
+
+
+def _evict_all():
+    """Worker task: drop every resident engine (an eviction stand-in)."""
+    engine_cache().clear()
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -117,3 +122,39 @@ class TestSharedEngineProxy:
         assert fp1 == fp2 == engine_fingerprint(deployed)
         assert stats["models"] == [fp1]
         assert stats["attached_segments"] == 1
+
+    def test_fork_of_a_cached_parent_still_serves_shared_planes(
+        self, deployed, prefix, fresh_engine_cache
+    ):
+        """A fork inherits the parent's private-plane engine; installing
+        with a spec must still compile over the shared planes."""
+        assert not fresh_engine_cache.get(deployed).shared_planes
+        x = np.random.default_rng(6).normal(size=(2, 3, 16, 16)).astype(np.float32)
+        with SharedWeightArena(prefix=prefix) as arena:
+            spec = arena.publish(deployed)
+            with ProcessPoolRunner(
+                1, mp_context="fork", initializer=worker_mod.mark_decode_baseline
+            ) as runner:
+                out = SharedEngineProxy(runner, deployed, spec).run(x)
+                stats = runner.call(worker_mod.worker_stats)
+        assert np.array_equal(out, fresh_engine_cache.get(deployed).run(x))
+        assert stats["models"] == [engine_fingerprint(deployed)]
+        assert stats["attached_segments"] == 1
+        assert stats["plane_decodes"] == 0
+
+    def test_proxy_reinstalls_an_evicted_model(self, deployed, prefix):
+        """run_batch on an evicted model raises ModelNotLoadedError, and
+        the proxy's install_and_run fallback serves the batch anyway."""
+        x = np.random.default_rng(7).normal(size=(2, 3, 16, 16)).astype(np.float32)
+        with SharedWeightArena(prefix=prefix) as arena:
+            spec = arena.publish(deployed)
+            with ProcessPoolRunner(1) as runner:
+                proxy = SharedEngineProxy(runner, deployed, spec)
+                first = proxy.run(x)
+                runner.call(_evict_all)
+                with pytest.raises(worker_mod.ModelNotLoadedError):
+                    runner.call(worker_mod.run_batch, proxy.fingerprint, x)
+                again = proxy.run(x)
+                stats = runner.call(worker_mod.worker_stats)
+        assert np.array_equal(first, again)
+        assert stats["models"] == [proxy.fingerprint]

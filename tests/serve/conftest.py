@@ -147,8 +147,8 @@ def build_counts():
 
 
 @pytest.fixture
-def registry(deployed_a, deployed_b, build_counts):
-    """Fresh registry hosting the tiny models, with counted builders."""
+def registry(deployed_a, deployed_b, build_counts, fresh_engine_cache):
+    """Fresh registry hosting the tiny models over an empty engine cache."""
 
     def builder(name, artifact):
         def build():

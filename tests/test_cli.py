@@ -293,7 +293,7 @@ class TestFastCommands:
         assert "fp32" in out and "mfdfp" in out
         assert "us" in out and "uJ" in out
 
-    def test_serve_reports_multi_model_metrics(self, capsys):
+    def test_serve_reports_multi_model_metrics(self, capsys, fresh_engine_cache):
         main(
             [
                 "serve",
