@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.pow2 import pow2_decode4, pow2_encode4
 from repro.hw.datapath import adder_tree, shift_product
-from repro.hw.neuron import Neuron
 
 
 @pytest.fixture(scope="module")
@@ -31,26 +30,10 @@ def test_bench_shift_products(stimuli, benchmark):
     assert out.shape == stimuli["x"].shape
 
 
-def test_bench_adder_tree(stimuli, benchmark):
-    products = shift_product(stimuli["x"], stimuli["s"], stimuli["e"])
-    out = benchmark(adder_tree, products, False)
-    assert out.shape == (products.shape[0],)
-
-
 def test_bench_adder_tree_with_width_checks(stimuli, benchmark):
     products = shift_product(stimuli["x"], stimuli["s"], stimuli["e"])
-    out = benchmark(adder_tree, products, True)
+    out = benchmark(adder_tree, products)
     assert out.shape == (products.shape[0],)
-
-
-def test_bench_neuron_dot_product(benchmark):
-    rng = np.random.default_rng(1)
-    neuron = Neuron(check_widths=False)
-    x = rng.integers(-127, 128, size=800)
-    s = rng.choice([-1, 1], size=800)
-    e = rng.integers(-7, 1, size=800)
-    out = benchmark(neuron.compute_output, x, s, e, 0, 4, 4, "relu")
-    assert -127 <= out <= 127
 
 
 def test_bench_weight_encode(benchmark, stimuli):

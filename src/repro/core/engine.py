@@ -404,19 +404,13 @@ class LayerOpHandler:
 
 #: The single source of truth for executable op kinds; both the eager
 #: reference path and :class:`BatchedEngine` dispatch through it.
-OP_REGISTRY: dict[str, LayerOpHandler] = {}
-
-
-def register_op(handler: LayerOpHandler) -> None:
-    """Register (or replace) the handler for one op kind."""
-    OP_REGISTRY[handler.kind] = handler
-
-
-register_op(LayerOpHandler("conv", _conv_reference, _conv_compile))
-register_op(LayerOpHandler("dense", _dense_reference, _dense_compile))
-register_op(LayerOpHandler("maxpool", _maxpool_reference, _maxpool_compile))
-register_op(LayerOpHandler("avgpool", _avgpool_reference, _avgpool_compile))
-register_op(LayerOpHandler("flatten", _flatten_reference, _flatten_compile))
+OP_REGISTRY: dict[str, LayerOpHandler] = {
+    "conv": LayerOpHandler("conv", _conv_reference, _conv_compile),
+    "dense": LayerOpHandler("dense", _dense_reference, _dense_compile),
+    "maxpool": LayerOpHandler("maxpool", _maxpool_reference, _maxpool_compile),
+    "avgpool": LayerOpHandler("avgpool", _avgpool_reference, _avgpool_compile),
+    "flatten": LayerOpHandler("flatten", _flatten_reference, _flatten_compile),
+}
 
 
 def _handler(kind: str) -> LayerOpHandler:

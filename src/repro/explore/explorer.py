@@ -33,9 +33,9 @@ point's measured accuracy, and designs that differ only in the
 cost-side axis (technology node) measure bit-identical accuracy — which
 is why a dominated node is pruned by *exactly* the frontier the
 exhaustive run would have found.  The cost
-metrics (area/power from :class:`repro.hw.cost.CostModel`, latency from
-:class:`repro.hw.scheduler.TileScheduler`, energy = power × latency) are
-closed-form and computed host-side.  The whole exploration is therefore
+metrics (area, power, latency and energy = power × latency) come from
+one :class:`repro.hw.accelerator.Accelerator` per design, priced by the
+point's technology node; they are closed-form and computed host-side.  The whole exploration is therefore
 bit-identical across ``jobs=1``/thread, ``jobs=N``/process, and a
 mid-run SIGKILL + resume — pinned by the cross-backend property tests.
 """
@@ -54,13 +54,10 @@ from repro.core.ensemble import Ensemble
 from repro.core.mfdfp import MFDFPNetwork
 from repro.core.pipeline import MFDFPConfig, phase1_finetune, run_algorithm1
 from repro.explore.space import WEIGHT_MODES, DesignPoint, DesignSpace
-from repro.hw.cost import CostModel, NPUDesign, technology
-from repro.hw.scheduler import TileScheduler
+from repro.hw.accelerator import Accelerator, AcceleratorConfig
+from repro.hw.cost import CostModel, technology
 from repro.nn.data import ArrayDataset
 from repro.nn.network import Network
-
-#: Pipeline fill depth of the MF-DFP shift datapath (see repro.hw.accelerator).
-_MFDFP_PIPELINE_DEPTH = 4
 
 
 class ExploreConfigError(ValueError):
@@ -328,17 +325,8 @@ def _cost_metrics(net: Network, point: DesignPoint, models: dict) -> tuple:
     model = models.get(point.technology)
     if model is None:
         model = models[point.technology] = CostModel(technology(point.technology))
-    breakdown = model.evaluate_design(
-        NPUDesign(activation_bits=point.bits, num_pus=point.num_pus)
-    )
-    schedule = TileScheduler(
-        pipeline_depth=_MFDFP_PIPELINE_DEPTH,
-        activation_bits=point.bits,
-        weight_bits=4,
-    ).schedule_network(net)
-    latency_us = schedule.time_us()
-    energy_uj = breakdown.power_mw * 1e-3 * latency_us
-    return (breakdown.area_mm2, breakdown.power_mw, latency_us, energy_uj)
+    acc = Accelerator(AcceleratorConfig(num_pus=point.num_pus, bits=point.bits), cost_model=model)
+    return (acc.area_mm2, acc.power_mw, acc.latency_us(net), acc.energy_uj(net))
 
 
 def _cost_twin_survivors(points: list, costs: dict) -> list:

@@ -1,17 +1,19 @@
 """Hardware accelerator model (Section 5 of the paper).
 
-* :mod:`repro.hw.datapath` — bit-accurate integer primitives: per-bits
-  wire widths, shift products, the widening adder tree, round/saturate.
+* :mod:`repro.hw.datapath` — bit-accurate integer primitives: the
+  16-neuron × 16-synapse tile geometry, per-bits wire widths, shift
+  products, the widening adder tree, round/saturate.
 * :mod:`repro.hw.neuron` — the single neuron of Figure 2(a).
-* :mod:`repro.hw.npu` — processing units (16 neurons × 16 synapses) and
-  the neural processing unit of Figure 2(b).
-* :mod:`repro.hw.memory` — the three SRAM buffer subsystems + DMA.
-* :mod:`repro.hw.scheduler` — tile scheduling and cycle counting.
+* :mod:`repro.hw.npu` — the processing unit of Figure 2(b).
+* :mod:`repro.hw.memory` — geometry of the three SRAM buffers.
+* :mod:`repro.hw.scheduler` — tile scheduling, cycle counting, per-layer
+  buffer traffic and the optional off-chip DMA model.
 * :mod:`repro.hw.cost` — 65 nm area/power component model (Table 1).
-* :mod:`repro.hw.accelerator` — ties everything together: area, power,
-  latency, energy (single and batched schedules), and bit-accurate
-  inference of deployed MF-DFP networks via the shared layer-op registry
-  in :mod:`repro.core.engine`.
+* :mod:`repro.hw.accelerator` — the one priced design
+  (``AcceleratorConfig``: precision, PU count, activation width) and
+  its area, power, latency, energy (single and batched schedules), and
+  bit-accurate inference of deployed MF-DFP networks via the shared
+  layer-op registry in :mod:`repro.core.engine`.
 """
 
 from repro.hw.accelerator import Accelerator, AcceleratorConfig
@@ -20,7 +22,6 @@ from repro.hw.cost import (
     CostBreakdown,
     CostModel,
     CostModelError,
-    NPUDesign,
     TechnologyParams,
     technology,
 )
@@ -32,9 +33,9 @@ from repro.hw.datapath import (
     saturate,
     shift_product,
 )
-from repro.hw.memory import BufferConfig, MemorySubsystem, SramBuffer
+from repro.hw.memory import BufferConfig
 from repro.hw.neuron import Neuron
-from repro.hw.npu import NeuralProcessingUnit, ProcessingUnit
+from repro.hw.npu import ProcessingUnit
 from repro.hw.scheduler import LayerSchedule, Schedule, TileScheduler
 
 __all__ = [
@@ -45,13 +46,9 @@ __all__ = [
     "CostModel",
     "CostModelError",
     "LayerSchedule",
-    "MemorySubsystem",
-    "NPUDesign",
-    "NeuralProcessingUnit",
     "Neuron",
     "ProcessingUnit",
     "Schedule",
-    "SramBuffer",
     "TECHNOLOGY_PRESETS",
     "TechnologyParams",
     "TileScheduler",

@@ -21,8 +21,8 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.mfdfp import DeployedMFDFP
-from repro.hw.cost import CostBreakdown, CostModel
-from repro.hw.memory import BufferConfig, MemorySubsystem
+from repro.hw.cost import CostBreakdown, CostModel, validate_design
+from repro.hw.memory import BufferConfig
 from repro.hw.scheduler import Schedule, TileScheduler
 from repro.nn.network import Network
 
@@ -40,6 +40,8 @@ class AcceleratorConfig:
         precision: ``"mfdfp"`` (proposed) or ``"fp32"`` (baseline).
         num_pus: Processing units; 2 runs a two-network ensemble in
             parallel (Phase 3).
+        bits: MF-DFP activation width, from which every datapath wire
+            is sized (8 is the paper's design; ``"fp32"`` admits only 8).
         clock_mhz: Core clock; the paper fixes 250 MHz for all designs.
         buffers: Optional buffer geometry override.
         dma_bandwidth: Off-chip bandwidth in bytes per cycle, or None for
@@ -51,6 +53,7 @@ class AcceleratorConfig:
 
     precision: str = "mfdfp"
     num_pus: int = 1
+    bits: int = 8
     clock_mhz: float = 250.0
     buffers: Optional[BufferConfig] = None
     dma_bandwidth: Optional[float] = None
@@ -58,8 +61,9 @@ class AcceleratorConfig:
     def __post_init__(self):
         if self.precision not in ("mfdfp", "fp32"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.num_pus < 1:
-            raise ValueError("need at least one processing unit")
+        num_pus, bits = validate_design(self.precision, self.num_pus, self.bits)
+        object.__setattr__(self, "num_pus", num_pus)
+        object.__setattr__(self, "bits", bits)
         if self.dma_bandwidth is not None and self.dma_bandwidth <= 0:
             raise ValueError("dma_bandwidth must be positive (or None)")
 
@@ -68,23 +72,17 @@ class Accelerator:
     """Area/power/latency/energy model plus bit-accurate execution."""
 
     def __init__(self, config: AcceleratorConfig | None = None, cost_model: CostModel | None = None):
-        self.config = config or AcceleratorConfig()
+        self.config = config = config or AcceleratorConfig()
         self.cost_model = cost_model or CostModel()
         self.breakdown: CostBreakdown = self.cost_model.evaluate(
-            self.config.precision, self.config.num_pus, self.config.buffers
+            config.precision, config.num_pus, config.buffers, config.bits
         )
-        buffers = self.config.buffers
-        if buffers is None:
-            buffers = (
-                CostModel._fp32_buffers() if self.config.precision == "fp32" else BufferConfig()
-            )
-        self.memory = MemorySubsystem(buffers)
-        fp32 = self.config.precision == "fp32"
+        fp32 = config.precision == "fp32"
         self.scheduler = TileScheduler(
-            clock_mhz=self.config.clock_mhz,
-            pipeline_depth=PIPELINE_DEPTH[self.config.precision],
-            dma_bandwidth=self.config.dma_bandwidth,
-            activation_bits=32 if fp32 else 8,
+            clock_mhz=config.clock_mhz,
+            pipeline_depth=PIPELINE_DEPTH[config.precision],
+            dma_bandwidth=config.dma_bandwidth,
+            activation_bits=32 if fp32 else config.bits,
             weight_bits=32 if fp32 else 4,
         )
 
@@ -109,12 +107,8 @@ class Accelerator:
         (and therefore latency) is that of a single network.
         """
         if isinstance(workload, DeployedMFDFP):
-            schedule = self.scheduler.schedule_deployed(workload)
-        else:
-            schedule = self.scheduler.schedule_network(workload)
-        for layer in schedule.layers:
-            self.memory.record_layer(layer.inputs_read, layer.weights_read, layer.outputs_written)
-        return schedule
+            return self.scheduler.schedule_deployed(workload)
+        return self.scheduler.schedule_network(workload)
 
     def latency_us(self, workload: Union[Network, DeployedMFDFP]) -> float:
         """Single-inference latency in microseconds."""
@@ -155,10 +149,7 @@ class Accelerator:
         weights), so per-sample latency and energy drop as the batch
         grows.
         """
-        schedule = self.scheduler.schedule_deployed_batch(deployed, batch_size)
-        for layer in schedule.layers:
-            self.memory.record_layer(layer.inputs_read, layer.weights_read, layer.outputs_written)
-        return schedule
+        return self.scheduler.schedule_deployed_batch(deployed, batch_size)
 
     def batch_throughput_ips(self, deployed: DeployedMFDFP, batch_size: int) -> float:
         """Steady-state samples/second when serving ``batch_size`` batches."""
@@ -198,7 +189,7 @@ class Accelerator:
         from repro.core.engine import execute_deployed
 
         if self.config.precision != "mfdfp":
-            raise ValueError("run() executes MF-DFP networks; use run_float for the baseline")
+            raise ValueError("run() executes MF-DFP networks; the FP32 baseline runs as net.logits(x)")
         codes = execute_deployed(deployed, x)
         last = deployed.ops[-1]
         return codes.astype(np.float64) * 2.0 ** (-last.out_frac)
@@ -238,10 +229,6 @@ class Accelerator:
             "modeled_energy_uj": modeled_uj,
             "modeled_throughput_ips": n / (modeled_us * 1e-6),
         }
-
-    def run_float(self, net: Network, x: np.ndarray) -> np.ndarray:
-        """FP32 baseline inference (plain floating point)."""
-        return net.logits(x)
 
     def run_ensemble(self, members: list[DeployedMFDFP], x: np.ndarray) -> np.ndarray:
         """Phase 3 in hardware: one deployed network per processing unit.

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
-from repro.hw.datapath import datapath_widths
+from repro.hw.datapath import NEURONS, SYNAPSES, datapath_widths
 from repro.hw.memory import BufferConfig
 
 #: Synthesis anchors from Table 1 (the FP32 baseline, one processing unit).
@@ -52,6 +52,25 @@ def _require_positive_int(name: str, value) -> int:
     if value < 1:
         raise CostModelError(f"{name} must be >= 1, got {value!r}")
     return int(value)
+
+
+def validate_design(precision: str, num_pus, bits) -> tuple[int, int]:
+    """Validate a design's PU count and MF-DFP activation width.
+
+    ``bits`` goes through :func:`repro.hw.datapath.datapath_widths`;
+    ``"fp32"`` and ``"fixed8"`` have fixed widths and admit only the
+    default 8.  Returns ``(num_pus, bits)`` as Python ints; a bad value
+    raises :class:`CostModelError`.
+    """
+    num_pus = _require_positive_int("num_pus", num_pus)
+    try:
+        bits = datapath_widths(bits).bits
+    except ValueError as exc:
+        raise CostModelError(f"bits: {exc}") from None
+    if precision != "mfdfp" and bits != 8:
+        raise CostModelError(f"bits={bits} sizes the MF-DFP datapath; {precision!r} has fixed widths")
+    return num_pus, bits
+
 
 #: Table 1 reference values for comparison in reports.
 PAPER_TABLE1 = {
@@ -120,29 +139,6 @@ def technology(name: str) -> TechnologyParams:
     except KeyError:
         known = ", ".join(sorted(TECHNOLOGY_PRESETS))
         raise CostModelError(f"unknown technology {name!r} (known: {known})") from None
-
-
-@dataclass(frozen=True)
-class NPUDesign:
-    """A parameterized MF-DFP NPU configuration for design-space exploration.
-
-    ``activation_bits`` sets the dynamic-fixed-point activation width, from
-    which :func:`repro.hw.datapath.datapath_widths` sizes (and bounds) every
-    wire.  ``activation_bits=8`` reproduces the paper's Figure 2(a)
-    datapath — and the legacy ``CostModel.evaluate("mfdfp", ...)`` bill —
-    exactly.  ``num_pus=2`` is the ensemble design of Table 1.
-    """
-
-    activation_bits: int = 8
-    num_pus: int = 1
-
-    def __post_init__(self):
-        try:
-            bits = datapath_widths(self.activation_bits).bits
-        except ValueError as exc:
-            raise CostModelError(f"activation_bits: {exc}") from None
-        object.__setattr__(self, "activation_bits", bits)
-        object.__setattr__(self, "num_pus", _require_positive_int("num_pus", self.num_pus))
 
 
 # -- component gate counts ---------------------------------------------------
@@ -230,13 +226,11 @@ class CostModel:
     (see module docstring) and applied to every design.
     """
 
-    NEURONS = 16
-    SYNAPSES = 16
     PIPELINE_STAGES = 2
 
     def __init__(self, tech: TechnologyParams | None = None):
         self.tech = tech or TechnologyParams()
-        raw_area, raw_power = self._raw_totals(self._bill("fp32", 1, self._fp32_buffers()))
+        raw_area, raw_power = self._raw_totals(self._bill("fp32", 1, self._fp32_buffers(), 8))
         self.area_calibration = FP32_BASELINE_AREA_MM2 * 1e6 / raw_area
         self.power_calibration = FP32_BASELINE_POWER_MW * 1e3 / raw_power
 
@@ -245,18 +239,18 @@ class CostModel:
     def _fp32_buffers() -> BufferConfig:
         return BufferConfig().scaled_to_precision(activation_bits=32, weight_bits=32)
 
-    def _pu_items(self, precision: str) -> list[CostItem]:
+    def _pu_items(self, precision: str, bits: int) -> list[CostItem]:
         """One processing unit: 16 neurons x 16 synapses."""
-        lanes = self.NEURONS * self.SYNAPSES
+        lanes = NEURONS * SYNAPSES
         if precision == "fp32":
             return [
                 CostItem("multipliers", lanes * fp32_multiplier_ge(), 0, "fp_mult"),
                 CostItem(
-                    "adder_tree", self.NEURONS * (self.SYNAPSES - 1) * fp32_adder_ge(), 0, "fp_add"
+                    "adder_tree", NEURONS * (SYNAPSES - 1) * fp32_adder_ge(), 0, "fp_add"
                 ),
                 CostItem(
                     "accumulators",
-                    self.NEURONS * (fp32_adder_ge() + register_ge(32)),
+                    NEURONS * (fp32_adder_ge() + register_ge(32)),
                     0,
                     "fp_add",
                 ),
@@ -266,7 +260,7 @@ class CostModel:
                     0,
                     "register",
                 ),
-                CostItem("nonlinearity", self.NEURONS * 200.0, 0, "nl"),
+                CostItem("nonlinearity", NEURONS * 200.0, 0, "nl"),
             ]
         if precision == "fixed8":
             # 8-bit dynamic fixed-point datapath *with* multipliers — the
@@ -276,7 +270,7 @@ class CostModel:
             multipliers = CostItem("multipliers", lanes * int_multiplier_ge(8), 0, "int_mult")
             return [multipliers] + self._mfdfp_pu_items(8)[1:]
         if precision == "mfdfp":
-            return self._mfdfp_pu_items(8)
+            return self._mfdfp_pu_items(bits)
         raise ValueError(f"unknown precision {precision!r}")
 
     def _mfdfp_pu_items(self, activation_bits: int) -> list[CostItem]:
@@ -285,39 +279,36 @@ class CostModel:
         Every wire width comes from :func:`repro.hw.datapath.datapath_widths`;
         tree level ``i`` holds ``SYNAPSES >> i`` adders of width ``tree[i-1]``.
         At ``activation_bits=8`` this is the paper's 8x17b + 4x18b + 2x19b +
-        1x20b tree with a 32-bit accumulator and router, and the bill is
-        bit-identical to the legacy ``"mfdfp"`` one.
+        1x20b tree with a 32-bit accumulator and router.
         """
         widths = datapath_widths(activation_bits)
-        lanes = self.NEURONS * self.SYNAPSES
+        lanes = NEURONS * SYNAPSES
         product, acc = widths.product, widths.accumulator
-        tree_bits = sum((self.SYNAPSES >> i) * w for i, w in enumerate(widths.tree, 1))
+        tree_bits = sum((SYNAPSES >> i) * w for i, w in enumerate(widths.tree, 1))
         return [
             CostItem("shifters", lanes * barrel_shifter_ge(product, 3), 0, "shift"),
-            CostItem("adder_tree", self.NEURONS * int_adder_ge(tree_bits), 0, "int_add"),
+            CostItem("adder_tree", NEURONS * int_adder_ge(tree_bits), 0, "int_add"),
             CostItem(
                 "accumulators",
-                self.NEURONS * (int_adder_ge(acc) + register_ge(acc)),
+                NEURONS * (int_adder_ge(acc) + register_ge(acc)),
                 0,
                 "int_add",
             ),
-            CostItem("routing", self.NEURONS * barrel_shifter_ge(acc, 6), 0, "shift"),
+            CostItem("routing", NEURONS * barrel_shifter_ge(acc, 6), 0, "shift"),
             CostItem(
                 "pipeline_regs",
                 self.PIPELINE_STAGES * lanes * register_ge(product),
                 0,
                 "register",
             ),
-            CostItem("nonlinearity", self.NEURONS * 200.0, 0, "nl"),
+            CostItem("nonlinearity", NEURONS * 200.0, 0, "nl"),
         ]
 
-    def _bill(self, precision: str, num_pus: int, buffers: BufferConfig) -> list[CostItem]:
-        """Full accelerator: PUs + per-PU memory/DMA/control + shared glue."""
-        return self._assemble(self._pu_items(precision), num_pus, buffers)
-
-    def _assemble(
-        self, pu_items: list[CostItem], num_pus: int, buffers: BufferConfig
+    def _bill(
+        self, precision: str, num_pus: int, buffers: BufferConfig, bits: int
     ) -> list[CostItem]:
+        """Full accelerator: PUs + per-PU memory/DMA/control + shared glue."""
+        pu_items = self._pu_items(precision, bits)
         items: list[CostItem] = []
         for pu in range(num_pus):
             for item in pu_items:
@@ -344,7 +335,11 @@ class CostModel:
         return area_um2, power_uw
 
     def evaluate(
-        self, precision: str, num_pus: int = 1, buffers: BufferConfig | None = None
+        self,
+        precision: str,
+        num_pus: int = 1,
+        buffers: BufferConfig | None = None,
+        bits: int = 8,
     ) -> CostBreakdown:
         """Area (mm²) and power (mW) of a configuration.
 
@@ -355,41 +350,20 @@ class CostModel:
             num_pus: Processing units (2 for the ensemble design).
             buffers: Buffer geometry; defaults to the paper's configuration
                 at the precision's word widths.
+            bits: MF-DFP activation width; every wire of the PU is sized
+                from it (:func:`repro.hw.datapath.datapath_widths`), and 8
+                is the paper's datapath.  ``"fp32"`` and ``"fixed8"`` have
+                fixed widths and admit only the default.
         """
-        num_pus = _require_positive_int("num_pus", num_pus)
+        num_pus, bits = validate_design(precision, num_pus, bits)
         if buffers is None:
             if precision == "fp32":
                 buffers = self._fp32_buffers()
             elif precision == "fixed8":
                 buffers = BufferConfig().scaled_to_precision(activation_bits=8, weight_bits=8)
             else:
-                buffers = BufferConfig()
-        items = self._bill(precision, num_pus, buffers)
-        raw_area, raw_power = self._raw_totals(items)
-        return CostBreakdown(
-            items=items,
-            area_mm2=raw_area * self.area_calibration / 1e6,
-            power_mw=raw_power * self.power_calibration / 1e3,
-            raw_area_um2=raw_area,
-            raw_power_uw=raw_power,
-        )
-
-    def evaluate_design(
-        self, design: NPUDesign, buffers: BufferConfig | None = None
-    ) -> CostBreakdown:
-        """Area (mm²) and power (mW) of a parameterized :class:`NPUDesign`.
-
-        Buffers default to the paper's geometry at the design's activation
-        width with 4-bit weight codes.  ``NPUDesign(activation_bits=8,
-        num_pus=n)`` is bit-identical to ``evaluate("mfdfp", n)``.
-        """
-        if buffers is None:
-            buffers = BufferConfig().scaled_to_precision(
-                activation_bits=design.activation_bits, weight_bits=4
-            )
-        items = self._assemble(
-            self._mfdfp_pu_items(design.activation_bits), design.num_pus, buffers
-        )
+                buffers = BufferConfig().scaled_to_precision(activation_bits=bits, weight_bits=4)
+        items = self._bill(precision, num_pus, buffers, bits)
         raw_area, raw_power = self._raw_totals(items)
         return CostBreakdown(
             items=items,

@@ -25,6 +25,12 @@ import numpy as np
 
 from repro.core.dfp import MIN_BITS, DFPFormat
 
+#: The processing-unit tile of Figure 2(b): 16 neurons, each reducing
+#: 16 synapses per cycle.  The cost model, the structural PU and neuron,
+#: and the tile scheduler all read the geometry from here.
+NEURONS = 16
+SYNAPSES = 16
+
 #: Widest admitted activation width: every accumulator then fits 40 bits
 #: (exact in float64).  The narrowest, ``MIN_BITS``, is DFP's own.
 MAX_BITS = 16
@@ -100,12 +106,13 @@ def shift_product(x_codes: np.ndarray, w_sign: np.ndarray, w_exp: np.ndarray, bi
     return products
 
 
-def adder_tree(products: np.ndarray, check_widths: bool = True, bits: int = 8) -> np.ndarray:
+def adder_tree(products: np.ndarray, bits: int = 8) -> np.ndarray:
     """Sum 16 products pairwise through the widening tree of Figure 2(a).
+
+    Every tree level is checked against its declared width.
 
     Args:
         products: Array whose *last* axis has length 16 (one per synapse).
-        check_widths: Verify each tree level against its declared width.
         bits: Activation width of the datapath the tree belongs to.
 
     Returns:
@@ -114,14 +121,12 @@ def adder_tree(products: np.ndarray, check_widths: bool = True, bits: int = 8) -
     """
     widths = datapath_widths(bits)
     level = np.asarray(products, dtype=np.int64)
-    if level.shape[-1] != 16:
-        raise ValueError(f"adder tree expects 16 inputs, got {level.shape[-1]}")
-    if check_widths:
-        check_width(level, widths.product, "adder tree input")
+    if level.shape[-1] != SYNAPSES:
+        raise ValueError(f"adder tree expects {SYNAPSES} inputs, got {level.shape[-1]}")
+    check_width(level, widths.product, "adder tree input")
     for width in widths.tree:
         level = level[..., 0::2] + level[..., 1::2]
-        if check_widths:
-            check_width(level, width, f"adder tree level ({width}-bit)")
+        check_width(level, width, f"adder tree level ({width}-bit)")
     return level[..., 0]
 
 

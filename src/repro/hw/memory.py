@@ -1,18 +1,18 @@
-"""Memory subsystem: the three SRAM buffers and their DMA engines.
+"""Geometry of the three SRAM buffers.
 
 The accelerator implements "three separate memory subsystems assigned to
 input data, weights, and output data" (Section 5), each with its own DMA
 so transfers overlap computation.  Buffers are modelled as word-organized
 SRAM macros; word widths depend on the precision mode (8-bit activations
 and 4-bit weights for MF-DFP vs 32-bit everything for the FP32 baseline).
-
-Access counters feed the energy breakdown report; the headline energy
-numbers of Table 2 follow the paper's method (average power × latency).
+The cost model prices their bits (Table 1).  Per-layer buffer traffic is
+recorded on each :class:`~repro.hw.scheduler.LayerSchedule`, and the
+off-chip DMA is timed by ``TileScheduler(dma_bandwidth=...)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -53,86 +53,3 @@ class BufferConfig:
             weight_bits=weight_bits,
         )
 
-
-class SramBuffer:
-    """A word-organized SRAM macro with read/write accounting."""
-
-    def __init__(self, name: str, words: int, word_bits: int):
-        if words < 1 or word_bits < 1:
-            raise ValueError("buffer must have positive geometry")
-        self.name = name
-        self.words = words
-        self.word_bits = word_bits
-        self.reads = 0
-        self.writes = 0
-
-    @property
-    def bits(self) -> int:
-        return self.words * self.word_bits
-
-    def read(self, n_words: int = 1) -> None:
-        if n_words < 0:
-            raise ValueError("negative access count")
-        self.reads += n_words
-
-    def write(self, n_words: int = 1) -> None:
-        if n_words < 0:
-            raise ValueError("negative access count")
-        self.writes += n_words
-
-    def reset_counters(self) -> None:
-        self.reads = 0
-        self.writes = 0
-
-
-@dataclass
-class DmaEngine:
-    """Off-chip transfer accounting for one buffer's DMA channel."""
-
-    name: str
-    bytes_transferred: int = 0
-
-    def transfer(self, n_bytes: int) -> None:
-        if n_bytes < 0:
-            raise ValueError("negative transfer size")
-        self.bytes_transferred += n_bytes
-
-    def reset(self) -> None:
-        self.bytes_transferred = 0
-
-
-@dataclass
-class MemorySubsystem:
-    """The three buffers plus their DMA engines."""
-
-    config: BufferConfig
-    input_buffer: SramBuffer = field(init=False)
-    output_buffer: SramBuffer = field(init=False)
-    weight_buffer: SramBuffer = field(init=False)
-    dma: dict = field(init=False)
-
-    def __post_init__(self):
-        c = self.config
-        self.input_buffer = SramBuffer("input", c.input_words, c.input_bits)
-        self.output_buffer = SramBuffer("output", c.output_words, c.output_bits)
-        self.weight_buffer = SramBuffer("weights", c.weight_words, c.weight_bits)
-        self.dma = {name: DmaEngine(name) for name in ("input", "output", "weights")}
-
-    @property
-    def buffers(self) -> list[SramBuffer]:
-        return [self.input_buffer, self.weight_buffer, self.output_buffer]
-
-    def reset_counters(self) -> None:
-        for buf in self.buffers:
-            buf.reset_counters()
-        for engine in self.dma.values():
-            engine.reset()
-
-    def record_layer(self, inputs_read: int, weights_read: int, outputs_written: int) -> None:
-        """Account one layer's buffer traffic (word granularity)."""
-        self.input_buffer.read(inputs_read)
-        self.weight_buffer.read(weights_read)
-        self.output_buffer.write(outputs_written)
-
-    def total_accesses(self) -> int:
-        return sum(buf.reads + buf.writes for buf in self.buffers)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.hw.datapath import (
+    SYNAPSES,
     accumulator_route,
     adder_tree,
     check_width,
@@ -24,18 +25,13 @@ from repro.hw.datapath import (
 class Neuron:
     """Bit-accurate model of one neuron (16 synapses).
 
+    Every wire is checked against its declared width.
+
     Args:
-        num_synapses: Synapses per cycle (the paper's design: 16).
-        check_widths: Verify every wire against its declared width; keep
-            on for verification, off for speed.
         bits: Activation width; sizes every wire (``datapath_widths``).
     """
 
-    def __init__(self, num_synapses: int = 16, check_widths: bool = True, bits: int = 8):
-        if num_synapses != 16:
-            raise ValueError("the Figure 2(a) adder tree is built for 16 synapses")
-        self.num_synapses = num_synapses
-        self.check_widths = check_widths
+    def __init__(self, bits: int = 8):
         self.widths = datapath_widths(bits)
         self.acc = np.int64(0)
 
@@ -54,13 +50,12 @@ class Neuron:
         Returns the updated accumulator value.
         """
         x_codes = np.asarray(x_codes)
-        if x_codes.shape != (self.num_synapses,):
-            raise ValueError(f"expected {self.num_synapses} synapses, got shape {x_codes.shape}")
+        if x_codes.shape != (SYNAPSES,):
+            raise ValueError(f"expected {SYNAPSES} synapses, got shape {x_codes.shape}")
         products = shift_product(x_codes, w_sign, w_exp, self.widths.bits)
-        partial = adder_tree(products, self.check_widths, self.widths.bits)
+        partial = adder_tree(products, self.widths.bits)
         self.acc = np.int64(self.acc + partial)
-        if self.check_widths:
-            check_width(np.array([self.acc]), self.widths.accumulator, "accumulator")
+        check_width(np.array([self.acc]), self.widths.accumulator, "accumulator")
         return self.acc
 
     def emit(self, m: int, n: int, activation: str = "none") -> int:
@@ -94,7 +89,7 @@ class Neuron:
             raise ValueError("inputs and weights must have matching lengths")
         self.reset()
         self.load_bias(bias_int)
-        k = self.num_synapses
+        k = SYNAPSES
         total = x_codes.size
         for start in range(0, total, k):
             xs = np.zeros(k, dtype=np.int64)

@@ -8,10 +8,10 @@ sums.  A convolution with ``S`` synapses per output (``in_ch * k * k``),
     compute_cycles = P * ceil(F / 16) * ceil(S / 16)
 
 plus a per-layer pipeline fill.  Pooling runs on the dedicated pooling
-path at 16 elements per cycle.  The FP32 baseline shares this schedule
-(same tile organization, same 250 MHz clock) but has a deeper pipeline —
-which is why Table 2's inference times are nearly identical, with MF-DFP
-marginally faster.
+path, which reads one 16-word input row per cycle.  The FP32 baseline
+shares this schedule (same tile organization, same 250 MHz clock) but
+has a deeper pipeline — which is why Table 2's inference times are
+nearly identical, with MF-DFP marginally faster.
 
 Optionally the scheduler models the off-chip DMA: with double-buffered
 memory subsystems, each layer's effective time is the max of compute and
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
+from repro.hw.datapath import NEURONS, SYNAPSES
 from repro.nn.layers.conv import Conv2D, conv_output_size
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.dropout import Dropout
@@ -94,12 +95,12 @@ class Schedule:
         """Latency of the scheduled work (whole batch) in microseconds."""
         return self.total_cycles / self.clock_mhz
 
-    def utilization(self, lanes: int = 256) -> float:
+    def utilization(self) -> float:
         """Average MAC-lane utilization over compute cycles."""
         compute_cycles = sum(l.cycles for l in self.layers if l.kind in ("conv", "dense"))
         if compute_cycles == 0:
             return 0.0
-        return self.total_macs / (compute_cycles * lanes)
+        return self.total_macs / (compute_cycles * NEURONS * SYNAPSES)
 
     def memory_bound_layers(self) -> list[str]:
         """Names of layers whose DMA time exceeds their compute time."""
@@ -117,13 +118,10 @@ class TileScheduler:
     """Maps networks onto the 16-neuron / 16-synapse tile.
 
     Args:
-        neurons: Physical neurons per processing unit.
-        synapses: Synapses per neuron per cycle.
         clock_mhz: Core clock (paper: constant 250 MHz for all designs).
         pipeline_depth: Per-layer pipeline fill cycles.  The FP32
             multiply pipeline is deeper than the MF-DFP shift pipeline,
             producing the small latency edge MF-DFP shows in Table 2.
-        pool_throughput: Pooling-path elements per cycle.
         dma_bandwidth: Off-chip bandwidth in *bytes per cycle*, or None
             for the paper's compute-bound setting (main memory excluded).
         activation_bits: Off-chip activation width (8 MF-DFP / 32 FP32).
@@ -132,22 +130,16 @@ class TileScheduler:
 
     def __init__(
         self,
-        neurons: int = 16,
-        synapses: int = 16,
         clock_mhz: float = 250.0,
         pipeline_depth: int = 4,
-        pool_throughput: int = 16,
         dma_bandwidth: Optional[float] = None,
         activation_bits: int = 8,
         weight_bits: int = 4,
     ):
         if dma_bandwidth is not None and dma_bandwidth <= 0:
             raise ValueError("dma_bandwidth must be positive (or None)")
-        self.neurons = neurons
-        self.synapses = synapses
         self.clock_mhz = clock_mhz
         self.pipeline_depth = pipeline_depth
-        self.pool_throughput = pool_throughput
         self.dma_bandwidth = dma_bandwidth
         self.activation_bits = activation_bits
         self.weight_bits = weight_bits
@@ -172,8 +164,8 @@ class TileScheduler:
         self, name, kind, out_units, positions, syn_per_out, input_elems, weight_elems
     ) -> LayerSchedule:
         """Tiled conv/dense cycles: positions x channel-tiles x syn-chunks."""
-        tiles = positions * math.ceil(out_units / self.neurons)
-        chunks = math.ceil(syn_per_out / self.synapses)
+        tiles = positions * math.ceil(out_units / NEURONS)
+        chunks = math.ceil(syn_per_out / SYNAPSES)
         compute = tiles * chunks
         output_elems = out_units * positions
         dma = self._dma_cycles(input_elems, weight_elems, output_elems)
@@ -184,8 +176,8 @@ class TileScheduler:
             compute_cycles=compute,
             dma_cycles=dma,
             macs=out_units * positions * syn_per_out,
-            inputs_read=tiles * chunks * self.synapses,
-            weights_read=tiles * chunks * self.synapses * self.neurons,
+            inputs_read=tiles * chunks * SYNAPSES,
+            weights_read=tiles * chunks * SYNAPSES * NEURONS,
             outputs_written=output_elems,
             input_elems=input_elems,
             weight_elems=weight_elems,
@@ -193,7 +185,7 @@ class TileScheduler:
         )
 
     def _pool_op(self, name, kind, out_elems, window, input_elems) -> LayerSchedule:
-        compute = math.ceil(out_elems * window / self.pool_throughput)
+        compute = math.ceil(out_elems * window / SYNAPSES)
         dma = self._dma_cycles(input_elems, 0, out_elems)
         return LayerSchedule(
             name=name,

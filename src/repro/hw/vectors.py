@@ -69,8 +69,7 @@ class NeuronVector:
 def _expected_output(vector_inputs) -> int:
     m, n, activation, x_codes, w_codes, bias_int = vector_inputs
     sign, exp = pow2_code_fields(np.array(w_codes, dtype=np.uint8))
-    neuron = Neuron(check_widths=True)
-    return neuron.compute_output(
+    return Neuron().compute_output(
         np.array(x_codes, dtype=np.int64), sign, exp, bias_int, m, n, activation
     )
 

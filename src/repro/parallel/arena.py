@@ -272,19 +272,3 @@ def attach_planes(spec: ArenaSpec) -> dict[int, np.ndarray]:
 def attached_segment_count() -> int:
     """How many distinct segments this process has mapped."""
     return len(_ATTACHED)
-
-
-def detach_all() -> None:
-    """Unmap everything this process attached (test/diagnostic hook).
-
-    Callers must drop their engine references first — numpy views into
-    a closed segment are invalid.
-    """
-    attached = list(_ATTACHED.values())
-    _ATTACHED.clear()
-    for shm, views in attached:
-        views.clear()
-        try:
-            shm.close()
-        except BufferError:
-            pass  # a live engine still holds views; leave the mapping

@@ -11,7 +11,7 @@ from repro.explore import (
     explore,
 )
 from repro.explore.explorer import _cost_metrics, _cost_twin_survivors, _member_rng
-from repro.hw.cost import CostModel, NPUDesign
+from repro.hw.cost import CostModel
 from repro.io import ArtifactSchemaError, ExplorationCheckpointer
 
 SPACE = DesignSpace(bits=(4, 8), min_exps=(-7,), num_pus=(1, 2), technologies=("65nm",))
@@ -106,9 +106,7 @@ class TestExplorationShape:
     def test_cost_metrics_match_cost_model(self, problem):
         point = SPACE.points()[0]
         area, power, latency, energy = _cost_metrics(problem["net"], point, {})
-        breakdown = CostModel().evaluate_design(
-            NPUDesign(activation_bits=point.bits, num_pus=point.num_pus)
-        )
+        breakdown = CostModel().evaluate("mfdfp", point.num_pus, bits=point.bits)
         assert area == breakdown.area_mm2
         assert power == breakdown.power_mw
         assert energy == pytest.approx(power * 1e-3 * latency)

@@ -79,16 +79,26 @@ class TestBitAccuracy:
         assert np.array_equal(execute_deployed(dep, x), execute_deployed(dep, x))
 
     def test_fp32_accelerator_refuses_integer_run(self, rng):
+        """The FP32 baseline executes as plain ``net.logits``; run() says so."""
         _, dep, _ = deployed_pair(maxpool_net, rng)
         acc = Accelerator(AcceleratorConfig(precision="fp32"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"net\.logits"):
             acc.run(dep, rng.normal(size=(1, 2, 8, 8)))
 
     def test_run_float_matches_network(self, rng):
+        """The FP32 baseline's float run is ``net.logits``: the network's
+        inference pass, layer by layer, on the network the fp32
+        accelerator prices."""
         net = maxpool_net()
         acc = Accelerator(AcceleratorConfig(precision="fp32"))
         x = rng.normal(size=(3, 2, 8, 8))
-        assert np.allclose(acc.run_float(net, x), net.logits(x))
+        out = net.logits(x)
+        ref = x
+        for layer in net.layers:
+            ref = layer.forward(ref)
+        assert out.shape == (3, 5)
+        assert np.allclose(out, ref)
+        assert acc.latency_us(net) > 0
 
 
 class TestLatencyEnergy:
@@ -131,9 +141,17 @@ class TestLatencyEnergy:
         assert t1 == t2
 
     def test_schedule_records_memory_traffic(self):
-        acc = Accelerator()
-        acc.schedule(cifar10_full())
-        assert acc.memory.total_accesses() > 0
+        """Each layer's schedule is its buffer-traffic record: a compute
+        tile reads 16 input words and 16x16 weights per cycle; pooling
+        reads inputs only."""
+        schedule = Accelerator().schedule(cifar10_full())
+        for layer in schedule.layers:
+            assert layer.inputs_read > 0 and layer.outputs_written > 0
+            if layer.kind in ("conv", "dense"):
+                assert layer.inputs_read == 16 * layer.compute_cycles
+                assert layer.weights_read == 16 * layer.inputs_read
+            else:
+                assert layer.weights_read == 0
 
     def test_deployed_and_network_latency_agree(self, rng):
         mf, dep, _ = deployed_pair(lambda: cifar10_small(size=16, dtype=np.float64), rng)
@@ -149,6 +167,10 @@ class TestConfig:
     def test_invalid_pus(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(num_pus=0)
+
+    def test_bits_size_the_offchip_activation_words(self):
+        assert Accelerator(AcceleratorConfig(bits=4)).scheduler.activation_bits == 4
+        assert Accelerator(AcceleratorConfig(precision="fp32")).scheduler.activation_bits == 32
 
     def test_pipeline_depths_ordered(self):
         assert PIPELINE_DEPTH["fp32"] > PIPELINE_DEPTH["mfdfp"]

@@ -10,7 +10,6 @@ from repro.hw.cost import (
     TECHNOLOGY_PRESETS,
     CostModel,
     CostModelError,
-    NPUDesign,
     barrel_shifter_ge,
     fp32_adder_ge,
     fp32_multiplier_ge,
@@ -19,6 +18,7 @@ from repro.hw.cost import (
     register_ge,
     technology,
 )
+from repro.hw.accelerator import AcceleratorConfig
 from repro.hw.memory import BufferConfig
 
 
@@ -107,10 +107,13 @@ class TestTechnologyPresets:
 
 
 class TestNPUDesign:
+    """The NPU design: ``AcceleratorConfig(bits, num_pus)``, priced by
+    ``CostModel.evaluate(..., bits=)``."""
+
     def test_bits8_bill_bit_identical_to_legacy_mfdfp(self, model):
         for pus in (1, 2):
             legacy = model.evaluate("mfdfp", pus)
-            design = model.evaluate_design(NPUDesign(activation_bits=8, num_pus=pus))
+            design = model.evaluate("mfdfp", pus, bits=8)
             assert design.area_mm2 == legacy.area_mm2
             assert design.power_mw == legacy.power_mw
             assert design.raw_area_um2 == legacy.raw_area_um2
@@ -120,27 +123,37 @@ class TestNPUDesign:
             ]
 
     def test_cost_monotone_in_activation_bits(self, model):
-        areas = [
-            model.evaluate_design(NPUDesign(activation_bits=b)).area_mm2 for b in (4, 6, 8, 12, 16)
-        ]
+        areas = [model.evaluate("mfdfp", bits=b).area_mm2 for b in (4, 6, 8, 12, 16)]
         assert all(a < b for a, b in zip(areas, areas[1:]))
 
-    def test_validation(self):
-        with pytest.raises(CostModelError):
-            NPUDesign(activation_bits=0)
-        with pytest.raises(CostModelError):
-            NPUDesign(activation_bits=17)
-        with pytest.raises(CostModelError):
-            NPUDesign(num_pus=0)
-        with pytest.raises(CostModelError):
-            NPUDesign(activation_bits=2.5)
-        with pytest.raises(CostModelError):
-            NPUDesign(activation_bits=np.array(8))
+    def test_validation(self, model):
+        for bad in ({"bits": 0}, {"bits": 17}, {"num_pus": 0}, {"bits": 2.5}, {"bits": np.array(8)}):
+            with pytest.raises(CostModelError):
+                AcceleratorConfig(**bad)
+            with pytest.raises(CostModelError):
+                model.evaluate("mfdfp", **bad)
 
     def test_numpy_widths_normalized_to_python_ints(self):
-        d = NPUDesign(activation_bits=np.int64(8), num_pus=np.int32(2))
-        assert type(d.activation_bits) is int and d.activation_bits == 8
+        d = AcceleratorConfig(bits=np.int64(8), num_pus=np.int32(2))
+        assert type(d.bits) is int and d.bits == 8
         assert type(d.num_pus) is int and d.num_pus == 2
+
+    def test_fixed_width_precisions_reject_other_widths(self, model):
+        with pytest.raises(CostModelError, match="fixed widths"):
+            AcceleratorConfig(precision="fp32", bits=4)
+        for precision in ("fp32", "fixed8"):
+            with pytest.raises(CostModelError, match="fixed widths"):
+                model.evaluate(precision, bits=4)
+            assert model.evaluate(precision, bits=8).area_mm2 == model.evaluate(precision).area_mm2
+
+    def test_default_buffers_follow_bits(self, model):
+        for bits in (4, 8, 12):
+            default = model.evaluate("mfdfp", bits=bits)
+            scaled = model.evaluate(
+                "mfdfp", buffers=BufferConfig().scaled_to_precision(bits, 4), bits=bits
+            )
+            assert default.area_mm2 == scaled.area_mm2
+        assert BufferConfig().scaled_to_precision(8, 4) == BufferConfig()
 
 
 class TestBaselineAnchors:

@@ -53,7 +53,7 @@ class TestDatapathWidths:
             products = shift_product(
                 np.full(16, code_max), np.full(16, sign), np.zeros(16, dtype=np.int64), bits
             )
-            assert adder_tree(products, check_widths=True, bits=bits) == sign * code_max * 128 * 16
+            assert adder_tree(products, bits=bits) == sign * code_max * 128 * 16
 
     def test_shift_product_range_check_follows_bits(self):
         shift_product(np.array([7]), np.array([1]), np.array([0]), bits=4)
@@ -145,7 +145,7 @@ class TestAdderTree:
         s = rng.choice([-1, 1], size=16)
         e = rng.integers(-7, 1, size=16)
         products = shift_product(x, s, e)
-        out = adder_tree(products, check_widths=True)  # raises on overflow
+        out = adder_tree(products)  # raises on overflow
         assert out == products.sum()
 
     def test_extreme_all_max_inputs(self):

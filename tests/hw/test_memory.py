@@ -1,8 +1,6 @@
-"""Buffer geometry and access accounting."""
+"""Buffer geometry."""
 
-import pytest
-
-from repro.hw.memory import BufferConfig, DmaEngine, MemorySubsystem, SramBuffer
+from repro.hw.memory import BufferConfig
 
 
 class TestBufferConfig:
@@ -34,62 +32,3 @@ class TestBufferConfig:
         c = BufferConfig(input_words=1024, output_words=0, weight_words=0, input_bits=8)
         assert c.total_kbytes == 1.0
 
-
-class TestSramBuffer:
-    def test_counters(self):
-        buf = SramBuffer("b", 128, 8)
-        buf.read(10)
-        buf.write(3)
-        assert (buf.reads, buf.writes) == (10, 3)
-        buf.reset_counters()
-        assert (buf.reads, buf.writes) == (0, 0)
-
-    def test_bits(self):
-        assert SramBuffer("b", 128, 8).bits == 1024
-
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            SramBuffer("b", 0, 8)
-
-    def test_negative_access_rejected(self):
-        buf = SramBuffer("b", 16, 8)
-        with pytest.raises(ValueError):
-            buf.read(-1)
-        with pytest.raises(ValueError):
-            buf.write(-1)
-
-
-class TestDma:
-    def test_transfer_accumulates(self):
-        dma = DmaEngine("input")
-        dma.transfer(100)
-        dma.transfer(50)
-        assert dma.bytes_transferred == 150
-        dma.reset()
-        assert dma.bytes_transferred == 0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            DmaEngine("x").transfer(-1)
-
-
-class TestMemorySubsystem:
-    def test_three_buffers(self):
-        mem = MemorySubsystem(BufferConfig())
-        assert {b.name for b in mem.buffers} == {"input", "weights", "output"}
-
-    def test_record_layer(self):
-        mem = MemorySubsystem(BufferConfig())
-        mem.record_layer(inputs_read=5, weights_read=7, outputs_written=3)
-        assert mem.input_buffer.reads == 5
-        assert mem.weight_buffer.reads == 7
-        assert mem.output_buffer.writes == 3
-        assert mem.total_accesses() == 15
-
-    def test_reset(self):
-        mem = MemorySubsystem(BufferConfig())
-        mem.record_layer(1, 2, 3)
-        mem.dma["input"].transfer(10)
-        mem.reset_counters()
-        assert mem.total_accesses() == 0
-        assert mem.dma["input"].bytes_transferred == 0

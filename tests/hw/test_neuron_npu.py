@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.accelerator import Accelerator, AcceleratorConfig
+from repro.hw.cost import CostModelError
 from repro.hw.neuron import Neuron
-from repro.hw.npu import NeuralProcessingUnit, ProcessingUnit
+from repro.hw.npu import ProcessingUnit
 
 
 def reference_output(x_codes, w_sign, w_exp, bias_int, m, n, activation):
@@ -28,10 +30,6 @@ def random_case(rng, synapses):
 
 
 class TestNeuron:
-    def test_requires_16_synapses(self):
-        with pytest.raises(ValueError):
-            Neuron(num_synapses=8)
-
     def test_single_chunk_matches_reference(self, rng):
         neuron = Neuron()
         x, s, e, bias = random_case(rng, 16)
@@ -111,15 +109,23 @@ class TestProcessingUnit:
 
 
 class TestNPU:
+    """The NPU is one PU per ensemble member: ``AcceleratorConfig.num_pus``."""
+
     def test_pu_count(self):
-        assert NeuralProcessingUnit(num_pus=2).num_pus == 2
+        acc = Accelerator(AcceleratorConfig(num_pus=2))
+        assert acc.config.num_pus == 2
+        assert {item.name.split(".")[0] for item in acc.breakdown.items} == {
+            "pu0",
+            "pu1",
+            "shared",
+        }
 
     def test_requires_positive_pus(self):
-        with pytest.raises(ValueError):
-            NeuralProcessingUnit(num_pus=0)
+        with pytest.raises(CostModelError):
+            AcceleratorConfig(num_pus=0)
 
     def test_pus_are_independent(self, rng):
-        npu = NeuralProcessingUnit(num_pus=2)
+        pus = [ProcessingUnit(), ProcessingUnit()]
         x, s, e, _ = random_case(rng, 16)
-        npu.processing_units[0].cycle(x, np.tile(s, (16, 1)), np.tile(e, (16, 1)))
-        assert all(n.acc == 0 for n in npu.processing_units[1].neurons)
+        pus[0].cycle(x, np.tile(s, (16, 1)), np.tile(e, (16, 1)))
+        assert all(n.acc == 0 for n in pus[1].neurons)
