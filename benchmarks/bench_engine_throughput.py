@@ -6,7 +6,9 @@ The deployed integer artifact can be served three ways, all bit-identical:
 * **eager batch** — ``execute_deployed`` on the whole batch (re-derives
   weights and windows every call),
 * **compiled engine** — :class:`repro.core.engine.BatchedEngine`
-  (LUT-decoded weights, precomputed gather tables, BLAS-backed GEMM).
+  (LUT-decoded weights, a precomputed im2col gather table, BLAS-backed
+  GEMM, an exact float64 route and strided-window pools over
+  batch-last activations).
 
 The speedup test is the PR's acceptance gate: the compiled engine must
 deliver at least 5x the scalar path's samples/sec at batch size 64 while

@@ -23,11 +23,15 @@ Gate numbers are persisted: any test may write into its file's
 ``benchmarks/BENCH_<name>.json`` at session end — the machine-readable
 perf trajectory tracked PR-over-PR.  Quick runs never write, so the
 tier-1 smoke gate cannot clobber real measurements with smoke numbers.
+Each record carries a ``host`` block (cores, machine, Python, numpy,
+BLAS, thread pins): a speedup is only comparable on the same host.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -49,6 +53,22 @@ def bench_metrics(request) -> dict:
     return _BENCH_METRICS.setdefault(name, {})
 
 
+def _host() -> dict:
+    """The machine and numerical stack a record was measured on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict mode
+        blas = "unknown"
+    return {
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas,
+        "thread_pins": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+    }
+
+
 def pytest_sessionfinish(session, exitstatus):
     if session.config.getoption("--quick", default=False):
         return  # smoke numbers are meaningless; keep the real trajectory
@@ -57,6 +77,7 @@ def pytest_sessionfinish(session, exitstatus):
             continue
         payload = {
             "bench": name,
+            "host": _host(),
             "recorded_unix": int(time.time()),
             "metrics": metrics,
         }

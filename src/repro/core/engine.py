@@ -11,11 +11,14 @@ round-half-to-even exactly as in the RTL datapath):
   tests verify against.
 * the **compiled path** (:class:`BatchedEngine`) front-loads all of that
   work once per network: weight codes become integer shift multipliers
-  through a 16-entry LUT (:data:`SHIFT_LUT`), im2col and pooling windows
-  become precomputed gather-index tables, and each layer becomes a
-  closure that maps an ``(N, ...)`` batch of codes to the next batch of
-  codes.  Serving-style workloads run through :mod:`repro.serve`, which
-  adds request micro-batching on top.
+  through a 16-entry LUT (:data:`SHIFT_LUT`), im2col becomes a
+  precomputed gather-index table, pooling windows become strided slices,
+  and each layer becomes a closure that maps an ``(N, ...)`` batch of
+  codes to the next batch of codes.  Between layers the codes are
+  float64 integers in batch-last memory, routed by an exact
+  scale-``rint``-clip (see the kernel notes below); they become int64
+  once, at the end.  Serving-style workloads run through
+  :mod:`repro.serve`, which adds request micro-batching on top.
 
 Both paths dispatch through one layer-op registry (:data:`OP_REGISTRY`),
 so adding an op kind means adding exactly one :class:`LayerOpHandler`.
@@ -25,7 +28,6 @@ executes, through :func:`execute_deployed`.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -45,7 +47,7 @@ from repro.hw.datapath import (
     saturate,
 )
 from repro.nn.layers.conv import im2col, patch_index_table
-from repro.nn.layers.pool import pool_output_size
+from repro.nn.layers.pool import pool_output_size, pool_valid_counts
 
 #: LUT over the 16 possible 4-bit weight codes (bit 3 = sign, bits 2..0 =
 #: ``-e``): entry ``c`` is the signed shift multiplier ``s << (7 + e)``,
@@ -141,12 +143,12 @@ def _check_plane(op: DeployedLayer, plane: np.ndarray, shape: tuple) -> np.ndarr
 
 # -- gather-index precomputation -------------------------------------------------
 #
-# The gather tables depend only on layer *geometry*, not on weights, so
-# they are memoized process-wide: workloads that compile many engines of
-# identical topology but different weight content — the fault-injection
-# campaigns recompile per corrupted network — pay the index construction
-# once.  The cached arrays are frozen (non-writeable) because every
-# engine shares them.
+# The im2col gather table depends only on layer *geometry*, not on
+# weights, so it is memoized process-wide: workloads that compile many
+# engines of identical topology but different weight content — the
+# fault-injection campaigns recompile per corrupted network — pay the
+# index construction once.  The cached array is frozen (non-writeable)
+# because every engine shares it.
 def _im2col_indices(c: int, h: int, w: int, k: int, stride: int, pad: int):
     """Gather table lowering im2col to one fancy-index per batch.
 
@@ -159,42 +161,6 @@ def _im2col_indices(c: int, h: int, w: int, k: int, stride: int, pad: int):
     index is read-only and shared.
     """
     return patch_index_table(c, h, w, k, k, stride, pad, sentinel=True)
-
-
-@functools.lru_cache(maxsize=256)
-def _pool_indices(h: int, w: int, k: int, stride: int, pad: int, ceil_mode: bool):
-    """Gather table for pooling windows (per channel, spatial only).
-
-    Returns ``(index, oh, ow)`` where ``index`` has shape
-    ``(oh*ow, k*k)`` and indexes a flattened ``(h*w + 1,)`` feature map
-    whose last slot holds the window fill value.  Ceil mode may demand
-    rows/columns beyond the symmetric padding; they also map to the fill
-    slot, mirroring the asymmetric pad of the eager path.  Memoized by
-    geometry; the returned index is read-only and shared.
-    """
-    sentinel = h * w
-    oh = pool_output_size(h, k, stride, pad, ceil_mode)
-    ow = pool_output_size(w, k, stride, pad, ceil_mode)
-    need_h = (oh - 1) * stride + k
-    need_w = (ow - 1) * stride + k
-    pad_b = max(0, need_h - (h + pad))
-    pad_r = max(0, need_w - (w + pad))
-    grid = np.full((h + pad + pad_b, w + pad + pad_r), sentinel, dtype=np.int64)
-    grid[pad : pad + h, pad : pad + w] = np.arange(sentinel).reshape(h, w)
-    win = np.lib.stride_tricks.sliding_window_view(grid, (k, k))
-    win = win[::stride, ::stride][:oh, :ow]
-    index = win.reshape(oh * ow, k * k).astype(np.intp)
-    index.setflags(write=False)
-    return index, oh, ow
-
-
-def _with_sentinel(codes2d: np.ndarray, fill: int, dtype=np.int64) -> np.ndarray:
-    """Append the sentinel slot (one ``fill`` per row) to flattened codes."""
-    rows = codes2d.shape[0]
-    out = np.empty((rows, codes2d.shape[1] + 1), dtype=dtype)
-    out[:, :-1] = codes2d
-    out[:, -1] = fill
-    return out
 
 
 # -- the accumulator proof -------------------------------------------------------
@@ -229,9 +195,9 @@ def _conv_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.n
     cols, oh, ow = im2col(codes, k, k, op.stride, op.pad)
     syn = (op.in_channels // g) * k * k
     w_int = shift_weight_ints(op.weight_codes).reshape(g, op.out_channels // g, syn)
-    cols_g = cols.astype(np.int64).reshape(n, g, syn, -1)
+    cols_g = cols.astype(np.int64).reshape(n, g, syn, oh * ow)
     acc = np.einsum("gfk,ngkp->ngfp", w_int, cols_g, optimize=True)
-    acc = acc.reshape(n, op.out_channels, -1)
+    acc = acc.reshape(n, op.out_channels, oh * ow)
     if op.bias_int is not None:
         acc += op.bias_int[None, :, None]
     out = accumulator_route(acc, op.in_frac + 7, op.out_frac, op.activation, max_code=max_code)
@@ -280,16 +246,47 @@ def _avgpool_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
 
 
 def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
-    return codes.reshape(codes.shape[0], -1)
+    return codes.reshape(codes.shape[0], int(np.prod(codes.shape[1:])))
 
 
 # -- compiled kernels ------------------------------------------------------------
 #
-# The compute kernels run their GEMM in float64 to reach BLAS: the compiler
-# has proved every partial sum fits its accumulator (at most 40 bits, far
-# below the 2^53 integers IEEE doubles represent exactly), so the result
-# is bit-identical to int64 arithmetic regardless of summation order and
-# ``astype(np.int64)`` is lossless.  Kernels ignore a second argument.
+# Between ops, activations are float64 integer codes in *batch-last*
+# memory: each kernel takes and returns the ``(N, C, H, W)`` / ``(N, F)``
+# shape of the reference path, but a spatial activation's memory is the
+# conv GEMM's natural ``(C, H, W, N)`` output, handed on as a zero-copy
+# ``transpose(3, 0, 1, 2)`` view.  The batch is then the contiguous inner
+# axis of every gather and pool pass.
+#
+# The arithmetic stays exact in float64.  The compiler has proved every
+# accumulator fits its datapath width (:func:`_proved_code_max`; at most
+# 40 bits, far below the 2^53 integers IEEE doubles represent exactly), so
+# the BLAS GEMM equals int64 arithmetic in any summation order; scaling
+# by a power of two is exact, and ``np.rint`` rounds half to even, so
+# :func:`_route` is bit-identical to
+# :func:`~repro.hw.datapath.accumulator_route`.
+# :meth:`BatchedEngine.run_codes` casts to int64 once, after the last op.
+# Kernels ignore a second argument.
+def _route(
+    acc: np.ndarray, acc_frac: int, out_frac: int, activation: str, max_code: int
+) -> np.ndarray:
+    """:func:`~repro.hw.datapath.accumulator_route` in place on float64 integers.
+
+    ``acc`` holds integers below 2^53 in magnitude; it is overwritten with
+    the output codes (still float64) and returned.  Scaling and rounding
+    are monotone and keep 0 at 0, so the ReLU folds into the saturation's
+    lower bound.
+    """
+    if activation not in ("none", "relu"):
+        raise ValueError(f"unsupported fused activation {activation!r}")
+    if out_frac != acc_frac:
+        acc *= 2.0 ** (out_frac - acc_frac)
+        if out_frac < acc_frac:
+            np.rint(acc, out=acc)
+    np.clip(acc, 0 if activation == "relu" else -max_code, max_code, out=acc)
+    return acc
+
+
 def _conv_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Optional[np.ndarray] = None):
     c, h, w = in_shape
     k, g = op.kernel_size, op.groups or 1
@@ -299,26 +296,25 @@ def _conv_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Opti
     w_f = decode_weight_plane(op) if plane is None else _check_plane(op, plane, shape)
     index, oh, ow = _im2col_indices(c, h, w, k, op.stride, op.pad)
     positions = oh * ow
-    bias = None if op.bias_int is None else op.bias_int[None, :, None].astype(np.float64)
+    bias = None if op.bias_int is None else op.bias_int[:, None].astype(np.float64)
     acc_frac = op.in_frac + 7
 
-    # Batch-transposed layout: gathering from (chw+1, N) yields columns as
+    # Gathering rows of the (chw+1, N) plane yields columns as
     # (c*k*k, positions, N), which reshapes — without copies — into the
     # (g, syn, positions*N) operand of one large GEMM per group instead of
-    # N small ones.
+    # N small ones; its (out_channels, positions*N) result is routed in
+    # place and handed on batch-last.
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         n = codes.shape[0]
         flat_t = np.empty((chw + 1, n), dtype=np.float64)
         flat_t[:-1] = codes.reshape(n, chw).T
         flat_t[-1] = 0.0
         cols_t = flat_t[index].reshape(g, syn, positions * n)
-        acc_t = np.matmul(w_f, cols_t)  # (g, out_channels/g, positions*n)
-        acc_f = acc_t.reshape(op.out_channels, positions, n).transpose(2, 0, 1)
+        acc = np.matmul(w_f, cols_t).reshape(op.out_channels, positions * n)
         if bias is not None:
-            acc_f = acc_f + bias
-        acc = acc_f.astype(np.int64)
-        out = accumulator_route(acc, acc_frac, op.out_frac, op.activation, max_code=max_code)
-        return out.reshape(n, op.out_channels, oh, ow)
+            acc += bias
+        _route(acc, acc_frac, op.out_frac, op.activation, max_code)
+        return acc.reshape(op.out_channels, oh, ow, n).transpose(3, 0, 1, 2)
 
     return kernel, (op.out_channels, oh, ow)
 
@@ -330,45 +326,93 @@ def _dense_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Opt
     acc_frac = op.in_frac + 7
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        acc_f = codes.astype(np.float64, copy=False) @ w_t
+        acc = np.asarray(codes, dtype=np.float64) @ w_t
         if bias is not None:
-            acc_f = acc_f + bias
-        acc = acc_f.astype(np.int64)
-        return accumulator_route(acc, acc_frac, op.out_frac, op.activation, max_code=max_code)
+            acc += bias
+        return _route(acc, acc_frac, op.out_frac, op.activation, max_code)
 
     return kernel, (op.out_features,)
 
 
+def _tap_span(size: int, out: int, offset: int, s: int, p: int) -> Optional[tuple]:
+    """Output and input slices of one window tap along one axis.
+
+    Output position ``a`` reads input ``a*s + offset - p``; returns the
+    ``(out_slice, in_slice)`` of the positions where that lands inside
+    ``[0, size)``, or ``None`` if none does.  Taps outside are padding or
+    ceil-mode overhang, and are skipped.
+    """
+    lo = max(0, -((offset - p) // s))
+    hi = min(out - 1, (size - 1 + p - offset) // s)
+    if lo > hi:
+        return None
+    start = lo * s + offset - p
+    return slice(lo, hi + 1), slice(start, start + (hi - lo) * s + 1, s)
+
+
+def _window_spans(op: DeployedLayer, h: int, w: int) -> tuple[tuple, tuple]:
+    """A pooling op's window taps per spatial axis, and its output size.
+
+    Returns ``((row_spans, col_spans), (oh, ow))``: one
+    ``(out_slice, in_slice)`` pair (see :func:`_tap_span`) per tap that
+    reads any input.
+    """
+    k, s, p = op.kernel_size, op.stride, op.pad
+    out_hw = tuple(pool_output_size(size, k, s, p, op.ceil_mode) for size in (h, w))
+    spans = tuple(
+        [span for span in (_tap_span(size, out, i, s, p) for i in range(k)) if span]
+        for size, out in zip((h, w), out_hw)
+    )
+    return spans, out_hw
+
+
+def _window_reduce(ufunc, fill: float, codes: np.ndarray, spans: tuple, out_hw: tuple) -> np.ndarray:
+    """Reduce every pooling window of an ``(N, C, H, W)`` batch with ``ufunc``.
+
+    Returns the ``(C, oh, ow, N)`` float64 plane.  ``fill`` is the
+    reduction's identity; padding and ceil-mode overhang read as it.
+    Pooling is separable, so a k×k window is k strided slices reduced
+    along H, then k along W: on the batch-last plane the first pass runs
+    over contiguous ``W*N`` rows, the second over contiguous ``N`` runs.
+    """
+    x = np.asarray(codes, dtype=np.float64).transpose(1, 2, 3, 0)
+    for axis, axis_spans, out_len in zip((1, 2), spans, out_hw):
+        lead = (slice(None),) * axis
+        out = np.full(x.shape[:axis] + (out_len,) + x.shape[axis + 1 :], fill, dtype=np.float64)
+        for o, i in axis_spans:
+            view = out[lead + (o,)]
+            ufunc(view, x[lead + (i,)], out=view)
+        x = out
+    return x
+
+
 def _maxpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
     c, h, w = in_shape
-    index, oh, ow = _pool_indices(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
-    fill = int(np.iinfo(np.int64).min)
+    spans, (oh, ow) = _window_spans(op, h, w)
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        n = codes.shape[0]
-        flat = _with_sentinel(codes.reshape(n * c, h * w), fill=fill)
-        out = flat[:, index].max(axis=-1)
-        return requantize_codes(out, op.in_frac, op.out_frac, max_code).reshape(n, c, oh, ow)
+        out = _window_reduce(np.maximum, -np.inf, codes, spans, (oh, ow))
+        return _route(out, op.in_frac, op.out_frac, "none", max_code).transpose(3, 0, 1, 2)
 
     return kernel, (c, oh, ow)
 
 
 def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
     c, h, w = in_shape
-    index, oh, ow = _pool_indices(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
-    counts = (index != h * w).sum(axis=-1).astype(np.int64)  # in-bounds taps per window
+    spans, (oh, ow) = _window_spans(op, h, w)
+    counts = pool_valid_counts(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
+    counts = counts.astype(np.int64)[:, :, None]
     shift = op.out_frac - op.in_frac
     if shift >= 0:
-        num_shift, den = shift, counts[None]
+        num_shift, den = shift, counts
     else:
-        num_shift, den = 0, counts[None] << (-shift)
+        num_shift, den = 0, counts << (-shift)
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        n = codes.shape[0]
-        flat = _with_sentinel(codes.reshape(n * c, h * w), fill=0)
-        sums = flat[:, index].sum(axis=-1)
-        out = div_round_half_even(sums << num_shift, den)
-        return saturate(out, max_code).reshape(n, c, oh, ow)
+        sums = _window_reduce(np.add, 0.0, codes, spans, (oh, ow))
+        out = div_round_half_even(sums.astype(np.int64) << num_shift, den)
+        np.clip(out, -max_code, max_code, out=out)
+        return out.astype(np.float64).transpose(3, 0, 1, 2)
 
     return kernel, (c, oh, ow)
 
@@ -391,10 +435,12 @@ class LayerOpHandler:
     output codes (saturating at ``±max_code``) directly from the
     :class:`DeployedLayer`.  ``compile(op, in_shape, max_code)`` returns
     ``(kernel, out_shape)`` where ``kernel(codes)`` is the precomputed
-    batched closure.  Weighted kinds (conv/dense) additionally accept
-    ``compile(op, in_shape, max_code, plane)`` — a pre-decoded weight plane
-    (see :func:`decode_weight_plane`), typically a zero-copy
-    shared-memory view, used instead of decoding the op's codes.
+    batched closure; it returns the same codes as float64, in batch-last
+    memory (see the kernel notes above).  Weighted kinds (conv/dense)
+    additionally accept ``compile(op, in_shape, max_code, plane)`` — a
+    pre-decoded weight plane (see :func:`decode_weight_plane`), typically
+    a zero-copy shared-memory view, used instead of decoding the op's
+    codes.
     """
 
     kind: str
@@ -718,10 +764,11 @@ class BatchedEngine:
     """Compiled batched executor for one deployed MF-DFP network.
 
     Compilation walks the op list once, decoding weights through
-    :data:`SHIFT_LUT` and building gather-index tables; :meth:`run_codes`
-    then streams ``(N, ...)`` batches through the kernel closures.
-    Outputs are bit-identical to :func:`execute_deployed` for every batch
-    size (integer arithmetic is exact, so batching cannot change values).
+    :data:`SHIFT_LUT` and fixing each layer's gather table or window
+    slices; :meth:`run_codes` then streams ``(N, ...)`` batches through
+    the kernel closures.  Outputs are bit-identical to
+    :func:`execute_deployed` for every batch size (every value is an
+    integer float64 represents exactly, so batching cannot change values).
 
     Compiling raises :class:`~repro.hw.datapath.DatapathOverflowError`
     naming the op if an accumulator could overflow.
@@ -772,7 +819,7 @@ class BatchedEngine:
 
     # -- execution ---------------------------------------------------------
     def run_codes(self, x: np.ndarray) -> np.ndarray:
-        """Quantize a float batch and return integer output codes."""
+        """Quantize a float batch and return int64 output codes."""
         x = np.asarray(x)
         if x.shape[1:] != self.input_shape:
             raise ValueError(
@@ -782,7 +829,7 @@ class BatchedEngine:
         codes = dfp_to_codes(x, self.input_fmt)
         for op in self.program:
             codes = op.kernel(codes)
-        return codes
+        return codes.astype(np.int64, order="C")
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Batched inference; returns float logits (codes × output grid)."""

@@ -29,8 +29,8 @@ by eliminating everything around the arithmetic instead:
 * **Shared gather tables.**  The col2im scatter and the pooling window
   geometry reuse the process-wide geometry-keyed LRU caches of
   :func:`repro.nn.layers.conv.patch_index_table` and
-  :func:`repro.nn.layers.pool.pool_valid_counts` — the same tables the
-  compiled inference engine builds its gather indices from.
+  :func:`repro.nn.layers.pool.pool_valid_counts`; the compiled inference
+  engine builds its im2col gather index from the former.
 * **Fused quantized fine-tuning.**  DFP activation quantizers are fused
   into in-place kernels (no int64/float64 round-trip allocations), and
   deterministic weight quantizers are memoized on the *identity of the

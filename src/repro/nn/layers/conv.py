@@ -6,7 +6,7 @@ is NCHW throughout.
 
 Patch geometry is shared infrastructure: :func:`patch_index_table` builds
 the flat gather/scatter index tables that both ``col2im`` here and the
-compiled inference engine's gather tables
+compiled inference engine's im2col gather table
 (:mod:`repro.core.engine`) are derived from, memoized per geometry.
 """
 

@@ -11,9 +11,9 @@ pickling of weights and zero LUT decodes.  Campaign tasks in the same
 worker look engines up in that same cache.
 
 Also home to :func:`runtime_check`, the probe the fork/spawn regression
-tests dispatch to assert the process-global invariants (frozen
-``lru_cache`` gather tables, engine-cache same-object semantics, frozen
-shared-plane views) hold in children under both start methods.
+tests dispatch to assert the process-global invariants (the frozen
+``lru_cache`` im2col gather table, engine-cache same-object semantics,
+frozen shared-plane views) hold in children under both start methods.
 """
 
 from __future__ import annotations
@@ -144,23 +144,19 @@ def runtime_check(
 ) -> dict:
     """Probe the process-global engine invariants inside this worker.
 
-    Children rebuild the ``lru_cache`` gather tables from scratch (the
-    caches are per-process), so the properties that matter — frozen
-    arrays, memoized same-object returns — must be re-established here,
+    Children rebuild the ``lru_cache`` im2col gather table from scratch
+    (the cache is per-process), so the properties that matter — a frozen
+    array, memoized same-object returns — must be re-established here,
     not inherited; this verifies they are, under fork and spawn alike.
     With ``deployed``, it also checks that two lookups in this child's
     :func:`~repro.core.engine.engine_cache` return the same engine.
     """
     im1 = engine_mod._im2col_indices(3, 8, 8, 3, 1, 1)
     im2 = engine_mod._im2col_indices(3, 8, 8, 3, 1, 1)
-    pool1 = engine_mod._pool_indices(8, 8, 2, 2, 0, True)
-    pool2 = engine_mod._pool_indices(8, 8, 2, 2, 0, True)
     out = {
         "pid": os.getpid(),
         "im2col_frozen": all(not a.flags.writeable for a in im1 if isinstance(a, np.ndarray)),
         "im2col_memoized": all(a is b for a, b in zip(im1, im2) if isinstance(a, np.ndarray)),
-        "pool_frozen": all(not a.flags.writeable for a in pool1 if isinstance(a, np.ndarray)),
-        "pool_memoized": all(a is b for a, b in zip(pool1, pool2) if isinstance(a, np.ndarray)),
     }
     if deployed is not None:
         cache = engine_cache()

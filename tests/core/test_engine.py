@@ -18,6 +18,7 @@ from repro.hw import Accelerator, AcceleratorConfig
 from repro.hw.datapath import DatapathOverflowError, datapath_widths
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
+from repro.zoo import DEPLOYABLE_BUILDERS
 
 
 def _deploy(net, rng, calib_n=32):
@@ -108,6 +109,16 @@ class TestBitExactness:
         engine = BatchedEngine(deployed)
         x = rng.normal(scale=0.8, size=(batch,) + engine.input_shape).astype(np.float32)
         assert np.array_equal(engine.run_codes(x), execute_deployed(deployed, x))
+
+    @pytest.mark.parametrize("model", ["cifar10_full", "alexnet"])
+    def test_empty_batch_returns_empty_codes_on_both_paths(self, model):
+        deployed = DEPLOYABLE_BUILDERS[model](size=8)
+        x = np.zeros((0,) + tuple(deployed.input_shape))
+        reference = execute_deployed(deployed, x)
+        codes = BatchedEngine(deployed).run_codes(x)
+        assert reference.shape == codes.shape == (0, deployed.ops[-1].out_features)
+        assert reference.dtype.kind == codes.dtype.kind == "i"
+        assert np.array_equal(codes, reference)
 
     def test_engine_matches_per_sample_scalar_path(self):
         rng = np.random.default_rng(0)

@@ -2,12 +2,13 @@
 
 For every executable layer kind, seeded random draws of geometry
 (shapes, kernels, strides, padding, groups), fraction lengths and 4-bit
-weight codes build single-op deployed networks; the compiled engine
-must match the eager reference bit-for-bit for every batch size, and
-batching itself must not change any value (a batch run equals the
-concatenation of solo runs).  The engine-cache hit path is part of the
-property: equal-content artifacts must yield the *same object* and the
-same outputs.
+weight codes build single-op deployed networks, and a ``chain`` draw
+builds a six-op network that hands activations from kernel to kernel;
+the compiled engine must match the eager reference bit-for-bit for
+every batch size, and batching itself must not change any value (a
+batch run equals the concatenation of solo runs).  The engine-cache hit
+path is part of the property: equal-content artifacts must yield the
+*same object* and the same outputs.
 """
 
 import numpy as np
@@ -20,9 +21,10 @@ from repro.core.engine import (
     execute_deployed,
 )
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
+from repro.nn.layers.pool import pool_output_size
 
 SEEDS = range(6)
-BATCH_SIZES = (1, 3, 17)
+BATCH_SIZES = (1, 3, 17, 64)
 
 
 def _fracs(rng):
@@ -53,7 +55,7 @@ def _random_conv(rng):
         pad=pad,
         groups=groups,
     )
-    return op, (cin, h, w)
+    return [op], (cin, h, w)
 
 
 def _random_dense(rng):
@@ -71,7 +73,7 @@ def _random_dense(rng):
         in_features=fin,
         out_features=fout,
     )
-    return op, (fin,)
+    return [op], (fin,)
 
 
 def _random_pool(kind):
@@ -90,7 +92,7 @@ def _random_pool(kind):
             pad=int(rng.integers(0, 2)),
             ceil_mode=bool(rng.integers(2)),
         )
-        return op, (c, h, w)
+        return [op], (c, h, w)
 
     return draw
 
@@ -99,7 +101,81 @@ def _random_flatten(rng):
     in_frac = int(rng.integers(0, 8))
     c, h, w = (int(v) for v in rng.integers(2, 6, size=3))
     op = DeployedLayer(kind="flatten", name="flat_prop", in_frac=in_frac, out_frac=in_frac)
-    return op, (c, h, w)
+    return [op], (c, h, w)
+
+
+def _random_chain(rng):
+    """conv → maxpool → conv (groups 2) → avgpool (ceil mode) → flatten → dense.
+
+    Exercises the kernels' layout handoff: every op after the first
+    reads the previous kernel's output, not a fresh input batch.
+    """
+    fracs = [int(f) for f in rng.integers(0, 8, size=6)]
+    c, h, w = int(rng.integers(1, 4)), *(int(v) for v in rng.integers(12, 17, size=2))
+    ops = []
+
+    def conv(name, in_frac, out_frac, cin, groups, spatial):
+        cout = 2 * int(rng.integers(1, 4))
+        k = min(int(rng.integers(1, 4)), *spatial)
+        stride = int(rng.integers(1, 3))
+        pad = int(rng.integers(0, k))
+        ops.append(
+            DeployedLayer(
+                kind="conv",
+                name=name,
+                in_frac=in_frac,
+                out_frac=out_frac,
+                weight_codes=rng.integers(0, 16, size=(cout, cin // groups, k, k)),
+                bias_int=rng.integers(-4000, 4000, size=cout) if rng.integers(2) else None,
+                activation=str(rng.choice(["none", "relu"])),
+                in_channels=cin,
+                out_channels=cout,
+                kernel_size=k,
+                stride=stride,
+                pad=pad,
+                groups=groups,
+            )
+        )
+        return cout, tuple((v + 2 * pad - k) // stride + 1 for v in spatial)
+
+    def pool(kind, name, in_frac, out_frac, spatial, ceil_mode):
+        k = min(int(rng.integers(2, 4)), *spatial)
+        stride = int(rng.integers(1, min(k, 2) + 1))
+        pad = int(rng.integers(0, k // 2 + 1))
+        ops.append(
+            DeployedLayer(
+                kind=kind,
+                name=name,
+                in_frac=in_frac,
+                out_frac=out_frac,
+                kernel_size=k,
+                stride=stride,
+                pad=pad,
+                ceil_mode=ceil_mode,
+            )
+        )
+        return tuple(pool_output_size(v, k, stride, pad, ceil_mode) for v in spatial)
+
+    c1, spatial = conv("conv1", fracs[0], fracs[1], c, 1, (h, w))
+    spatial = pool("maxpool", "pool1", fracs[1], fracs[2], spatial, bool(rng.integers(2)))
+    c2, spatial = conv("conv2", fracs[2], fracs[3], c1, 2, spatial)
+    spatial = pool("avgpool", "pool2", fracs[3], fracs[4], spatial, True)
+    ops.append(DeployedLayer(kind="flatten", name="flat", in_frac=fracs[4], out_frac=fracs[4]))
+    fin, fout = c2 * spatial[0] * spatial[1], int(rng.integers(1, 10))
+    ops.append(
+        DeployedLayer(
+            kind="dense",
+            name="fc",
+            in_frac=fracs[4],
+            out_frac=fracs[5],
+            weight_codes=rng.integers(0, 16, size=(fout, fin)),
+            bias_int=rng.integers(-4000, 4000, size=fout) if rng.integers(2) else None,
+            activation=str(rng.choice(["none", "relu"])),
+            in_features=fin,
+            out_features=fout,
+        )
+    )
+    return ops, (c, h, w)
 
 
 DRAWS = {
@@ -108,19 +184,20 @@ DRAWS = {
     "maxpool": _random_pool("maxpool"),
     "avgpool": _random_pool("avgpool"),
     "flatten": _random_flatten,
+    "chain": _random_chain,
 }
 
 
-def _deployed_single_op(kind, seed):
+def _deployed(kind, seed):
     # stable per-kind offset (hash() is randomized across processes)
     rng = np.random.default_rng(1000 * seed + sum(kind.encode()))
-    op, in_shape = DRAWS[kind](rng)
+    ops, in_shape = DRAWS[kind](rng)
     deployed = DeployedMFDFP(
         name=f"prop_{kind}_{seed}",
         input_shape=in_shape,
-        input_frac=op.in_frac,
+        input_frac=ops[0].in_frac,
         bits=8,
-        ops=[op],
+        ops=ops,
     )
     return deployed, rng
 
@@ -129,7 +206,7 @@ def _deployed_single_op(kind, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 class TestEngineMatchesReference:
     def test_bit_identical_roundtrip(self, kind, seed):
-        deployed, rng = _deployed_single_op(kind, seed)
+        deployed, rng = _deployed(kind, seed)
         engine = BatchedEngine(deployed)
         for n in BATCH_SIZES:
             x = rng.uniform(-2.0, 2.0, size=(n,) + deployed.input_shape)
@@ -141,7 +218,7 @@ class TestEngineMatchesReference:
             assert np.array_equal(engine.run(x), codes.astype(np.float64) * scale)
 
     def test_batching_never_changes_values(self, kind, seed):
-        deployed, rng = _deployed_single_op(kind, seed)
+        deployed, rng = _deployed(kind, seed)
         engine = BatchedEngine(deployed)
         x = rng.uniform(-2.0, 2.0, size=(7,) + deployed.input_shape)
         solo = np.concatenate([engine.run_codes(x[i : i + 1]) for i in range(7)])
@@ -151,7 +228,7 @@ class TestEngineMatchesReference:
 @pytest.mark.parametrize("kind", sorted(DRAWS))
 class TestEngineCacheHitPath:
     def test_cache_hit_same_object_same_outputs(self, kind):
-        deployed, rng = _deployed_single_op(kind, seed=0)
+        deployed, rng = _deployed(kind, seed=0)
         cache = EngineCache()
         engine = cache.get(deployed)
         x = rng.uniform(-2.0, 2.0, size=(5,) + deployed.input_shape)
@@ -162,8 +239,8 @@ class TestEngineCacheHitPath:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_equal_content_distinct_objects_share_engine(self, kind):
-        first, _ = _deployed_single_op(kind, seed=0)
-        rebuilt, rng = _deployed_single_op(kind, seed=0)
+        first, _ = _deployed(kind, seed=0)
+        rebuilt, rng = _deployed(kind, seed=0)
         assert first is not rebuilt
         assert engine_fingerprint(first) == engine_fingerprint(rebuilt)
         cache = EngineCache()
@@ -173,8 +250,8 @@ class TestEngineCacheHitPath:
         assert np.array_equal(engine.run(x), execute_deployed(rebuilt, x) * 2.0 ** (-rebuilt.ops[-1].out_frac))
 
     def test_different_content_gets_different_engine(self, kind):
-        a, _ = _deployed_single_op(kind, seed=1)
-        b, _ = _deployed_single_op(kind, seed=2)
+        a, _ = _deployed(kind, seed=1)
+        b, _ = _deployed(kind, seed=2)
         assert engine_fingerprint(a) != engine_fingerprint(b)
         cache = EngineCache()
         assert cache.get(a) is not cache.get(b)
@@ -187,7 +264,7 @@ def test_cache_hit_accounting_is_exact_under_threads():
     increments from racing read-modify-writes."""
     from concurrent.futures import ThreadPoolExecutor
 
-    deployed, _ = _deployed_single_op("dense", seed=0)
+    deployed, _ = _deployed("dense", seed=0)
     cache = EngineCache()
     total = 64
     with ThreadPoolExecutor(8) as pool:
@@ -202,7 +279,7 @@ def test_fingerprint_memo_is_not_inherited_by_mutated_copies():
     must not reuse the original's memoized digest (stale-cache hazard)."""
     import copy
 
-    deployed, _ = _deployed_single_op("dense", seed=3)
+    deployed, _ = _deployed("dense", seed=3)
     original = engine_fingerprint(deployed)
     faulty = copy.deepcopy(deployed)
     faulty.ops[0].weight_codes = faulty.ops[0].weight_codes ^ 1  # flip LSBs

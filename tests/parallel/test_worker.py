@@ -1,7 +1,7 @@
 """Fork/spawn safety of engine globals + shared-plane serving invariants.
 
 Regression tests for the process backend's core correctness claims:
-``lru_cache`` gather tables and the process-wide engine cache behave in
+the ``lru_cache`` im2col gather table and the process-wide engine cache behave in
 children under *both* start methods, attached planes are frozen and
 mapped once per process, and workers serving from shared memory perform
 zero LUT decodes of their own.
@@ -42,7 +42,7 @@ def _evict_all():
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_engine_globals_safe_in_children(deployed, prefix, start_method):
-    """Gather tables rebuild frozen+memoized and the cache dedups, per child."""
+    """The im2col table rebuilds frozen+memoized and the cache dedups, per child."""
     with SharedWeightArena(prefix=prefix) as arena:
         spec = arena.publish(deployed)
         with ProcessPoolRunner(
@@ -52,7 +52,6 @@ def test_engine_globals_safe_in_children(deployed, prefix, start_method):
 
     assert report["pid"] != os.getpid()
     assert report["im2col_frozen"] and report["im2col_memoized"]
-    assert report["pool_frozen"] and report["pool_memoized"]
     assert report["cache_same_engine"]
     assert report["planes_frozen"] and report["attach_memoized"]
     assert report["attached_segments"] == 1
