@@ -35,7 +35,7 @@ import pytest
 from repro.core.mfdfp import MFDFPNetwork
 from repro.datasets import cifar10_surrogate
 from repro.nn import SGD, Trainer
-from repro.nn.layers.conv import Conv2D, conv_output_size
+from repro.nn.layers.conv import Conv2D, conv_output_size, im2col
 from repro.nn.layers.dense import Dense
 from repro.nn.layers.pool import AvgPool2D, MaxPool2D
 from repro.zoo import cifar10_small
@@ -65,6 +65,21 @@ def _seed_col2im(cols, x_shape, kh, kw, stride, pad):
 
 
 class _SeedConv2D(Conv2D):
+    def forward(self, x):
+        """The seed forward: the GEMM through ``np.einsum`` dispatch."""
+        n = x.shape[0]
+        k, s, p = self.kernel_size, self.stride, self.pad
+        g = self.groups
+        cols, out_h, out_w = im2col(x, k, k, s, p)
+        cols_g = cols.reshape(n, g, (self.in_channels // g) * k * k, -1)
+        w_mat = self.effective_weight().reshape(g, self.out_channels // g, -1)
+        y = np.einsum("gfk,ngkp->ngfp", w_mat, cols_g, optimize=True)
+        y = y.reshape(n, self.out_channels, -1)
+        if self.bias is not None:
+            y += self.bias.data[None, :, None]
+        self._cache = (x.shape, cols_g, w_mat)
+        return self._quantize_output(y.reshape(n, self.out_channels, out_h, out_w))
+
     def backward(self, grad):
         x_shape, cols_g, w_mat = self._cache
         n = grad.shape[0]

@@ -104,7 +104,7 @@ def train_surrogate(
     Every ``python -m repro sweep CAMPAIGN --epochs N`` pays this
     training cost before a single campaign point runs, so it routes
     through the compiled training fast path (:mod:`repro.nn.compiled`)
-    — bit-identical to the eager trainer, roughly twice the
+    — bit-identical to the eager trainer, about 1.5× the
     samples/sec.  Returns the history and the trainer (whose
     ``profile_rows()`` carry per-layer timings when ``profile``).
     """

@@ -5,9 +5,9 @@ Usage::
     python -m repro table1            # design area / power (Table 1)
     python -m repro table3            # parameter memory (Table 3)
     python -m repro schedule          # per-layer latency of both networks
-    python -m repro fig3 [--epochs N] [--no-compiled] [--profile]
+    python -m repro fig3 [--epochs N] [--profile]
                                       # Figure-3 curves on the surrogate
-    python -m repro table2 [--epochs N] [--no-compiled] [--profile]
+    python -m repro table2 [--epochs N] [--profile]
                                       # accuracy/time/energy (Table 2)
     python -m repro serve [--models a,b] [--workers N] [--batch N] \
         [--max-queue N] [--requests N] [--store DIR] [--quarantine-after N] \
@@ -33,10 +33,9 @@ Usage::
 
 ``table2`` and ``fig3`` train on the CIFAR-10 surrogate and take a few
 minutes; the others are instantaneous.  Training runs through the
-compiled fast path (:mod:`repro.nn.compiled`) by default —
-``--no-compiled`` switches to the eager layer stack (bit-identical
-curves, useful to verify exactly that) and ``--profile`` prints a
-per-layer forward/backward time breakdown after the surrogate training.  ``serve`` hosts the named
+compiled fast path (:mod:`repro.nn.compiled`), and ``--profile`` prints
+its per-layer forward/backward time breakdown after the surrogate
+training.  ``serve`` hosts the named
 registry models (default ``cifar10_full``; ``alexnet`` also ships) on
 the supervised per-model actors of :class:`repro.serve.ServerRuntime`,
 pushes interleaved requests through the per-model micro-batch mailboxes,
@@ -122,7 +121,7 @@ def _cmd_schedule(args) -> None:
             )
 
 
-def _surrogate_trainer(compiled: bool = True, profile: bool = False):
+def _surrogate_trainer(profile: bool = False):
     """The CLI's deterministic surrogate training problem, unfitted.
 
     Shared by ``table2``/``fig3`` (which fit it) and ``resume`` (which
@@ -141,7 +140,6 @@ def _surrogate_trainer(compiled: bool = True, profile: bool = False):
         optimizer,
         scheduler=PlateauScheduler(optimizer, patience=2),
         batch_size=32,
-        compiled=compiled,
         profile=profile,
     )
     return trainer, train, test
@@ -149,12 +147,11 @@ def _surrogate_trainer(compiled: bool = True, profile: bool = False):
 
 def _train_problem(
     epochs: int,
-    compiled: bool = True,
     profile: bool = False,
     checkpoint_dir=None,
     checkpoint_every: int = 1,
 ):
-    trainer, train, test = _surrogate_trainer(compiled=compiled, profile=profile)
+    trainer, train, test = _surrogate_trainer(profile=profile)
     checkpoint = None
     if checkpoint_dir is not None:
         from repro.io import Checkpointer
@@ -162,15 +159,14 @@ def _train_problem(
         checkpoint = Checkpointer(checkpoint_dir, every=checkpoint_every)
     trainer.fit(train, test, epochs=epochs, checkpoint=checkpoint)
     if profile:
-        _print_profile(trainer, compiled)
+        _print_profile(trainer)
     return trainer.net, train, test
 
 
-def _print_profile(trainer, compiled: bool) -> None:
+def _print_profile(trainer) -> None:
     from repro.nn import format_profile
 
-    path = "compiled fast path" if trainer.executor is not None else "eager layers"
-    print(f"\nper-layer training time (surrogate training, {path}):")
+    print("\nper-layer training time (surrogate training, compiled fast path):")
     print(format_profile(trainer.profile_rows()))
     print()
 
@@ -182,17 +178,14 @@ def _cmd_table2(args) -> None:
     from repro.report import format_table, table2_row
     from repro.zoo import cifar10_full
 
-    compiled = not args.no_compiled
     net, train, test = _train_problem(
         args.epochs,
-        compiled=compiled,
         profile=args.profile,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
     )
     config = MFDFPConfig(
-        phase1_epochs=args.epochs // 2, phase2_epochs=args.epochs // 2, lr=5e-3,
-        compiled=compiled,
+        phase1_epochs=args.epochs // 2, phase2_epochs=args.epochs // 2, lr=5e-3
     )
     result = run_algorithm1(net.clone(), train, test, train.x[:256], config)
     rng = np.random.default_rng(1)
@@ -504,8 +497,7 @@ def _cmd_import(args) -> None:
 def _cmd_resume(args) -> None:
     from repro.io import ArtifactError, Checkpointer
 
-    compiled = not args.no_compiled
-    trainer, train, test = _surrogate_trainer(compiled=compiled, profile=args.profile)
+    trainer, train, test = _surrogate_trainer(profile=args.profile)
     checkpoint = Checkpointer(args.checkpoint_dir, every=args.checkpoint_every)
     try:
         done = checkpoint.resume(trainer)
@@ -523,7 +515,7 @@ def _cmd_resume(args) -> None:
     print(f"resuming surrogate training at epoch {done + 1}/{args.epochs} (from {restored})")
     trainer.fit(train, test, epochs=args.epochs, resume=True, checkpoint=checkpoint)
     if args.profile:
-        _print_profile(trainer, compiled)
+        _print_profile(trainer)
     print(f"{'epoch':>5}  {'train loss':>12}  {'val error':>10}  {'lr':>9}")
     for e in trainer.history.epochs:
         marker = " (resumed)" if e.epoch == done + 1 else ""
@@ -534,18 +526,15 @@ def _cmd_fig3(args) -> None:
     from repro.core import MFDFPConfig, MFDFPNetwork, phase1_finetune, phase2_distill
     from repro.nn import error_rate
 
-    compiled = not args.no_compiled
     net, train, test = _train_problem(
         args.epochs,
-        compiled=compiled,
         profile=args.profile,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
     )
     float_err = error_rate(net, test)
     config = MFDFPConfig(
-        phase1_epochs=args.epochs // 2, phase2_epochs=args.epochs // 2, lr=5e-3,
-        compiled=compiled,
+        phase1_epochs=args.epochs // 2, phase2_epochs=args.epochs // 2, lr=5e-3
     )
     labels_net = MFDFPNetwork.from_float(net.clone(), train.x[:256])
     curve_a = phase1_finetune(labels_net, train, test, config).val_errors
@@ -630,12 +619,6 @@ def _str_list(value: str):
 
 
 def _add_training_flags(parser, checkpointing: bool = True) -> None:
-    parser.add_argument(
-        "--no-compiled",
-        action="store_true",
-        help="train on the eager layer stack instead of the compiled fast "
-        "path (bit-identical results; escape hatch for debugging)",
-    )
     parser.add_argument(
         "--profile",
         action="store_true",

@@ -19,13 +19,11 @@ by eliminating everything around the arithmetic instead:
   column block, GEMM output, gradient, scatter target and quantization
   scratch is preallocated once and reused via ``out=`` arguments on the
   steady path; a steady-state training step allocates nothing large.
-* **Bitwise-verified kernel selection.**  ``np.einsum`` dispatches the
-  conv contractions to batched BLAS for most geometries but re-enters
-  its Python dispatch machinery on every call.  At plan time each conv
-  geometry is *probed*: the direct ``np.matmul`` formulation is compared
-  bitwise against the eager einsum on random operands and adopted only
-  when equal (falling back to einsum — with or without ``out=``, again
-  bitwise-probed — otherwise).  Numerics are never traded for speed.
+* **One GEMM formula.**  Each conv kernel issues the very ``np.matmul``
+  calls :class:`repro.nn.layers.conv.Conv2D` makes — same operands, same
+  layouts, the weight gradient as one merged GEMM per group — only into
+  preallocated ``out=`` workspaces, so its float sequence is the eager
+  one by construction on every host and BLAS build.
 * **Shared gather tables.**  The col2im scatter and the pooling window
   geometry reuse the process-wide geometry-keyed LRU caches of
   :func:`repro.nn.layers.conv.patch_index_table` and
@@ -52,7 +50,6 @@ curves and final weights to exact equality.
 
 from __future__ import annotations
 
-import functools
 import time
 from typing import Callable, Optional
 
@@ -244,92 +241,6 @@ def _make_out_hook(layer: Layer, scratch: _Scratch):
     return lambda y: hook(y)
 
 
-# -- GEMM kernel probes -----------------------------------------------------------
-#
-# ``np.einsum`` is the eager reference primitive for the conv
-# contractions.  These probes decide, once per geometry, whether the
-# direct matmul formulation (BLAS without einsum's per-call dispatch) is
-# bitwise-identical to it — float summation order is implementation
-# detail, so the only acceptable proof is an exact comparison on random
-# operands of the actual shapes and dtypes.  A mismatch anywhere keeps
-# the eager einsum (with ``out=`` when that, too, probes equal).
-
-
-@functools.lru_cache(maxsize=1024)
-def _conv_fwd_mode(g: int, f: int, syn: int, pos: int, n: int, wdt: str, xdt: str) -> str:
-    rng = np.random.default_rng(0xC0FFEE)  # repro-lint: disable=rng-discipline (fixed probe seed for kernel tracing; trace and replay must see identical inputs)
-    w = rng.standard_normal((g, f, syn)).astype(wdt)
-    cols = rng.standard_normal((n, g, syn, pos)).astype(xdt)
-    ref = np.einsum("gfk,ngkp->ngfp", w, cols, optimize=True)
-    out = np.empty_like(ref)
-    if np.array_equal(np.matmul(w[None], cols, out=out), ref):
-        return "matmul"
-    if np.array_equal(np.einsum("gfk,ngkp->ngfp", w, cols, out=out, optimize=True), ref):
-        return "einsum_out"
-    return "einsum"
-
-
-@functools.lru_cache(maxsize=1024)
-def _conv_dcols_mode(g: int, f: int, syn: int, pos: int, n: int, wdt: str, gdt: str) -> str:
-    rng = np.random.default_rng(0xBEEF)  # repro-lint: disable=rng-discipline (fixed probe seed for kernel tracing; trace and replay must see identical inputs)
-    w = rng.standard_normal((g, f, syn)).astype(wdt)
-    gr = rng.standard_normal((n, g, f, pos)).astype(gdt)
-    ref = np.einsum("gfk,ngfp->ngkp", w, gr, optimize=True)
-    out = np.empty_like(ref)
-    # The kernel feeds matmul the transposed *view* (no copy per step);
-    # probe the identical call so BLAS takes the identical path.
-    if np.array_equal(np.matmul(w.transpose(0, 2, 1)[None], gr, out=out), ref):
-        return "matmul"
-    if np.array_equal(np.einsum("gfk,ngfp->ngkp", w, gr, out=out, optimize=True), ref):
-        return "einsum_out"
-    return "einsum"
-
-
-@functools.lru_cache(maxsize=1024)
-def _conv_dw_mode(g: int, f: int, syn: int, pos: int, n: int, gdt: str, xdt: str) -> str:
-    """Kernel choice for the weight-gradient contraction ``ngfp,ngkp->gfk``.
-
-    einsum's optimized path merges the contracted ``(n, p)`` axes and
-    runs one GEMM per group behind its dispatch machinery; doing the
-    merge explicitly (transpose copies into workspaces + ``matmul``)
-    computes the identical float sequence for most geometries.  The
-    probe requires bitwise equality *and* a wall-clock win before
-    adopting the merged kernel — otherwise einsum (with ``out=`` when
-    that probes equal) remains the reference.
-    """
-    rng = np.random.default_rng(0xD00D)  # repro-lint: disable=rng-discipline (fixed probe seed for kernel tracing; trace and replay must see identical inputs)
-    gr = rng.standard_normal((n, g, f, pos)).astype(gdt)
-    cols = rng.standard_normal((n, g, syn, pos)).astype(xdt)
-
-    def einsum_ref():
-        return np.einsum("ngfp,ngkp->gfk", gr, cols, optimize=True)
-
-    ref = einsum_ref()
-    out = np.empty_like(ref)
-    gr_t = np.empty((g, f, n, pos), dtype=gr.dtype)
-    cols_t = np.empty((g, n, pos, syn), dtype=cols.dtype)
-
-    def merged():
-        np.copyto(gr_t, gr.transpose(1, 2, 0, 3))
-        np.copyto(cols_t, cols.transpose(1, 0, 3, 2))
-        return np.matmul(gr_t.reshape(g, f, n * pos), cols_t.reshape(g, n * pos, syn), out=out)
-
-    if np.array_equal(merged(), ref):
-        best = {"einsum": min(_time_call(einsum_ref) for _ in range(3)),
-                "merged": min(_time_call(merged) for _ in range(3))}
-        if best["merged"] < best["einsum"]:
-            return "merged"
-    if np.array_equal(np.einsum("ngfp,ngkp->gfk", gr, cols, out=out, optimize=True), ref):
-        return "einsum_out"
-    return "einsum"
-
-
-def _time_call(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
 # -- per-layer kernel builders ----------------------------------------------------
 #
 # Each builder receives the traced input/output array metadata and
@@ -365,7 +276,6 @@ def _build_conv(layer: Conv2D, in_meta, out_meta, cache, scratch, in_fmt):
     cols_ws = np.empty((n, c, k, k, oh, ow), dtype=in_dtype)
     cols_g = cols_ws.reshape(n, g, syn, pos)
     y_ws = np.empty((n, g, f, pos), dtype=y_dtype)
-    fwd_mode = _conv_fwd_mode(g, f, syn, pos, n, w_dtype.str, np.dtype(in_dtype).str)
     out_hook = _make_out_hook(layer, scratch)
     bias = layer.bias
     wshape = layer.weight.data.shape
@@ -381,12 +291,7 @@ def _build_conv(layer: Conv2D, in_meta, out_meta, cache, scratch, in_fmt):
         win = win[:, :, ::s, ::s, :, :][:, :, :oh, :ow, :, :]
         np.copyto(cols_ws, win.transpose(0, 1, 4, 5, 2, 3))
         w_mat = cache.effective_weight(layer).reshape(g, f, syn)
-        if fwd_mode == "matmul":
-            np.matmul(w_mat[None], cols_g, out=y_ws)
-        elif fwd_mode == "einsum_out":
-            np.einsum("gfk,ngkp->ngfp", w_mat, cols_g, out=y_ws, optimize=True)
-        else:
-            y_ws[...] = np.einsum("gfk,ngkp->ngfp", w_mat, cols_g, optimize=True)
+        np.matmul(w_mat[None], cols_g, out=y_ws)
         y = y_ws.reshape(n, out_c, pos)
         if bias is not None:
             y += bias.data[None, :, None]
@@ -398,49 +303,31 @@ def _build_conv(layer: Conv2D, in_meta, out_meta, cache, scratch, in_fmt):
         dw_dtype = np.result_type(gdt, in_dtype)
         dw_ws = np.empty((g, f, syn), dtype=dw_dtype)
         bsum_ws = np.empty((g, f), dtype=gdt) if bias is not None else None
-        dw_mode = _conv_dw_mode(g, f, syn, pos, n, gdt.str, np.dtype(in_dtype).str)
-        if dw_mode == "merged":
-            gr_t_ws = np.empty((g, f, n, pos), dtype=gdt)
-            cols_t_ws = np.empty((g, n, pos, syn), dtype=in_dtype)
+        gr_t_ws = np.empty((g, f, n, pos), dtype=gdt)
+        cols_t_ws = np.empty((g, n, pos, syn), dtype=in_dtype)
         if need_dx:
             dcols_dtype = np.result_type(w_dtype, gdt)
             dcols_ws = np.empty((n, g, syn, pos), dtype=dcols_dtype)
             dx_ws = np.empty((n, c, hp, wp), dtype=dcols_dtype)
-            dcols_mode = _conv_dcols_mode(g, f, syn, pos, n, w_dtype.str, gdt.str)
 
         def backward(grad: np.ndarray) -> np.ndarray:
             gr = grad.reshape(n, g, f, pos)
-            if dw_mode == "merged":
-                np.copyto(gr_t_ws, gr.transpose(1, 2, 0, 3))
-                np.copyto(cols_t_ws, cols_g.transpose(1, 0, 3, 2))
-                np.matmul(
-                    gr_t_ws.reshape(g, f, n * pos),
-                    cols_t_ws.reshape(g, n * pos, syn),
-                    out=dw_ws,
-                )
-                dw = dw_ws
-            elif dw_mode == "einsum_out":
-                np.einsum("ngfp,ngkp->gfk", gr, cols_g, out=dw_ws, optimize=True)
-                dw = dw_ws
-            else:
-                dw = np.einsum("ngfp,ngkp->gfk", gr, cols_g, optimize=True)
+            np.copyto(gr_t_ws, gr.transpose(1, 2, 0, 3))
+            np.copyto(cols_t_ws, cols_g.transpose(1, 0, 3, 2))
+            np.matmul(
+                gr_t_ws.reshape(g, f, n * pos), cols_t_ws.reshape(g, n * pos, syn), out=dw_ws
+            )
             # Copies, not workspace views: eager backward hands out fresh
             # grad arrays each step, so a caller that keeps param.grad
             # across steps must not see it mutate under the next batch.
             # Parameter-sized copies are noise next to the activations.
-            layer.weight.grad = dw.reshape(wshape).astype(w_dtype, copy=True)
+            layer.weight.grad = dw_ws.reshape(wshape).astype(w_dtype, copy=True)
             if bias is not None:
                 np.sum(gr, axis=(0, 3), out=bsum_ws)
                 layer.bias.grad = bsum_ws.reshape(-1).astype(bias.data.dtype, copy=True)
             if not need_dx:
                 return None
-            w_mat = cell[0]
-            if dcols_mode == "matmul":
-                np.matmul(w_mat.transpose(0, 2, 1)[None], gr, out=dcols_ws)
-            elif dcols_mode == "einsum_out":
-                np.einsum("gfk,ngfp->ngkp", w_mat, gr, out=dcols_ws, optimize=True)
-            else:
-                dcols_ws[...] = np.einsum("gfk,ngfp->ngkp", w_mat, gr, optimize=True)
+            np.matmul(cell[0].transpose(0, 2, 1)[None], gr, out=dcols_ws)
             return col2im(dcols_ws.reshape(n, g * syn, pos), (n, c, h, w), k, k, s, p, out=dx_ws)
 
         return backward

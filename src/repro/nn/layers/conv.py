@@ -2,7 +2,10 @@
 
 The convolution is lowered to a matrix multiplication via ``im2col``, the
 same strategy Caffe uses; ``col2im`` scatters gradients back.  Data layout
-is NCHW throughout.
+is NCHW throughout.  The compiled training path (:mod:`repro.nn.compiled`)
+issues the same three ``np.matmul`` calls on the same operand layouts, so
+a change to one GEMM here must be made there too to keep the two
+bit-identical.
 
 Patch geometry is shared infrastructure: :func:`patch_index_table` builds
 the flat gather/scatter index tables that both ``col2im`` here and the
@@ -245,7 +248,7 @@ class Conv2D(Layer):
         # im2col rows are channel-major, so group slicing is contiguous
         cols_g = cols.reshape(n, g, syn, -1)
         w_mat = w.reshape(g, self.out_channels // g, syn)
-        y = np.einsum("gfk,ngkp->ngfp", w_mat, cols_g, optimize=True)
+        y = np.matmul(w_mat[None], cols_g)
         y = y.reshape(n, self.out_channels, -1)
         if self.bias is not None:
             y += self.bias.data[None, :, None]
@@ -260,15 +263,21 @@ class Conv2D(Layer):
         n = grad.shape[0]
         k, s, p = self.kernel_size, self.stride, self.pad
         g = self.groups
-        gr = grad.reshape(n, g, self.out_channels // g, -1)
-        dw = np.einsum("ngfp,ngkp->gfk", gr, cols_g, optimize=True)
+        f = self.out_channels // g
+        gr = grad.reshape(n, g, f, -1)
+        pos = gr.shape[-1]
+        # dw contracts over batch and position together: one GEMM per
+        # group over contiguous (g, f, n*pos) and (g, n*pos, syn) copies.
+        gr_t = np.ascontiguousarray(gr.transpose(1, 2, 0, 3)).reshape(g, f, n * pos)
+        cols_t = np.ascontiguousarray(cols_g.transpose(1, 0, 3, 2)).reshape(g, n * pos, -1)
+        dw = np.matmul(gr_t, cols_t)
         self.weight.grad = dw.reshape(self.weight.data.shape).astype(
             self.weight.data.dtype, copy=False
         )
         if self.bias is not None:
             self.bias.grad = gr.sum(axis=(0, 3)).reshape(-1).astype(self.bias.data.dtype, copy=False)
-        dcols = np.einsum("gfk,ngfp->ngkp", w_mat, gr, optimize=True)
-        dcols = dcols.reshape(n, -1, dcols.shape[-1])
+        dcols = np.matmul(w_mat.transpose(0, 2, 1)[None], gr)
+        dcols = dcols.reshape(n, -1, pos)
         return col2im(dcols, x_shape, k, k, s, p)
 
     def macs(self, input_shape: tuple) -> int:

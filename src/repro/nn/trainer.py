@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
@@ -124,12 +123,13 @@ class Trainer:
             applied to training inputs only.
         compiled: Route training and evaluation through the compiled
             fast path (:mod:`repro.nn.compiled`): planned, workspace
-            backed kernels that are bit-identical to the eager layers.
-            On by default; falls back to eager execution transparently
-            (unsupported layers are delegated inside the plan, and any
-            failure to build the executor disables it for this trainer).
-        profile: Collect per-layer forward/backward wall-clock times;
-            see :meth:`profile_rows`.
+            backed kernels that are bit-identical to the eager layers
+            (layers without a planned kernel are delegated inside the
+            plan).  ``False`` runs the eager layers, the reference the
+            bit-identity tests and benchmarks compare against.
+        profile: Collect per-layer forward/backward wall-clock times of
+            the compiled plans; see :meth:`profile_rows`.  Requires
+            ``compiled``.
     """
 
     def __init__(
@@ -145,6 +145,8 @@ class Trainer:
         compiled: bool = True,
         profile: bool = False,
     ):
+        if profile and not compiled:
+            raise ValueError("profile=True times the compiled plans; it requires compiled=True")
         self.net = net
         self.optimizer = optimizer
         self.loss = loss or SoftmaxCrossEntropy()
@@ -157,7 +159,6 @@ class Trainer:
         self.profile = profile
         self.history = TrainHistory()
         self._executor = None
-        self._eager_profile: dict[str, dict] = {}
 
     @property
     def executor(self):
@@ -165,13 +166,9 @@ class Trainer:
         if not self.compiled:
             return None
         if self._executor is None:
-            try:
-                from repro.nn.compiled import CompiledTrainer
+            from repro.nn.compiled import CompiledTrainer
 
-                self._executor = CompiledTrainer(self.net, profile=self.profile)
-            except Exception:  # missing/broken fast path: stay eager
-                self.compiled = False
-                return None
+            self._executor = CompiledTrainer(self.net, profile=self.profile)
         return self._executor
 
     # -- single-batch execution (compiled or eager, always bit-identical) --
@@ -185,45 +182,15 @@ class Trainer:
         executor = self.executor
         if executor is not None:
             return executor.forward(x, training=training)
-        if not self.profile:
-            return self.net.forward(x, training=training)
-        self.net.set_training(training)
-        if self.net.input_quantizer is not None:
-            x = self.net.input_quantizer(x)
-        for layer in self.net.layers:
-            t0 = time.perf_counter()
-            x = layer.forward(x)
-            row = self._profile_row(layer)
-            row["forward_s"] += time.perf_counter() - t0
-            row["calls"] += 1
-        return x
+        return self.net.forward(x, training=training)
 
     def backward_batch(self, grad: np.ndarray) -> None:
         """Backpropagate one batch (pairs with :meth:`forward_batch`)."""
         executor = self.executor
         if executor is not None:
             executor.backward(grad)
-            return
-        if not self.profile:
+        else:
             self.net.backward(grad)
-            return
-        for layer in reversed(self.net.layers):
-            t0 = time.perf_counter()
-            grad = layer.backward(grad)
-            self._profile_row(layer)["backward_s"] += time.perf_counter() - t0
-
-    def _profile_row(self, layer) -> dict:
-        return self._eager_profile.setdefault(
-            layer.name,
-            {
-                "layer": layer.name,
-                "kind": type(layer).__name__,
-                "delegated": False,
-                "forward_s": 0.0,
-                "backward_s": 0.0,
-                "calls": 0,
-            },
-        )
 
     def train_epoch(self, train: ArrayDataset) -> float:
         """One pass over the training set; returns the mean sample loss.
@@ -351,13 +318,8 @@ class Trainer:
         self.history = TrainHistory([EpochResult(**e) for e in state["history"]])
 
     def profile_rows(self) -> list[dict]:
-        """Per-layer timing rows (compiled plans or eager timers)."""
-        if self._executor is not None:
-            return self._executor.profile_rows()
-        order = {layer.name: i for i, layer in enumerate(self.net.layers)}
-        return sorted(
-            self._eager_profile.values(), key=lambda r: order.get(r["layer"], 1 << 30)
-        )
+        """Per-layer timing rows of the compiled plans (empty before any batch)."""
+        return self._executor.profile_rows() if self._executor is not None else []
 
     def fit(
         self,

@@ -9,6 +9,8 @@ geometry.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.mfdfp import MFDFPNetwork
 from repro.nn import (
@@ -29,6 +31,7 @@ from repro.nn import (
     error_rate,
     format_profile,
 )
+from repro.nn.layers.base import Layer
 
 
 def tiny_data(n=96, seed=0, size=8, classes=4):
@@ -290,31 +293,105 @@ class TestExecutor:
         table = format_profile(rows)
         assert "c1" in table and "total" in table
 
-    def test_eager_profile_rows(self):
-        train, val = tiny_data(48, seed=19), tiny_data(24, seed=20)
+    def test_profile_requires_compiled(self):
         net = tiny_net()
-        trainer = Trainer(
-            net,
-            SGD(net.params, lr=0.05, momentum=0.9),
-            batch_size=16,
-            rng=np.random.default_rng(0),
-            compiled=False,
-            profile=True,
-        )
-        history = trainer.fit(train, val, epochs=1)
-        rows = trainer.profile_rows()
-        assert [r["layer"] for r in rows] == [layer.name for layer in net.layers]
-        # profiling must not change the numbers: same curve as plain eager
-        net2 = tiny_net()
-        plain = Trainer(
-            net2,
-            SGD(net2.params, lr=0.05, momentum=0.9),
-            batch_size=16,
-            rng=np.random.default_rng(0),
-            compiled=False,
-        ).fit(train, val, epochs=1)
-        assert history.train_losses == plain.train_losses
-        assert history.val_errors == plain.val_errors
+        with pytest.raises(ValueError, match="compiled"):
+            Trainer(net, SGD(net.params, lr=0.05), compiled=False, profile=True)
+
+    def test_executor_build_error_reaches_fit(self, monkeypatch):
+        """A fault building the fast path is raised, not trained around eagerly."""
+
+        def broken_init(self, net, profile=False):
+            raise RuntimeError("executor build failed")
+
+        monkeypatch.setattr(CompiledTrainer, "__init__", broken_init)
+        train = tiny_data(32, seed=19)
+        net = tiny_net()
+        trainer = Trainer(net, SGD(net.params, lr=0.05), batch_size=16, compiled=True)
+        with pytest.raises(RuntimeError, match="executor build failed"):
+            trainer.fit(train, train, epochs=1)
+
+
+class _GradProbe(Layer):
+    """Identity layer recording the gradient it is handed (delegated when compiled)."""
+
+    def __init__(self):
+        super().__init__(name="probe")
+        self.grads = []
+
+    def forward(self, x):
+        return x
+
+    def backward(self, grad):
+        self.grads.append(grad.copy())
+        return grad
+
+
+_conv_geometry = st.fixed_dictionaries(
+    {
+        "groups": st.sampled_from([1, 2]),
+        "stride": st.integers(1, 2),
+        "pad": st.integers(0, 2),
+        "kernel": st.sampled_from([1, 3, 5]),
+        "bias": st.booleans(),
+    }
+)
+
+
+class TestGeneratedConvGeometry:
+    """Eager ≡ compiled conv kernels over generated geometries.
+
+    The first conv runs with ``need_dx=False`` (the trainer drops the
+    input gradient); the second is mid-network, so its dx is produced
+    and captured by a delegated probe layer between the two.
+    """
+
+    @staticmethod
+    def _run(first, second, size, batch, dtype, compiled):
+        rng = np.random.default_rng(3)
+
+        def conv(geom, cin, cout, name):
+            return Conv2D(
+                cin, cout, geom["kernel"], stride=geom["stride"], pad=geom["pad"],
+                groups=geom["groups"], bias=geom["bias"], dtype=dtype, rng=rng, name=name,
+            )
+
+        c0, c2 = 2 * first["groups"], 2 * second["groups"]
+        c1 = 2 * first["groups"] * second["groups"]  # divisible by both group counts
+        probe = _GradProbe()
+        layers = [conv(first, c0, c1, "ca"), ReLU(name="r"), probe, conv(second, c1, c2, "cb")]
+        net = Network(layers, input_shape=(c0, size, size))
+        trainer = Trainer(net, SGD(net.params, lr=0.01, momentum=0.9), compiled=compiled)
+        data = np.random.default_rng(4)
+        record = []
+        for _ in range(2):  # the trace step, then the planned kernels
+            x = data.standard_normal((batch, c0, size, size)).astype(dtype)
+            y = trainer.forward_batch(x, training=True)
+            net.zero_grad()
+            trainer.backward_batch(data.standard_normal(y.shape).astype(y.dtype))
+            record.append((y.copy(), probe.grads[-1], [p.grad.copy() for p in net.params]))
+            trainer.optimizer.step()
+        return record
+
+    @given(
+        first=_conv_geometry,
+        second=_conv_geometry,
+        size=st.integers(5, 11),
+        batch=st.integers(1, 9),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_forward_and_grads_bitwise_equal(self, first, second, size, batch, dtype):
+        assume(size + 2 * first["pad"] >= first["kernel"])
+        hidden = (size + 2 * first["pad"] - first["kernel"]) // first["stride"] + 1
+        assume(hidden + 2 * second["pad"] >= second["kernel"])
+        eager = self._run(first, second, size, batch, dtype, compiled=False)
+        fast = self._run(first, second, size, batch, dtype, compiled=True)
+        for (y_e, dx_e, grads_e), (y_f, dx_f, grads_f) in zip(eager, fast):
+            assert y_e.dtype == y_f.dtype and np.array_equal(y_e, y_f)
+            assert np.array_equal(dx_e, dx_f)
+            for g_e, g_f in zip(grads_e, grads_f):
+                assert g_e.dtype == g_f.dtype and np.array_equal(g_e, g_f)
 
 
 class TestPipelineIntegration:

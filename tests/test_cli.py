@@ -31,14 +31,14 @@ class TestParser:
     @pytest.mark.parametrize("command", ["table2", "fig3"])
     def test_training_flags_default_off(self, command):
         args = build_parser().parse_args([command])
-        assert args.no_compiled is False
         assert args.profile is False
 
     @pytest.mark.parametrize("command", ["table2", "fig3"])
     def test_training_flags_parse(self, command):
-        args = build_parser().parse_args([command, "--no-compiled", "--profile"])
-        assert args.no_compiled is True
+        args = build_parser().parse_args([command, "--profile"])
         assert args.profile is True
+        with pytest.raises(SystemExit):  # training always takes the compiled path
+            build_parser().parse_args([command, "--no-compiled"])
 
     def test_serve_flags(self):
         args = build_parser().parse_args(
@@ -126,7 +126,6 @@ class TestParser:
     def test_resume_flags(self):
         args = build_parser().parse_args(["resume", "--checkpoint-dir", "ck", "--epochs", "9"])
         assert args.checkpoint_dir == "ck" and args.epochs == 9
-        assert args.no_compiled is False
         with pytest.raises(SystemExit):
             build_parser().parse_args(["resume"])
 
@@ -340,13 +339,6 @@ class TestFastCommands:
         assert "compiled fast path" in out
         assert "conv1" in out and "ip1" in out
         assert "float baseline error" in out  # the figure still prints
-
-    def test_fig3_no_compiled_profiles_eager_layers(self, capsys):
-        main(["fig3", "--epochs", "1", "--no-compiled", "--profile"])
-        out = capsys.readouterr().out
-        assert "per-layer training time" in out
-        assert "eager layers" in out
-        assert "conv1" in out
 
 
 class TestPersistenceCommands:
