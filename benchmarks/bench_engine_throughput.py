@@ -7,8 +7,10 @@ The deployed integer artifact can be served three ways, all bit-identical:
   weights and windows every call),
 * **compiled engine** — :class:`repro.core.engine.BatchedEngine`
   (LUT-decoded weights, a precomputed im2col gather table, BLAS-backed
-  GEMM, an exact float64 route and strided-window pools over
-  batch-last activations).
+  GEMMs, an exact float route and strided-window pools over
+  batch-last activations).  Each op runs in float32 when its proved
+  worst-case sum is below 2^24 and in float64 otherwise; this network's
+  ops all run in float32.
 
 The speedup test is the PR's acceptance gate: the compiled engine must
 deliver at least 5x the scalar path's samples/sec at batch size 64 while

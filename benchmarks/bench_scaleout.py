@@ -149,10 +149,8 @@ def test_placements_are_bit_identical(served, quick, bench_metrics):
         assert acc["segments_created"] + acc["segments_adopted"] == 1
         assert acc["worker_plane_decodes"] == 0
         assert acc["worker_attached_segments"] == 1
-    # (Counting planes below decodes them again, but each placement's
-    # accounting was already captured inside _run_placement.)
     weighted_planes = len(
-        [op for op in served["deployed"].ops if engine_mod.decode_weight_plane(op) is not None]
+        [op for op in served["deployed"].ops if op.kind in ("conv", "dense") and op.weight_codes is not None]
     )
     assert one["accounting"]["host_plane_decodes"] == weighted_planes
 

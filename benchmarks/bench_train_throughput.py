@@ -190,12 +190,15 @@ def _finetune(problem, *, compiled, seed_layers=False, epochs=3):
     return history, trainer.net.get_weights(), trainer
 
 
-def _steady_epoch_s(problem, variants, epochs=2, repeats=3):
+def _steady_epoch_s(problem, variants, epochs=3, repeats=7):
     """Best steady-state epoch seconds per variant, interleaved.
 
     Each repeat times every variant back to back (warm trainers, trace
     batches excluded), so clock-frequency or load drift hits all
     variants alike instead of biasing whichever was measured last.
+    Seven repeats of three epochs (about 30 s on a 2-vCPU host) give the
+    best-of a better chance to catch the host at full speed; best of
+    3 × 2 read compiled 1912 and 2245 samples/s back to back.
     """
     trainers = {}
     for name, kwargs in variants.items():

@@ -15,10 +15,12 @@ round-half-to-even exactly as in the RTL datapath):
   precomputed gather-index table, pooling windows become strided slices,
   and each layer becomes a closure that maps an ``(N, ...)`` batch of
   codes to the next batch of codes.  Between layers the codes are
-  float64 integers in batch-last memory, routed by an exact
-  scale-``rint``-clip (see the kernel notes below); they become int64
-  once, at the end.  Serving-style workloads run through
-  :mod:`repro.serve`, which adds request micro-batching on top.
+  float integers in batch-last memory, routed by an exact
+  scale-``rint``-clip (see the kernel notes below); each op runs in
+  float32 when its proved worst-case sum is below 2^24 and in float64
+  otherwise (:func:`op_dtypes`), and the codes become int64 once, at
+  the end.  Serving-style workloads run through :mod:`repro.serve`,
+  which adds request micro-batching on top.
 
 Both paths dispatch through one layer-op registry (:data:`OP_REGISTRY`),
 so adding an op kind means adding exactly one :class:`LayerOpHandler`.
@@ -96,14 +98,16 @@ def plane_decode_count() -> int:
     return _plane_decodes
 
 
-def decode_weight_plane(op: DeployedLayer) -> Optional[np.ndarray]:
-    """The canonical LUT-decoded float64 weight plane of one compute op.
+def decode_weight_plane(op: DeployedLayer, dtype: np.dtype) -> Optional[np.ndarray]:
+    """The canonical LUT-decoded weight plane of one compute op, in ``dtype``.
 
-    ``conv`` ops decode to ``(groups, out_channels/groups, syn)`` with
-    ``syn = (in_channels/groups) * k * k`` — the grouped-GEMM operand of
-    the compiled kernel.  ``dense`` ops decode to the transposed
-    contiguous ``(in_features, out_features)`` operand.  Ops without
-    weights return ``None``.  The returned array is frozen
+    ``dtype`` is the op's GEMM dtype (:func:`op_dtypes`); every shift
+    multiplier is at most 2^7 in magnitude, so either float dtype holds
+    it exactly.  ``conv`` ops decode to ``(groups, out_channels/groups,
+    syn)`` with ``syn = (in_channels/groups) * k * k`` — the grouped-GEMM
+    operand of the compiled kernel.  ``dense`` ops decode to the
+    transposed contiguous ``(in_features, out_features)`` operand.  Ops
+    without weights return ``None``.  The returned array is frozen
     (non-writeable): planes are shared between kernels, caches, and —
     via the shared-memory arena — whole processes.
     """
@@ -118,25 +122,25 @@ def decode_weight_plane(op: DeployedLayer) -> Optional[np.ndarray]:
         plane = (
             shift_weight_ints(op.weight_codes)
             .reshape(g, op.out_channels // g, syn)
-            .astype(np.float64)
+            .astype(dtype)
         )
     else:
         plane = np.ascontiguousarray(
             shift_weight_ints(op.weight_codes)
             .reshape(op.out_features, op.in_features)
             .T,
-            dtype=np.float64,
+            dtype=dtype,
         )
     plane.setflags(write=False)
     return plane
 
 
-def _check_plane(op: DeployedLayer, plane: np.ndarray, shape: tuple) -> np.ndarray:
+def _check_plane(op: DeployedLayer, plane: np.ndarray, shape: tuple, dtype: np.dtype) -> np.ndarray:
     """Validate an externally supplied (e.g. shared-memory) weight plane."""
-    if plane.shape != shape or plane.dtype != np.float64:
+    if plane.shape != shape or plane.dtype != dtype:
         raise ValueError(
             f"{op.name}: weight plane has shape {plane.shape} ({plane.dtype}), "
-            f"expected {shape} (float64)"
+            f"expected {shape} ({np.dtype(dtype)})"
         )
     return plane
 
@@ -163,28 +167,71 @@ def _im2col_indices(c: int, h: int, w: int, k: int, stride: int, pad: int):
     return patch_index_table(c, h, w, k, k, stride, pad, sentinel=True)
 
 
-# -- the accumulator proof -------------------------------------------------------
+# -- the accumulator proof and the dtype rule ----------------------------------
+#
+# One bound per op serves both the overflow proof and the choice of
+# arithmetic dtype.  A float dtype with a p-bit significand holds every
+# integer below 2^p exactly, so when no partial sum of an op can reach
+# 2^24 (float32) or 2^53 (float64), every sum the kernel forms — in any
+# summation order, fused multiply-add included — is the exact integer.
+#: Every integer below this magnitude is exact in float32.
+NARROW_LIMIT = 1 << 24
+
+
+def _accumulator_bound(op: DeployedLayer, code_max: int) -> int:
+    """The largest magnitude any partial sum of ``op`` can reach.
+
+    Codes never exceed ``code_max`` nor shift products ``code_max << 7``,
+    so a conv or dense sum stays within ``fan_in * (code_max << 7) +
+    max|bias_int|`` (reads biases, not weights); an average pool's
+    window sum within ``k*k*code_max``; every other op only moves codes.
+    """
+    if op.kind in ("conv", "dense"):
+        fan_in = op.weight_codes.size // (op.out_channels if op.kind == "conv" else op.out_features)
+        bias = 0 if op.bias_int is None else np.abs(op.bias_int.astype(np.float64)).max(initial=0)
+        return fan_in * (code_max << 7) + int(bias)
+    if op.kind == "avgpool":
+        return op.kernel_size * op.kernel_size * code_max
+    return code_max
+
+
 def _proved_code_max(deployed: DeployedMFDFP) -> int:
     """The network's ``code_max``, once every accumulator is proved wide enough.
 
-    Codes never exceed ``code_max`` nor shift products ``code_max << 7``,
-    so no conv or dense accumulator exceeds ``fan_in * 2^7 * code_max +
-    max|bias_int|``; raises :class:`~repro.hw.datapath.DatapathOverflowError`
-    naming the first op where that does not fit.  Reads biases, not weights.
+    Raises :class:`~repro.hw.datapath.DatapathOverflowError` naming the
+    first conv or dense op whose :func:`_accumulator_bound` does not fit
+    the datapath's accumulator.
     """
     widths = datapath_widths(deployed.bits)
     for op in deployed.ops:
         if op.kind not in ("conv", "dense"):
             continue
-        fan_in = op.weight_codes.size // (op.out_channels if op.kind == "conv" else op.out_features)
-        bias = 0 if op.bias_int is None else np.abs(op.bias_int.astype(np.float64)).max(initial=0)
-        worst = fan_in * (widths.code_max << 7) + int(bias)
+        worst = _accumulator_bound(op, widths.code_max)
         if worst >= 1 << (widths.accumulator - 1):
             raise DatapathOverflowError(
                 f"{op.name}: worst-case accumulator {worst} exceeds the "
                 f"{widths.accumulator}-bit accumulator of a {widths.bits}-bit datapath"
             )
     return widths.code_max
+
+
+def op_dtypes(deployed: DeployedMFDFP) -> list[np.dtype]:
+    """The float dtype each compiled op computes in and hands on.
+
+    A conv or dense op gathers or casts its input into the narrowest
+    dtype its :func:`_accumulator_bound` allows (codes are at most 2^15,
+    exact in either dtype).  The window ops keep their input's dtype, an
+    average pool widening it to float64 when its window sum could reach
+    2^24.  The first op's input is float32: :meth:`BatchedEngine.run_codes`
+    quantizes to float32 codes.
+    """
+    code_max = datapath_widths(deployed.bits).code_max
+    dtype, dtypes = np.dtype(np.float32), []
+    for op in deployed.ops:
+        narrowest = np.dtype(np.float32 if _accumulator_bound(op, code_max) < NARROW_LIMIT else np.float64)
+        dtype = narrowest if op.kind in ("conv", "dense") else np.promote_types(dtype, narrowest)
+        dtypes.append(dtype)
+    return dtypes
 
 
 # -- reference (eager) ops -------------------------------------------------------
@@ -251,31 +298,32 @@ def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
 
 # -- compiled kernels ------------------------------------------------------------
 #
-# Between ops, activations are float64 integer codes in *batch-last*
+# Between ops, activations are float integer codes in *batch-last*
 # memory: each kernel takes and returns the ``(N, C, H, W)`` / ``(N, F)``
 # shape of the reference path, but a spatial activation's memory is the
 # conv GEMM's natural ``(C, H, W, N)`` output, handed on as a zero-copy
 # ``transpose(3, 0, 1, 2)`` view.  The batch is then the contiguous inner
 # axis of every gather and pool pass.
 #
-# The arithmetic stays exact in float64.  The compiler has proved every
-# accumulator fits its datapath width (:func:`_proved_code_max`; at most
-# 40 bits, far below the 2^53 integers IEEE doubles represent exactly), so
-# the BLAS GEMM equals int64 arithmetic in any summation order; scaling
-# by a power of two is exact, and ``np.rint`` rounds half to even, so
-# :func:`_route` is bit-identical to
-# :func:`~repro.hw.datapath.accumulator_route`.
+# Each kernel computes in the dtype :func:`op_dtypes` picks for its op,
+# and the arithmetic is exact in it.  No partial sum of a float32 op can
+# reach 2^24, and the compiler has proved every other accumulator fits
+# its datapath width (at most 40 bits, far below the 2^53 integers IEEE
+# doubles represent exactly), so the BLAS GEMM equals int64 arithmetic
+# in any summation order.  Scaling by a power of two is exact, and
+# ``np.rint`` rounds half to even, so :func:`_route` is bit-identical to
+# :func:`~repro.hw.datapath.accumulator_route` in either dtype.
 # :meth:`BatchedEngine.run_codes` casts to int64 once, after the last op.
 # Kernels ignore a second argument.
 def _route(
     acc: np.ndarray, acc_frac: int, out_frac: int, activation: str, max_code: int
 ) -> np.ndarray:
-    """:func:`~repro.hw.datapath.accumulator_route` in place on float64 integers.
+    """:func:`~repro.hw.datapath.accumulator_route` in place on float integers.
 
-    ``acc`` holds integers below 2^53 in magnitude; it is overwritten with
-    the output codes (still float64) and returned.  Scaling and rounding
-    are monotone and keep 0 at 0, so the ReLU folds into the saturation's
-    lower bound.
+    ``acc`` holds integers its dtype represents exactly (below 2^24 in
+    float32, 2^53 in float64); it is overwritten with the output codes,
+    in the same dtype, and returned.  Scaling and rounding are monotone
+    and keep 0 at 0, so the ReLU folds into the saturation's lower bound.
     """
     if activation not in ("none", "relu"):
         raise ValueError(f"unsupported fused activation {activation!r}")
@@ -287,16 +335,18 @@ def _route(
     return acc
 
 
-def _conv_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Optional[np.ndarray] = None):
+def _conv_compile(
+    op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype, plane: Optional[np.ndarray] = None
+):
     c, h, w = in_shape
     k, g = op.kernel_size, op.groups or 1
     syn = (c // g) * k * k
     chw = c * h * w
     shape = (g, op.out_channels // g, syn)
-    w_f = decode_weight_plane(op) if plane is None else _check_plane(op, plane, shape)
+    w_f = decode_weight_plane(op, dtype) if plane is None else _check_plane(op, plane, shape, dtype)
     index, oh, ow = _im2col_indices(c, h, w, k, op.stride, op.pad)
     positions = oh * ow
-    bias = None if op.bias_int is None else op.bias_int[:, None].astype(np.float64)
+    bias = None if op.bias_int is None else op.bias_int[:, None].astype(dtype)
     acc_frac = op.in_frac + 7
 
     # Gathering rows of the (chw+1, N) plane yields columns as
@@ -306,7 +356,7 @@ def _conv_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Opti
     # place and handed on batch-last.
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         n = codes.shape[0]
-        flat_t = np.empty((chw + 1, n), dtype=np.float64)
+        flat_t = np.empty((chw + 1, n), dtype=dtype)
         flat_t[:-1] = codes.reshape(n, chw).T
         flat_t[-1] = 0.0
         cols_t = flat_t[index].reshape(g, syn, positions * n)
@@ -319,14 +369,16 @@ def _conv_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Opti
     return kernel, (op.out_channels, oh, ow)
 
 
-def _dense_compile(op: DeployedLayer, in_shape: tuple, max_code: int, plane: Optional[np.ndarray] = None):
+def _dense_compile(
+    op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype, plane: Optional[np.ndarray] = None
+):
     shape = (op.in_features, op.out_features)
-    w_t = decode_weight_plane(op) if plane is None else _check_plane(op, plane, shape)
-    bias = None if op.bias_int is None else op.bias_int[None, :].astype(np.float64)
+    w_t = decode_weight_plane(op, dtype) if plane is None else _check_plane(op, plane, shape, dtype)
+    bias = None if op.bias_int is None else op.bias_int[None, :].astype(dtype)
     acc_frac = op.in_frac + 7
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        acc = np.asarray(codes, dtype=np.float64) @ w_t
+        acc = np.asarray(codes, dtype=dtype) @ w_t
         if bias is not None:
             acc += bias
         return _route(acc, acc_frac, op.out_frac, op.activation, max_code)
@@ -369,16 +421,16 @@ def _window_spans(op: DeployedLayer, h: int, w: int) -> tuple[tuple, tuple]:
 def _window_reduce(ufunc, fill: float, codes: np.ndarray, spans: tuple, out_hw: tuple) -> np.ndarray:
     """Reduce every pooling window of an ``(N, C, H, W)`` batch with ``ufunc``.
 
-    Returns the ``(C, oh, ow, N)`` float64 plane.  ``fill`` is the
-    reduction's identity; padding and ceil-mode overhang read as it.
+    Returns the ``(C, oh, ow, N)`` plane in the batch's dtype.  ``fill``
+    is the reduction's identity; padding and ceil-mode overhang read as it.
     Pooling is separable, so a k×k window is k strided slices reduced
     along H, then k along W: on the batch-last plane the first pass runs
     over contiguous ``W*N`` rows, the second over contiguous ``N`` runs.
     """
-    x = np.asarray(codes, dtype=np.float64).transpose(1, 2, 3, 0)
+    x = codes.transpose(1, 2, 3, 0)
     for axis, axis_spans, out_len in zip((1, 2), spans, out_hw):
         lead = (slice(None),) * axis
-        out = np.full(x.shape[:axis] + (out_len,) + x.shape[axis + 1 :], fill, dtype=np.float64)
+        out = np.full(x.shape[:axis] + (out_len,) + x.shape[axis + 1 :], fill, dtype=x.dtype)
         for o, i in axis_spans:
             view = out[lead + (o,)]
             ufunc(view, x[lead + (i,)], out=view)
@@ -386,7 +438,7 @@ def _window_reduce(ufunc, fill: float, codes: np.ndarray, spans: tuple, out_hw: 
     return x
 
 
-def _maxpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
+def _maxpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype):
     c, h, w = in_shape
     spans, (oh, ow) = _window_spans(op, h, w)
 
@@ -397,7 +449,7 @@ def _maxpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
     return kernel, (c, oh, ow)
 
 
-def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
+def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype):
     c, h, w = in_shape
     spans, (oh, ow) = _window_spans(op, h, w)
     counts = pool_valid_counts(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
@@ -409,15 +461,15 @@ def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
         num_shift, den = 0, counts << (-shift)
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        sums = _window_reduce(np.add, 0.0, codes, spans, (oh, ow))
+        sums = _window_reduce(np.add, 0.0, codes.astype(dtype, copy=False), spans, (oh, ow))
         out = div_round_half_even(sums.astype(np.int64) << num_shift, den)
         np.clip(out, -max_code, max_code, out=out)
-        return out.astype(np.float64).transpose(3, 0, 1, 2)
+        return out.astype(dtype).transpose(3, 0, 1, 2)
 
     return kernel, (c, oh, ow)
 
 
-def _flatten_compile(op: DeployedLayer, in_shape: tuple, max_code: int):
+def _flatten_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype):
     features = int(np.prod(in_shape))
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
@@ -433,14 +485,15 @@ class LayerOpHandler:
 
     ``reference(op, codes, max_code)`` maps a batch of input codes to
     output codes (saturating at ``±max_code``) directly from the
-    :class:`DeployedLayer`.  ``compile(op, in_shape, max_code)`` returns
-    ``(kernel, out_shape)`` where ``kernel(codes)`` is the precomputed
-    batched closure; it returns the same codes as float64, in batch-last
-    memory (see the kernel notes above).  Weighted kinds (conv/dense)
-    additionally accept ``compile(op, in_shape, max_code, plane)`` — a
-    pre-decoded weight plane (see :func:`decode_weight_plane`), typically
-    a zero-copy shared-memory view, used instead of decoding the op's
-    codes.
+    :class:`DeployedLayer`.  ``compile(op, in_shape, max_code, dtype)``
+    returns ``(kernel, out_shape)`` where ``kernel(codes)`` is the
+    precomputed batched closure; it returns the same codes as ``dtype``
+    floats (the op's entry of :func:`op_dtypes`), in batch-last memory
+    (see the kernel notes above).  Weighted kinds (conv/dense)
+    additionally accept ``compile(op, in_shape, max_code, dtype, plane)``
+    — a pre-decoded weight plane (see :func:`decode_weight_plane`),
+    typically a zero-copy shared-memory view, used instead of decoding
+    the op's codes.
     """
 
     kind: str
@@ -750,14 +803,17 @@ def deployed_accuracy(
 class CompiledOp:
     """One compiled layer: its kernel closure plus shape bookkeeping.
 
-    ``kernel(codes)`` ignores a second positional argument, which
-    ``perfbench/layers.py`` passes: the retired run-time width flag.
+    ``dtype`` is the float dtype the kernel computes in and returns
+    (:func:`op_dtypes`).  ``kernel(codes)`` ignores a second positional
+    argument, which ``perfbench/layers.py`` passes: the retired run-time
+    width flag.
     """
 
     name: str
     kind: str
     kernel: Callable[..., np.ndarray]
     out_shape: tuple
+    dtype: np.dtype
 
 
 class BatchedEngine:
@@ -768,7 +824,8 @@ class BatchedEngine:
     slices; :meth:`run_codes` then streams ``(N, ...)`` batches through
     the kernel closures.  Outputs are bit-identical to
     :func:`execute_deployed` for every batch size (every value is an
-    integer float64 represents exactly, so batching cannot change values).
+    integer its op's dtype represents exactly, so batching cannot change
+    values).
 
     Compiling raises :class:`~repro.hw.datapath.DatapathOverflowError`
     naming the op if an accumulator could overflow.
@@ -794,13 +851,13 @@ class BatchedEngine:
         self.input_fmt = DFPFormat(deployed.bits, deployed.input_frac)
         self.program: list[CompiledOp] = []
         shape = self.input_shape
-        for i, op in enumerate(deployed.ops):
+        for i, (op, dtype) in enumerate(zip(deployed.ops, op_dtypes(deployed))):
             plane = weight_planes.get(i) if weight_planes else None
             if plane is not None:
-                kernel, shape = _handler(op.kind).compile(op, shape, max_code, plane)
+                kernel, shape = _handler(op.kind).compile(op, shape, max_code, dtype, plane)
             else:
-                kernel, shape = _handler(op.kind).compile(op, shape, max_code)
-            self.program.append(CompiledOp(op.name, op.kind, kernel, shape))
+                kernel, shape = _handler(op.kind).compile(op, shape, max_code, dtype)
+            self.program.append(CompiledOp(op.name, op.kind, kernel, shape, dtype))
         self.output_shape = shape
         self._out_scale = 2.0 ** (-deployed.ops[-1].out_frac)
         self._fingerprint: Optional[str] = None
@@ -819,14 +876,18 @@ class BatchedEngine:
 
     # -- execution ---------------------------------------------------------
     def run_codes(self, x: np.ndarray) -> np.ndarray:
-        """Quantize a float batch and return int64 output codes."""
+        """Quantize a float batch and return int64 output codes.
+
+        Input codes enter the first kernel as float32, which holds every
+        code (at most 2^15) exactly.
+        """
         x = np.asarray(x)
         if x.shape[1:] != self.input_shape:
             raise ValueError(
                 f"expected batch of shape (N, {', '.join(map(str, self.input_shape))}), "
                 f"got {x.shape}"
             )
-        codes = dfp_to_codes(x, self.input_fmt)
+        codes = dfp_to_codes(x, self.input_fmt).astype(np.float32)
         for op in self.program:
             codes = op.kernel(codes)
         return codes.astype(np.int64, order="C")

@@ -511,7 +511,8 @@ def _build_avgpool(layer: AvgPool2D, in_meta, out_meta, cache, scratch, in_fmt):
     # every partial sum is exactly representable and summation order
     # cannot change the result — the cheap tap-by-tap accumulation is
     # bit-identical to the eager pairwise ``win.sum``.  (The same
-    # argument the integer engine uses to run its GEMMs in float64.)
+    # argument the integer engine uses to pick each GEMM's dtype: float32
+    # below 2^24, float64 below 2^53.)
     mantissa = 2 ** (53 if np.dtype(dtype) == np.float64 else 24)
     exact = (
         in_fmt is not None

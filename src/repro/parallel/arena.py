@@ -4,7 +4,10 @@ One :class:`multiprocessing.shared_memory.SharedMemory` segment per
 deployed network, named by its content-addressed
 :func:`repro.core.engine.engine_fingerprint` — the same key the
 EngineCache uses — holding every conv/dense weight plane in its
-canonical float64 layout, concatenated at 8-byte-aligned offsets.  The
+canonical layout and its op's GEMM dtype (float32 where the op's proved
+sum stays below 2^24, else float64; see
+:func:`repro.core.engine.op_dtypes`), concatenated at 8-byte-aligned
+offsets.  The
 publisher decodes each plane **once per host**; workers attach the
 segment read-only and hand the views straight to
 ``BatchedEngine(weight_planes=...)``, so N processes serving a model
@@ -39,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from repro.chaos.registry import inject, register_site
-from repro.core.engine import decode_weight_plane, engine_fingerprint
+from repro.core.engine import decode_weight_plane, engine_fingerprint, op_dtypes
 from repro.core.mfdfp import DeployedMFDFP
 from repro.parallel.pool import PoolError
 
@@ -110,11 +113,12 @@ def _untrack(name: str) -> None:
 
 @dataclass(frozen=True)
 class PlaneSpec:
-    """Location of one op's weight plane inside its model's segment."""
+    """Location and dtype of one op's weight plane inside its model's segment."""
 
     op_index: int
     shape: tuple
     offset: int
+    dtype: str
 
 
 @dataclass(frozen=True)
@@ -171,19 +175,19 @@ class SharedWeightArena:
         plane_specs = []
         planes = []
         offset = 0
-        for i, op in enumerate(deployed.ops):
-            plane = decode_weight_plane(op)
+        for i, (op, dtype) in enumerate(zip(deployed.ops, op_dtypes(deployed))):
+            plane = decode_weight_plane(op, dtype)
             if plane is None:
                 continue
-            plane_specs.append(PlaneSpec(i, tuple(plane.shape), offset))
+            plane_specs.append(PlaneSpec(i, tuple(plane.shape), offset, plane.dtype.str))
             planes.append(plane)
-            offset += plane.nbytes  # float64 planes keep offsets 8-aligned
+            offset += -(-plane.nbytes // 8) * 8  # next plane starts 8-aligned
 
         total = max(offset, 8)  # zero-weight nets still get a valid segment
         name = self.segment_name(fingerprint)
         shm = self._allocate(name, total)
         for spec, plane in zip(plane_specs, planes):
-            view = np.ndarray(spec.shape, dtype=np.float64, buffer=shm.buf, offset=spec.offset)
+            view = np.ndarray(spec.shape, dtype=spec.dtype, buffer=shm.buf, offset=spec.offset)
             view[...] = plane
 
         arena_spec = ArenaSpec(fingerprint, name, tuple(plane_specs), total)
@@ -241,7 +245,7 @@ _ATTACHED: dict[str, tuple[shared_memory.SharedMemory, dict[int, np.ndarray]]] =
 def attach_planes(spec: ArenaSpec) -> dict[int, np.ndarray]:
     """Map a published model's planes, at most once per process.
 
-    Returns ``{op_index: frozen float64 view}`` suitable for
+    Returns ``{op_index: frozen view in the plane's dtype}`` suitable for
     ``BatchedEngine(weight_planes=...)``.  Views are backed directly by
     the shared segment — no copy — and explicitly re-frozen.
     """
@@ -262,7 +266,7 @@ def attach_planes(spec: ArenaSpec) -> dict[int, np.ndarray]:
     # close() does the single unregister when it unlinks.
     views: dict[int, np.ndarray] = {}
     for plane in spec.planes:
-        view = np.ndarray(plane.shape, dtype=np.float64, buffer=shm.buf, offset=plane.offset)
+        view = np.ndarray(plane.shape, dtype=plane.dtype, buffer=shm.buf, offset=plane.offset)
         view.setflags(write=False)
         views[plane.op_index] = view
     _ATTACHED[spec.segment] = (shm, views)

@@ -1,27 +1,35 @@
-"""The compiled engine's float64 route equals the integer datapath route.
+"""The compiled engine's float route equals the integer datapath route.
 
-:class:`repro.core.engine.BatchedEngine` routes accumulators in float64
-(:func:`repro.core.engine._route`: scale by a power of two, ``rint``,
-clip) instead of through :func:`repro.hw.datapath.accumulator_route`'s
-integer shift-round-saturate.  That is exact only because every
-accumulator is an integer far below 2^53; these tests pin both halves of
-the argument at every datapath width.
+:class:`repro.core.engine.BatchedEngine` routes accumulators in float32
+or float64 (:func:`repro.core.engine._route`: scale by a power of two,
+``rint``, clip) instead of through
+:func:`repro.hw.datapath.accumulator_route`'s integer
+shift-round-saturate.  That is exact only because every accumulator is
+an integer its dtype holds exactly: below 2^53 in float64, and below
+2^24 in float32, where the compiler admits float32 only under that
+bound.  These tests pin both halves of the argument at every datapath
+width.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.core.dfp import MIN_BITS
-from repro.core.engine import _route
+from repro.core.engine import NARROW_LIMIT, _route
 from repro.hw.datapath import MAX_BITS, accumulator_route, datapath_widths
 
 SHIFTS = (-6, -1, 0, 1, 2, 5, 7, 12, 20)  # acc_frac - out_frac
+DTYPES = {np.float64: None, np.float32: NARROW_LIMIT - 1}  # dtype: largest |acc| it admits
 
 
-def _accumulators(bits: int, shift: int, rng) -> np.ndarray:
-    """Edge and random accumulator values of a ``bits``-bit datapath."""
+def _accumulators(bits: int, shift: int, rng, cap=None) -> np.ndarray:
+    """Edge and random accumulator values of a ``bits``-bit datapath, at most ``cap``."""
     widths = datapath_widths(bits)
     limit = (1 << (widths.accumulator - 1)) - 1  # largest |acc| _proved_code_max admits
+    if cap is not None:
+        limit = min(limit, cap)
     edges = [0, 1, -1, limit, -limit, limit - 1, -(limit - 1)]
     step = 1 << max(shift, 0)
     for code in (widths.code_max, widths.code_max + 1, 2 * widths.code_max + 3):
@@ -40,20 +48,23 @@ def _accumulators(bits: int, shift: int, rng) -> np.ndarray:
 def test_float_route_equals_integer_route(bits, activation):
     rng = np.random.default_rng(bits)
     max_code = datapath_widths(bits).code_max
-    for shift in SHIFTS:
+    for (dtype, cap), shift in itertools.product(DTYPES.items(), SHIFTS):
         out_frac = 3
         acc_frac = out_frac + shift
-        acc = _accumulators(bits, shift, rng)
+        acc = _accumulators(bits, shift, rng, cap)
+        assert np.array_equal(acc.astype(dtype).astype(np.int64), acc)  # the cast is exact
         expected = accumulator_route(acc, acc_frac, out_frac, activation, max_code=max_code)
-        routed = _route(acc.astype(np.float64), acc_frac, out_frac, activation, max_code)
-        assert routed.dtype == np.float64
-        assert np.array_equal(routed.astype(np.int64), expected), f"bits={bits} shift={shift}"
+        routed = _route(acc.astype(dtype), acc_frac, out_frac, activation, max_code)
+        assert routed.dtype == dtype
+        assert np.array_equal(routed.astype(np.int64), expected), f"{dtype} bits={bits} shift={shift}"
 
 
 def test_route_works_in_place_and_rejects_unknown_activation():
-    acc = np.array([-300.0, -3.0, 5.0, 300.0])
-    assert _route(acc, 1, 0, "relu", 127) is acc
-    assert acc.tolist() == [0.0, 0.0, 2.0, 127.0]
+    for dtype in DTYPES:
+        acc = np.array([-300.0, -3.0, 5.0, 300.0], dtype=dtype)
+        assert _route(acc, 1, 0, "relu", 127) is acc
+        assert acc.dtype == dtype
+        assert acc.tolist() == [0.0, 0.0, 2.0, 127.0]
     with pytest.raises(ValueError, match="activation"):
         _route(acc, 1, 0, "tanh", 127)
 
@@ -66,3 +77,11 @@ def test_widest_accumulator_is_exact_in_float64():
         "engine (repro.core.engine.BatchedEngine) is exact only while every accumulator "
         "stays well below 2^53"
     )
+
+
+def test_narrow_threshold_is_exact_in_float32():
+    """Raising the compiler's float32 threshold past 2^24 must fail here, not silently."""
+    assert NARROW_LIMIT <= 1 << (np.finfo(np.float32).nmant + 1) == 1 << 24
+    below = np.arange(NARROW_LIMIT - 4, NARROW_LIMIT + 1, dtype=np.int64)
+    assert np.array_equal(below.astype(np.float32).astype(np.int64), below)
+    assert int(np.float32(NARROW_LIMIT + 1)) != NARROW_LIMIT + 1  # the first integer lost

@@ -1,14 +1,23 @@
 """SharedWeightArena: segment lifecycle, reclamation, frozen attach views."""
 
+import copy
 import os
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.core.engine import BatchedEngine, engine_fingerprint
+from repro.core.engine import BatchedEngine, engine_fingerprint, op_dtypes, plane_decode_count
 from repro.core.mfdfp import MFDFPNetwork
-from repro.parallel import ArenaClosedError, PoolError, SharedWeightArena, attach_planes
+from repro.parallel import (
+    ArenaClosedError,
+    PoolError,
+    ProcessPoolRunner,
+    SharedEngineProxy,
+    SharedWeightArena,
+    attach_planes,
+)
+from repro.parallel import worker as worker_mod
 from repro.parallel.arena import _ATTACHED
 from repro.zoo import cifar10_small
 
@@ -120,4 +129,64 @@ class TestReclamation:
             engine = BatchedEngine(deployed, weight_planes=views)
             # Adoption rewrote the planes: garbage did not survive.
             assert np.array_equal(engine.run(x), reference.run(x))
+            _ATTACHED.pop(spec.segment)[0].close()
+
+
+class TestPlaneDtypes:
+    @pytest.fixture(scope="class")
+    def mixed(self, deployed):
+        """``deployed`` with its first conv widened to float64 by a bias of 2^24."""
+        widened = copy.deepcopy(deployed)
+        first = next(op for op in widened.ops if op.kind == "conv")
+        first.bias_int[0] = 1 << 24
+        return widened
+
+    def test_planes_are_published_in_each_ops_gemm_dtype(self, deployed, mixed, prefix):
+        x = np.random.default_rng(2).normal(size=(3, 3, 16, 16)).astype(np.float32)
+        published = []
+        for net in (deployed, mixed):
+            dtypes = op_dtypes(net)
+            with SharedWeightArena(prefix=prefix) as arena:
+                spec = arena.publish(net)
+                planes = [np.dtype(p.dtype) for p in spec.planes]
+                assert planes == [dtypes[p.op_index] for p in spec.planes]
+                assert all(p.offset % 8 == 0 for p in spec.planes)
+                views = attach_planes(spec)
+                assert {i: v.dtype for i, v in views.items()} == {i: dtypes[i] for i in views}
+                engine = BatchedEngine(net, weight_planes=views)
+                assert [op.dtype for op in engine.program] == dtypes
+                assert np.array_equal(engine.run_codes(x), BatchedEngine(net).run_codes(x))
+                _ATTACHED.pop(spec.segment)[0].close()
+            published.append(planes)
+        narrow, mixed_planes = published
+        assert set(narrow) == {np.dtype(np.float32)}
+        assert mixed_planes[0] == np.float64 and set(mixed_planes[1:]) == {np.dtype(np.float32)}
+
+    def test_worker_on_float32_planes_decodes_nothing(self, deployed, prefix):
+        host = BatchedEngine(deployed)
+        x = np.random.default_rng(3).normal(size=(2, 3, 16, 16)).astype(np.float32)
+        with SharedWeightArena(prefix=prefix) as arena:
+            spec = arena.publish(deployed)
+            assert {p.dtype for p in spec.planes} == {np.dtype(np.float32).str}
+            with ProcessPoolRunner(1, initializer=worker_mod.mark_decode_baseline) as runner:
+                proxy = SharedEngineProxy(runner, deployed, spec)
+                assert np.array_equal(proxy.run(x), host.run(x))
+                stats = runner.submit(worker_mod.worker_stats).result(timeout=30)
+            # Compiling over the views in this process decodes nothing either.
+            views = attach_planes(spec)
+            before = plane_decode_count()
+            BatchedEngine(deployed, weight_planes=views)
+            assert plane_decode_count() == before
+            _ATTACHED.pop(spec.segment)[0].close()
+        assert stats["models"] and stats["plane_decodes"] == 0
+
+    def test_plane_of_the_wrong_dtype_is_rejected(self, deployed, prefix):
+        with SharedWeightArena(prefix=prefix) as arena:
+            spec = arena.publish(deployed)
+            views = attach_planes(spec)
+            index = min(views)
+            wrong = {**views, index: views[index].astype(np.float64)}
+            name = deployed.ops[index].name
+            with pytest.raises(ValueError, match=rf"{name}: .*\(float64\), expected .*\(float32\)"):
+                BatchedEngine(deployed, weight_planes=wrong)
             _ATTACHED.pop(spec.segment)[0].close()
