@@ -96,10 +96,9 @@ def train_surrogate(
     momentum: float = 0.9,
     batch_size: int = 32,
     rng: Optional[np.random.Generator] = None,
-    compiled: bool = True,
     profile: bool = False,
 ) -> tuple[TrainHistory, Trainer]:
-    """Train a campaign's surrogate network, compiled by default.
+    """Train a campaign's surrogate network on the compiled trainer.
 
     Every ``python -m repro sweep CAMPAIGN --epochs N`` pays this
     training cost before a single campaign point runs, so it routes
@@ -113,7 +112,6 @@ def train_surrogate(
         SGD(net.params, lr=lr, momentum=momentum),
         batch_size=batch_size,
         rng=rng or np.random.default_rng(1),  # repro-lint: disable=rng-discipline (deterministic default when the caller injects no rng; fixed so repeated campaigns reproduce)
-        compiled=compiled,
         profile=profile,
     )
     history = trainer.fit(train, val, epochs=epochs)

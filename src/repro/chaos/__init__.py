@@ -1,4 +1,4 @@
-"""Cross-layer chaos harness: deterministic faults, typed recovery drills.
+"""Cross-layer chaos harness: deterministic faults, typed recovery.
 
 The subsystem has three parts:
 
@@ -11,10 +11,14 @@ The subsystem has three parts:
   ``parallel.pool.submit``, ``serve.engine.run``, ...).  With no plan
   installed, firing a site costs a dict lookup; :func:`site_catalog`
   is the complete inventory of where the system can be made to fail.
-* **Drills** (:mod:`repro.chaos.drills`) — end-to-end recovery
-  exercises (``python -m repro chaos --drill NAME``), each asserting
-  the same three invariants: no hangs (a :class:`Watchdog` bounds every
-  drill), typed errors only, and bit-identical results after recovery.
+* **Harnesses** (:mod:`repro.chaos.harnesses`) — four end-to-end
+  scenarios (train-then-resume, publish-then-cold-start, a process-pool
+  campaign, serving across a rollover) that each run *any* plan over
+  the sites they cross.  :func:`run_plan` holds every run to the same
+  three invariants: no hangs (a :class:`Watchdog` bounds it), typed
+  errors only, and bit-identical results for whatever completed.  The
+  four drills (``python -m repro chaos --drill NAME``) are pinned
+  plans on these harnesses.
 
 The serve supervisor fires its own sites (``serve.engine.run``,
 ``serve.builder.build``), so scheduled serving crashes and io/parallel
@@ -40,7 +44,8 @@ from repro.chaos.registry import (
     site_catalog,
 )
 from repro.chaos.watchdog import Watchdog
-from repro.chaos.drills import DRILLS, DrillReport, run_all_drills, run_drill
+from repro.chaos.harnesses import DRILLS, HARNESSES, DrillReport, Harness, run_plan
+from repro.chaos.harnesses import run_all_drills, run_drill
 
 __all__ = [
     "ChaosError",
@@ -52,6 +57,8 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "FaultRule",
+    "HARNESSES",
+    "Harness",
     "InjectionSite",
     "InvariantViolation",
     "UnknownSiteError",
@@ -62,5 +69,6 @@ __all__ = [
     "register_site",
     "run_all_drills",
     "run_drill",
+    "run_plan",
     "site_catalog",
 ]

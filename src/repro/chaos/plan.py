@@ -40,6 +40,7 @@ fires):
 from __future__ import annotations
 
 import json
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -48,7 +49,20 @@ import numpy as np
 
 from repro.chaos.errors import FaultPlanError
 
-_TRIGGER_KEYS = {"call", "calls", "always", "suffix", "match"}
+
+def _is_call(value) -> bool:
+    """A firing number: a positive int (``True`` is not call 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+#: Trigger key -> (validator, what the value must be).
+_TRIGGER_KEYS = {
+    "call": (_is_call, "a positive int"),
+    "calls": (lambda v: isinstance(v, list) and all(map(_is_call, v)), "a list of positive ints"),
+    "always": (lambda v: isinstance(v, bool), "a bool"),
+    "suffix": (lambda v: isinstance(v, str), "a string"),
+    "match": (lambda v: isinstance(v, dict), "a dict"),
+}
 
 
 @dataclass(frozen=True)
@@ -67,11 +81,17 @@ class FaultRule:
             raise FaultPlanError(f"rule fault must be a non-empty string, got {self.fault!r}")
         if not isinstance(self.trigger, dict):
             raise FaultPlanError(f"rule trigger must be a dict, got {self.trigger!r}")
-        unknown = set(self.trigger) - _TRIGGER_KEYS
+        unknown = set(self.trigger).difference(_TRIGGER_KEYS)
         if unknown:
             raise FaultPlanError(
                 f"unknown trigger key(s) {sorted(unknown)} (known: {sorted(_TRIGGER_KEYS)})"
             )
+        for key, value in self.trigger.items():
+            valid, kind = _TRIGGER_KEYS[key]
+            if not valid(value):
+                raise FaultPlanError(f"trigger {key!r} must be {kind}, got {value!r}")
+        if not isinstance(self.params, dict):
+            raise FaultPlanError(f"rule params must be a dict, got {self.params!r}")
 
     def accepts(self, context: dict) -> bool:
         """Whether ``context`` passes this rule's ``match`` (if any)."""
@@ -88,13 +108,11 @@ class FaultRule:
         trigger = self.trigger
         if not trigger:
             return False
-        if "call" in trigger and call != int(trigger["call"]):
+        if "call" in trigger and call != trigger["call"]:
             return False
-        if "calls" in trigger and call not in {int(c) for c in trigger["calls"]}:
+        if "calls" in trigger and call not in trigger["calls"]:
             return False
-        if "suffix" in trigger and not str(context.get("path", "")).endswith(
-            str(trigger["suffix"])
-        ):
+        if "suffix" in trigger and not str(context.get("path", "")).endswith(trigger["suffix"]):
             return False
         if not self.accepts(context):
             return False
@@ -121,8 +139,8 @@ class FaultRule:
             return cls(
                 site=data["site"],
                 fault=data["fault"],
-                trigger=dict(data.get("trigger", {})),
-                params=dict(data.get("params", {})),
+                trigger=data.get("trigger", {}),
+                params=data.get("params", {}),
             )
         except KeyError as exc:
             raise FaultPlanError(f"rule is missing required field {exc}") from exc
@@ -145,6 +163,8 @@ class FaultPlan:
     """
 
     def __init__(self, seed: int = 0, rules: Iterable[FaultRule] = (), name: str = "plan"):
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise FaultPlanError(f"plan seed must be a non-negative int, got {seed!r}")
         self.seed = int(seed)
         self.name = name
         self.rules = tuple(rules)

@@ -113,7 +113,13 @@ def write_container(path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) 
     for key in arrays:
         if key.startswith("__"):
             raise ArtifactError(f"array name {key!r} collides with the reserved header slot")
-    header = {"magic": MAGIC, "format_version": FORMAT_VERSION, "kind": kind, "meta": meta}
+    header = {
+        "magic": MAGIC,
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "meta": meta,
+        "arrays": sorted(arrays),
+    }
     final = Path(path)
     if final.suffix != ".npz":  # np.savez would silently append .npz
         final = final.with_name(final.name + ".npz")
@@ -163,7 +169,7 @@ def _parse_header(raw: bytes, path, expect_kind: Optional[str]) -> dict:
     return header
 
 
-def _load_entries(path, want_arrays: bool) -> tuple[bytes, dict]:
+def _read(path, expect_kind: Optional[str], want_arrays: bool) -> tuple[dict, dict]:
     try:
         # Inside the try on purpose: an injected fault that raises a raw
         # error exercises (and is converted by) the same classification
@@ -171,18 +177,32 @@ def _load_entries(path, want_arrays: bool) -> tuple[bytes, dict]:
         inject("io.artifact.read", path=path)
         with np.load(path) as data:
             if "__header__" not in data.files:
+                # A renamed central-directory entry no longer matches its
+                # local header: damage, not a foreign file.
+                damaged = data.zip.testzip()
+                if damaged is not None:
+                    raise ArtifactCorruptError(f"{path}: damaged container entry {damaged!r}")
                 raise ArtifactSchemaError(
                     f"{path} is not a deployed MF-DFP file (missing header)"
                 )
             raw = bytes(data["__header__"])
-            arrays = (
-                {k: data[k] for k in data.files if k != "__header__"} if want_arrays else {}
-            )
+            names = [k for k in data.files if k != "__header__"]
+            arrays = {k: data[k] for k in names} if want_arrays else {}
     except ArtifactError:
         raise
     except Exception as exc:  # BadZipFile, OSError, zlib/pickle errors, ...
         raise ArtifactCorruptError(f"{path}: unreadable artifact container: {exc}") from exc
-    return raw, arrays
+    header = _parse_header(raw, path, expect_kind)
+    # A damaged zip central directory can drop or rename entries while
+    # every remaining entry still passes its CRC; the header (itself
+    # CRC-checked) lists what was written.  Files written before the
+    # list existed carry none and skip the check.
+    declared = header.get("arrays")
+    if declared is not None and declared != sorted(names):
+        raise ArtifactCorruptError(
+            f"{path}: container holds entries {sorted(names)}, its header declares {declared}"
+        )
+    return header, arrays
 
 
 def read_container(path, expect_kind: Optional[str] = None) -> tuple[dict, dict]:
@@ -191,10 +211,10 @@ def read_container(path, expect_kind: Optional[str] = None) -> tuple[dict, dict]
     Accepts both the current container layout and legacy version-1
     deployed files (which are normalized to a synthetic v1 header).
     Raises the typed :class:`ArtifactError` hierarchy — never a raw
-    zip/JSON/numpy exception — on any malformed input.
+    zip/JSON/numpy exception — on any malformed input, including a
+    container whose entries differ from the names its header declares.
     """
-    raw, arrays = _load_entries(path, want_arrays=True)
-    return _parse_header(raw, path, expect_kind), arrays
+    return _read(path, expect_kind, want_arrays=True)
 
 
 def read_header(path) -> dict:
@@ -204,8 +224,7 @@ def read_header(path) -> dict:
     store or re-checking fingerprints on publish never decompresses
     weight arrays.
     """
-    raw, _ = _load_entries(path, want_arrays=False)
-    return _parse_header(raw, path, None)
+    return _read(path, None, want_arrays=False)[0]
 
 
 # -- schema-level helpers --------------------------------------------------------

@@ -19,7 +19,7 @@ from repro.core.engine import ENGINE_CACHE_CAPACITY, EngineCache, engine_cache, 
 from repro.core.mfdfp import MFDFPNetwork, deploy_calibrated
 from repro.core.quantizer import strip_quantization
 from repro.hw import Accelerator, AcceleratorConfig
-from repro.nn import error_rate
+from repro.nn import SGD, Trainer, error_rate
 from repro.zoo import cifar10_small
 
 
@@ -369,14 +369,23 @@ class TestTrainSurrogate:
         """The campaign's surrogate training: fast path changes nothing."""
         train, test = small_data
         histories, weights = {}, {}
-        for compiled in (False, True):
-            net = cifar10_small(size=16, rng=np.random.default_rng(4))
-            history, trainer = train_surrogate(
-                net, train, test, epochs=2, rng=np.random.default_rng(2), compiled=compiled
-            )
-            histories[compiled] = history
-            weights[compiled] = net.get_weights()
-            assert (trainer.executor is not None) == compiled
+        net = cifar10_small(size=16, rng=np.random.default_rng(4))
+        eager = Trainer(
+            net,
+            SGD(net.params, lr=0.02, momentum=0.9),
+            batch_size=32,
+            rng=np.random.default_rng(2),
+            compiled=False,
+        )
+        histories[False] = eager.fit(train, test, epochs=2)
+        weights[False] = net.get_weights()
+        assert eager.executor is None
+        net = cifar10_small(size=16, rng=np.random.default_rng(4))
+        histories[True], trainer = train_surrogate(
+            net, train, test, epochs=2, rng=np.random.default_rng(2)
+        )
+        weights[True] = net.get_weights()
+        assert trainer.executor is not None
         assert histories[False].train_losses == histories[True].train_losses
         assert histories[False].val_errors == histories[True].val_errors
         for name in weights[False]:

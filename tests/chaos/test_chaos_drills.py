@@ -1,17 +1,34 @@
-"""Drill harness: report shape, determinism, and the cheap drills in-process.
+"""Drills and the plan runner: report shape, invariants, determinism.
 
 The full four-drill sweep (including the process-pool and SIGKILL
 drills) runs in ``benchmarks/bench_chaos_recovery.py`` and the CI chaos
-smoke step; here the fast drills prove the harness end-to-end at
-unit-test speed.
+smoke step; here the fast drills prove the harnesses end-to-end at
+unit-test speed, and toy harnesses prove each check of the runner.
 """
 
 import json
+import time
 
+import numpy as np
 import pytest
 
-from repro.chaos import DRILLS, DrillError, FaultPlan, Watchdog, run_drill
+from repro.chaos import (
+    DRILLS,
+    HARNESSES,
+    DrillError,
+    FaultPlan,
+    Harness,
+    InvariantViolation,
+    Watchdog,
+    run_drill,
+    run_plan,
+)
 from repro.chaos.errors import DrillTimeoutError
+from repro.chaos.harnesses import Outcome
+
+
+def toy(run, budget_s=30.0):
+    return Harness("toy", lambda plan, quick, workdir: run(), {}, budget_s=budget_s)
 
 
 class TestHarness:
@@ -37,6 +54,55 @@ class TestHarness:
     def test_watchdog_noop_on_fast_block(self):
         with Watchdog(30.0, label="fast"):
             pass
+
+    def test_drills_are_pinned_plans_on_the_harnesses(self):
+        assert {drill.harness.name for drill in DRILLS.values()} == {
+            "resume",
+            "cold-start",
+            "campaign",
+            "resume-in-child",
+        }
+        assert all(drill.harness is HARNESSES[drill.harness.name] for drill in DRILLS.values())
+
+
+class TestRunner:
+    def test_counts_bit_identical_results(self):
+        outcome = Outcome(reference={"a": np.arange(3.0), "b": 1.5}, completed={"a": np.arange(3.0)})
+        report = run_plan(toy(lambda: outcome), FaultPlan(seed=4))
+        assert report.passed and report.compared == 1 and report.seed == 4
+
+    @pytest.mark.parametrize(
+        "completed",
+        [{"a": np.arange(3.0) + 1e-12}, {"a": np.arange(3, dtype=np.float32)}, {"c": 1.0}],
+        ids=["value", "dtype", "no-reference"],
+    )
+    def test_any_completed_result_off_the_reference_fails(self, completed):
+        outcome = Outcome(reference={"a": np.arange(3.0)}, completed=completed)
+        with pytest.raises(DrillError):
+            run_plan(toy(lambda: outcome), FaultPlan())
+
+    def test_raw_error_escaping_a_harness_is_an_invariant_violation(self):
+        def run():
+            raise KeyError("raw")
+
+        with pytest.raises(InvariantViolation, match="raw KeyError"):
+            run_plan(toy(run), FaultPlan())
+
+    def test_attempt_records_typed_errors_and_rejects_raw_ones(self):
+        outcome = Outcome()
+        result, error = outcome.attempt("step", (KeyError,), lambda: {}["x"])
+        assert result is None and isinstance(error, KeyError)
+        assert outcome.errors == ["step: KeyError"]
+        with pytest.raises(InvariantViolation, match="step: raw ZeroDivisionError"):
+            outcome.attempt("step", (KeyError,), lambda: 1 / 0)
+
+    def test_a_hung_harness_times_out_typed(self):
+        def run():
+            for _ in range(500):
+                time.sleep(0.01)
+
+        with pytest.raises(DrillTimeoutError, match="toy"):
+            run_plan(toy(run, budget_s=0.05), FaultPlan())
 
 
 class TestCheapDrills:
@@ -68,3 +134,11 @@ class TestCheapDrills:
         assert reports[0].plan == reports[1].plan
         assert reports[0].fired == reports[1].fired
         assert reports[0].details == reports[1].details
+
+    def test_printed_plan_replays_through_its_harness(self, tmp_path):
+        report = run_drill("torn-checkpoint-resume", seed=5, quick=True, workdir=tmp_path / "a")
+        plan = FaultPlan.from_json(json.dumps(report.plan))
+        replay = run_plan(HARNESSES["resume"], plan, quick=True, workdir=tmp_path / "b")
+        assert replay.fired == report.fired
+        assert replay.details == report.details
+        assert replay.compared == report.compared == 9  # 8 weight tensors + the loss curve

@@ -57,6 +57,59 @@ class TestRuleValidation:
         with pytest.raises(FaultPlanError, match="missing required field"):
             FaultRule.from_dict({"site": "a.b"})
 
+    @pytest.mark.parametrize(
+        "trigger",
+        [
+            {"call": "abc"},
+            {"call": True},
+            {"call": 0},
+            {"call": -2},
+            {"call": 1.5},
+            {"calls": 3},
+            {"calls": [1, "2"]},
+            {"calls": [0]},
+            {"always": "yes"},
+            {"suffix": 7},
+            {"match": "x"},
+        ],
+        ids=repr,
+    )
+    def test_malformed_trigger_values_rejected_at_construction(self, trigger):
+        # Each of these used to build, then raise a raw ValueError /
+        # TypeError / AttributeError inside the faulted layer on its
+        # first fire() (or silently mean call 1, or never fire).
+        with pytest.raises(FaultPlanError, match="trigger"):
+            rule(trigger=trigger)
+
+    def test_non_dict_params_rejected(self):
+        with pytest.raises(FaultPlanError, match="params"):
+            rule(params=[("fraction", 0.5)])
+
+    @pytest.mark.parametrize("seed", [-1, "abc", 1.0, True, None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(FaultPlanError, match="seed"):
+            FaultPlan(seed=seed)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"seed": -1},
+            {"seed": "abc"},
+            {"rules": [{"site": "a.b", "fault": "truncate", "trigger": 5}]},
+            {"rules": [{"site": "a.b", "fault": "truncate", "params": 5}]},
+            {"rules": [{"site": "a.b", "fault": "truncate", "trigger": {"call": "abc"}}]},
+        ],
+        ids=repr,
+    )
+    def test_from_json_raises_only_fault_plan_errors(self, doc):
+        with pytest.raises(FaultPlanError):
+            FaultPlan.from_json(json.dumps(doc))
+
+    def test_numpy_integer_seed_accepted(self):
+        import numpy as np
+
+        assert FaultPlan(seed=np.int64(5)).to_dict()["seed"] == 5
+
 
 class TestTriggerGrammar:
     def test_empty_trigger_never_fires(self):

@@ -1,6 +1,8 @@
 """Unit tests of the artifact container: codecs, validation, typed errors."""
 
 import json
+import re
+import zipfile
 
 import numpy as np
 import pytest
@@ -113,6 +115,43 @@ class TestContainer:
         assert [p.name for p in tmp_path.iterdir()] == ["c.npz"]  # no .tmp.* leftovers
         header, arrays = read_container(path)
         assert header["meta"] == {"a": 2} and len(arrays["x"]) == 4
+
+    def test_entries_hidden_by_a_damaged_central_directory_are_corrupt(self, tmp_path):
+        # Give the second-to-last central-directory record a 64 KiB
+        # comment: zipfile reads the last record as that comment, so the
+        # last entry vanishes while every remaining one passes its CRC.
+        path = tmp_path / "c.npz"
+        write_container(path, "network", {}, {"a": np.arange(3), "b": np.arange(4)})
+        with zipfile.ZipFile(path) as archive:
+            start = archive.start_dir
+        blob = bytearray(path.read_bytes())
+        second_last = start + [m.start() for m in re.finditer(b"PK\x01\x02", blob[start:])][-2]
+        blob[second_last + 32 : second_last + 34] = b"\xff\xff"
+        path.write_bytes(bytes(blob))
+        with np.load(path) as data:
+            assert len(data.files) == 2  # the damage hides an entry without raising
+        with pytest.raises(ArtifactCorruptError, match="its header declares"):
+            read_container(path)
+
+    def test_header_entry_renamed_in_the_central_directory_is_corrupt(self, tmp_path):
+        # The local header still says __header__.npy, so this is damage,
+        # not a foreign file; checkpoint fallback skips only corrupt files.
+        path = tmp_path / "c.npz"
+        write_container(path, "network", {}, {"a": np.arange(3)})
+        with zipfile.ZipFile(path) as archive:
+            start = archive.start_dir
+        blob = bytearray(path.read_bytes())
+        at = blob.index(b"__header__.npy", start)
+        blob[at + 4] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactCorruptError, match="damaged container entry"):
+            read_container(path)
+
+    def test_header_declares_its_entries(self, tmp_path):
+        path = tmp_path / "c.npz"
+        write_container(path, "network", {}, {"b": np.arange(4), "a": np.arange(3)})
+        header, arrays = read_container(path)
+        assert header["arrays"] == ["a", "b"] and sorted(arrays) == ["a", "b"]
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "c.npz"
