@@ -9,7 +9,12 @@ through the shared batched API instead (compiled
 cache, structure-sharing fault copies) and fans points out over a thread
 pool.
 
-Two properties are gated here, matching the PR's acceptance criteria:
+The same fault campaign on the process backend
+(``run_campaign("faults", backend="process", jobs=2)``: pool start-up,
+point shipping and worker compiles included) is recorded beside the
+thread figure, ungated.
+
+Two properties are gated here:
 
 * **speedup** — the parallel batched fault campaign must deliver at
   least 4x the samples/sec of the serial eager baseline (deepcopy +
@@ -86,6 +91,15 @@ def _parallel_batched_faults(deployed, x, y, seed=0, jobs=JOBS):
     engine_cache().clear()
     return accuracy_under_faults(
         deployed, x, y, BERS, rng=np.random.default_rng(seed), jobs=jobs
+    )
+
+
+def _process_campaign(deployed, x, y, seed=0):
+    """``run_campaign`` on the process backend, cold engine cache per run."""
+    engine_cache().clear()
+    return run_campaign(
+        "faults", deployed=deployed, x=x, y=y, jobs=2, backend="process",
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -188,3 +202,16 @@ def test_campaign_4x_serial_eager_baseline(problem, full_only, bench_metrics):
         f"({speedup:.1f}x vs eager/batch, {scalar_s / campaign_s:.1f}x vs eager/sample)"
     )
     assert speedup >= GATE, f"campaign only {speedup:.2f}x over the serial eager baseline"
+
+
+def test_process_backend_campaign_throughput(problem, full_only, bench_metrics):
+    """Recorded, not gated: the process-backend campaign in points/s."""
+    test = problem["test"]
+    deployed = problem["deployed"]
+    result = _process_campaign(deployed, test.x, test.y)
+    assert result.points == accuracy_under_faults(
+        deployed, test.x, test.y, DEFAULT_POINTS["faults"], rng=np.random.default_rng(0)
+    )
+    process_s = _best_time(lambda: _process_campaign(deployed, test.x, test.y))
+    bench_metrics["process_points_per_s"] = round(len(result.points) / process_s, 2)
+    print(f"\nprocess backend, jobs=2: {len(result.points) / process_s:.1f} pts/s")

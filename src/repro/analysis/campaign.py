@@ -40,6 +40,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -141,6 +142,22 @@ class _PointCancelled(Exception):
     """Internal marker: a queued point skipped after an earlier failure."""
 
 
+#: The point list of this pool worker's campaign; set only in pool
+#: workers, by the initializer :func:`_install_points`.
+_WORKER_POINTS: Sequence[Callable[[], object]] = ()
+
+
+def _install_points(fns: Sequence[Callable[[], object]]) -> None:
+    """Pool initializer: hold the campaign's points for :func:`_run_point`."""
+    global _WORKER_POINTS
+    _WORKER_POINTS = fns
+
+
+def _run_point(index: int):
+    """Pool task: run point ``index`` of this worker's installed list."""
+    return _WORKER_POINTS[index]()
+
+
 def parallel_map(
     fns: Sequence[Callable[[], object]],
     jobs: Optional[int] = None,
@@ -152,7 +169,12 @@ def parallel_map(
     with the thread backend runs inline — no pool, no thread hops —
     which is also the reference ordering for the determinism contract.
     ``backend="process"`` runs the points in a
-    :class:`repro.parallel.ProcessPoolRunner` (tasks must pickle).
+    :class:`repro.parallel.ProcessPoolRunner` (tasks must pickle).  The
+    point list crosses to the pool once, as the workers' ``initargs``,
+    and each task ships only a point index: points that share a payload
+    (every fault point holds the same network and test set) pickle it
+    once per campaign, not once per point.  An unpicklable point raises
+    here, before any worker starts.
 
     Error semantics on both backends: the first exception propagates,
     and every point still queued at that moment is cancelled rather
@@ -168,8 +190,9 @@ def parallel_map(
     if backend == "process":
         from repro.parallel import ProcessPoolRunner
 
-        with ProcessPoolRunner(min(jobs, len(fns))) as runner:
-            return runner.map(fns)
+        workers = min(jobs, len(fns))
+        with ProcessPoolRunner(workers, initializer=_install_points, initargs=(fns,)) as runner:
+            return runner.map([partial(_run_point, i) for i in range(len(fns))])
     if jobs == 1 or len(fns) == 1:
         return [fn() for fn in fns]
 

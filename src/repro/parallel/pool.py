@@ -132,7 +132,8 @@ class ProcessPoolRunner:
             default :func:`default_context`.
         initializer: Module-level callable run once in every worker
             before it serves tasks; a raise breaks the pool.
-        initargs: Arguments for ``initializer`` (must pickle).
+        initargs: Arguments for ``initializer``; pickled once, before
+            any worker starts, so an unpicklable one raises here.
 
     Thread-safe: any number of threads may :meth:`submit` / :meth:`call`
     concurrently (the serving runtime's per-model actor workers do).
@@ -149,6 +150,7 @@ class ProcessPoolRunner:
     ):
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
+        initargs_payload = _pickle_payload(tuple(initargs))
         if mp_context is None or isinstance(mp_context, str):
             ctx = mp.get_context(mp_context or default_context())
         else:
@@ -173,7 +175,6 @@ class ProcessPoolRunner:
             resource_tracker.ensure_running()
         except Exception:
             pass
-        initargs_payload = _pickle_payload(tuple(initargs))
         self._processes = [
             ctx.Process(
                 target=_worker_main,
@@ -247,7 +248,7 @@ class ProcessPoolRunner:
     def _collect(self) -> None:
         while True:
             try:
-                task_id, status, body = self._results.get(timeout=self._LIVENESS_POLL_S)
+                item = self._results.get(timeout=self._LIVENESS_POLL_S)
             except queue.Empty:
                 with self._lock:
                     if self._closed:
@@ -263,6 +264,9 @@ class ProcessPoolRunner:
                     )
                     return
                 continue
+            if item is None:  # close() joined the workers: nothing more comes
+                return
+            task_id, status, body = item
             if status == "init_error":
                 self._break(WorkerCrashedError(f"worker initializer failed: {pickle.loads(body)}"))
                 return
@@ -304,13 +308,16 @@ class ProcessPoolRunner:
         (stragglers are terminated after ``timeout``).  A broken pool is
         terminated at once: its pending futures have already failed, and
         a worker killed mid-``get`` can leave the task queue's lock held,
-        so the survivors might never read their sentinel.
+        so the survivors might never read their sentinel.  Once the
+        workers are joined, a ``None`` on the results queue wakes the
+        collector, so closing never waits out the liveness poll.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             broken = self._broken is not None
+        atexit.unregister(self.close)  # the hook would keep a closed pool's pipes alive
         for _ in self._processes:
             try:
                 self._tasks.put(None)
@@ -322,6 +329,8 @@ class ProcessPoolRunner:
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
+        if not broken:  # a broken pool's collector has already returned
+            self._results.put(None)
         self._collector.join(timeout=2.0)
         with self._lock:
             pending, self._pending = list(self._pending.values()), {}

@@ -3,6 +3,7 @@
 import functools
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,42 @@ class TestProcessBackend:
         fns = [functools.partial(worker_mod.echo, 1), worker_mod.crash]
         with pytest.raises(WorkerCrashedError):
             parallel_map(fns, jobs=2, backend="process")
+
+
+class _CountedPayload:
+    """A shared point payload that counts how often this process pickles it."""
+
+    pickles = 0
+
+    def __init__(self, data):
+        self.data = data
+
+    def __reduce__(self):
+        type(self).pickles += 1
+        return (_CountedPayload, (self.data,))
+
+    def __eq__(self, other):
+        return isinstance(other, _CountedPayload) and np.array_equal(self.data, other.data)
+
+
+class TestPointShipping:
+    def test_shared_payload_is_pickled_once_per_campaign(self, monkeypatch):
+        """Regression: each point task pickled the payload it shares with
+        the others (a fault campaign re-sent its network and test set
+        once per point); the point list now crosses to the pool once."""
+        monkeypatch.setattr(_CountedPayload, "pickles", 0)
+        payload = _CountedPayload(np.arange(4096, dtype=np.float64))
+        fns = [functools.partial(worker_mod.echo, (payload, i)) for i in range(6)]
+        fanned = parallel_map(fns, jobs=2, backend="process")
+        assert _CountedPayload.pickles == 1
+        assert fanned == parallel_map(fns, jobs=2, backend="thread")
+
+    def test_unpicklable_point_raises_before_any_worker_runs(self, tmp_path):
+        marker = tmp_path / "ran"
+        fns = [functools.partial(Path.touch, marker), lambda: None]
+        with pytest.raises(Exception):
+            parallel_map(fns, jobs=2, backend="process")
+        assert not marker.exists()
 
 
 def _campaign_kwargs(kind, problem, test, seed):

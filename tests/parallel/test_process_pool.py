@@ -1,7 +1,10 @@
 """ProcessPoolRunner: ordering, typed failure, crash detection, lifecycle."""
 
 import functools
+import gc
+import os
 import time
+import weakref
 
 import pytest
 
@@ -111,3 +114,40 @@ class TestLifecycle:
     def test_spawn_context(self):
         with ProcessPoolRunner(1, mp_context="spawn") as runner:
             assert runner.call(worker_mod.echo, [1, 2]) == [1, 2]
+
+    def test_close_wakes_the_collector_instead_of_waiting_out_the_poll(self, monkeypatch):
+        """Regression: the collector only noticed close() on its next
+        liveness-poll timeout, so every close paid up to one poll."""
+        monkeypatch.setattr(ProcessPoolRunner, "_LIVENESS_POLL_S", 30.0)
+        runner = ProcessPoolRunner(2)
+        start = time.monotonic()
+        runner.close()
+        assert time.monotonic() - start < 1.0
+        assert not runner._collector.is_alive()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_closed_pools_release_their_pipes():
+    """Regression: an ``atexit`` hook that close() never unregistered kept
+    every closed runner, and its queue pipes, alive until exit (a long
+    campaign loop ran the parent out of file descriptors)."""
+    ProcessPoolRunner(2).close()  # starts the resource tracker, which stays
+    gc.collect()
+    baseline = _open_fds()
+    for _ in range(20):
+        with ProcessPoolRunner(2) as runner:
+            assert runner.call(worker_mod.echo, 1) == 1
+    ref = weakref.ref(runner)
+    del runner
+    deadline = time.monotonic() + 5.0
+    while True:  # queue feeder threads close their pipe ends asynchronously
+        gc.collect()
+        if _open_fds() <= baseline or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert _open_fds() <= baseline
+    assert ref() is None
