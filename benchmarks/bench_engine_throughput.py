@@ -6,9 +6,9 @@ The deployed integer artifact can be served three ways, all bit-identical:
 * **eager batch** — ``execute_deployed`` on the whole batch (re-derives
   weights and windows every call),
 * **compiled engine** — :class:`repro.core.engine.BatchedEngine`
-  (LUT-decoded weights, a precomputed im2col gather table, BLAS-backed
-  GEMMs, an exact float route and strided-window pools over
-  batch-last activations).  Each op runs in float32 when its proved
+  (LUT-decoded weights, an im2col operand gathered and multiplied in
+  cache-sized blocks of output rows, BLAS-backed GEMMs, an exact float
+  route and strided-window pools over batch-last activations).  Each op runs in float32 when its proved
   worst-case sum is below 2^24 and in float64 otherwise; this network's
   ops all run in float32.
 

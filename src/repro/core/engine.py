@@ -12,9 +12,11 @@ round-half-to-even exactly as in the RTL datapath):
 * the **compiled path** (:class:`BatchedEngine`) front-loads all of that
   work once per network: weight codes become integer shift multipliers
   through a 16-entry LUT (:data:`SHIFT_LUT`), im2col becomes a
-  precomputed gather-index table, pooling windows become strided slices,
-  and each layer becomes a closure that maps an ``(N, ...)`` batch of
-  codes to the next batch of codes.  Between layers the codes are
+  precomputed gather-index table whose operand is gathered and
+  multiplied in cache-sized blocks of output rows (:data:`BLOCK_BYTES`),
+  pooling windows become strided slices, and each layer becomes a
+  closure that maps an ``(N, ...)`` batch of codes to the next batch of
+  codes.  Between layers the codes are
   float integers in batch-last memory, routed by an exact
   scale-``rint``-clip (see the kernel notes below); each op runs in
   float32 when its proved worst-case sum is below 2^24 and in float64
@@ -30,6 +32,7 @@ executes, through :func:`execute_deployed`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -165,6 +168,34 @@ def _im2col_indices(c: int, h: int, w: int, k: int, stride: int, pad: int):
     index is read-only and shared.
     """
     return patch_index_table(c, h, w, k, k, stride, pad, sentinel=True)
+
+
+#: Target size of one block of a conv's im2col operand.  The compiled
+#: kernel gathers and multiplies a block of output rows at a time, so
+#: the GEMM reads its columns from cache instead of streaming the whole
+#: operand (4.9 MB for ``cifar10_full.conv1`` at batch 64) through
+#: memory twice.  A block is at least one output row.
+BLOCK_BYTES = 256 * 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _im2col_blocks(c: int, h: int, w: int, k: int, stride: int, pad: int, rows: int) -> tuple:
+    """The :func:`_im2col_indices` table cut into blocks of ``rows`` output rows.
+
+    Returns one ``(lo, hi, index)`` per block, ``index`` being the
+    contiguous ``(c*k*k, hi - lo)`` table of output positions
+    ``[lo, hi)``; the last block may be short.  Keyed by geometry and
+    rows per block, never by batch size; the blocks are read-only and
+    shared by every engine of that geometry.
+    """
+    index, oh, ow = _im2col_indices(c, h, w, k, stride, pad)
+    blocks = []
+    for row in range(0, oh, rows):
+        lo, hi = row * ow, min(row + rows, oh) * ow
+        block = np.ascontiguousarray(index[:, lo:hi])
+        block.setflags(write=False)
+        blocks.append((lo, hi, block))
+    return tuple(blocks)
 
 
 # -- the accumulator proof and the dtype rule ----------------------------------
@@ -305,6 +336,12 @@ def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
 # ``transpose(3, 0, 1, 2)`` view.  The batch is then the contiguous inner
 # axis of every gather and pool pass.
 #
+# A conv gathers and multiplies its im2col operand one block of output
+# rows at a time (:data:`BLOCK_BYTES`, :func:`_im2col_blocks`), each
+# block's GEMM writing its own columns of the op's output; bias and
+# route then run once over the whole output.  Blocking changes which
+# columns a GEMM call sees, never a sum, so it cannot change a value.
+#
 # Each kernel computes in the dtype :func:`op_dtypes` picks for its op,
 # and the arithmetic is exact in it.  No partial sum of a float32 op can
 # reach 2^24, and the compiler has proved every other accumulator fits
@@ -344,23 +381,29 @@ def _conv_compile(
     chw = c * h * w
     shape = (g, op.out_channels // g, syn)
     w_f = decode_weight_plane(op, dtype) if plane is None else _check_plane(op, plane, shape, dtype)
-    index, oh, ow = _im2col_indices(c, h, w, k, op.stride, op.pad)
+    _, oh, ow = _im2col_indices(c, h, w, k, op.stride, op.pad)
     positions = oh * ow
     bias = None if op.bias_int is None else op.bias_int[:, None].astype(dtype)
     acc_frac = op.in_frac + 7
 
-    # Gathering rows of the (chw+1, N) plane yields columns as
-    # (c*k*k, positions, N), which reshapes — without copies — into the
-    # (g, syn, positions*N) operand of one large GEMM per group instead of
-    # N small ones; its (out_channels, positions*N) result is routed in
-    # place and handed on batch-last.
+    # Gathering rows of the (chw+1, N) plane yields a block's columns as
+    # (c*k*k, block positions, N), which reshapes — without copies — into
+    # the (g, syn, block positions*N) operand of one GEMM per group
+    # instead of N small ones.  The (out_channels, positions*N) result
+    # is routed in place and handed on batch-last.
+    row_bytes = c * k * k * ow * np.dtype(dtype).itemsize  # per sample
+
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         n = codes.shape[0]
         flat_t = np.empty((chw + 1, n), dtype=dtype)
         flat_t[:-1] = codes.reshape(n, chw).T
         flat_t[-1] = 0.0
-        cols_t = flat_t[index].reshape(g, syn, positions * n)
-        acc = np.matmul(w_f, cols_t).reshape(op.out_channels, positions * n)
+        acc = np.empty((g, op.out_channels // g, positions * n), dtype=dtype)
+        rows = min(oh, max(1, BLOCK_BYTES // max(1, row_bytes * n)))
+        for lo, hi, block in _im2col_blocks(c, h, w, k, op.stride, op.pad, rows):
+            cols = np.take(flat_t, block, axis=0).reshape(g, syn, (hi - lo) * n)
+            np.matmul(w_f, cols, out=acc[..., lo * n : hi * n])
+        acc = acc.reshape(op.out_channels, positions * n)
         if bias is not None:
             acc += bias
         _route(acc, acc_frac, op.out_frac, op.activation, max_code)

@@ -1,0 +1,18 @@
+"""Hypothesis profile for the blocked conv kernel property.
+
+Tier-1 runs ``test_blocked_conv_matches_reference`` at its own small
+fixed budget.  CI's engine step runs it again with a larger one::
+
+    python -m pytest tests/core/test_engine_properties.py -k blocked --hypothesis-profile engine
+"""
+
+from hypothesis import HealthCheck, settings
+
+settings.register_profile(
+    "engine",
+    max_examples=1500,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)

@@ -9,19 +9,33 @@ every batch size, and batching itself must not change any value (a
 batch run equals the concatenation of solo runs).  The engine-cache hit
 path is part of the property: equal-content artifacts must yield the
 *same object* and the same outputs.
+
+The compiled conv kernel gathers and multiplies its im2col operand in
+blocks of output rows (:data:`repro.core.engine.BLOCK_BYTES`).  Small
+test geometries fit one block, so a hypothesis property shrinks the
+block size until every block is one output row, or the last block is
+ragged, over 8- and 16-bit conv nets and engines on shared weight planes.
 """
+
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, note, settings
+from hypothesis import strategies as st
 
+from repro.core import engine as engine_mod
 from repro.core.engine import (
     BatchedEngine,
     EngineCache,
     engine_fingerprint,
     execute_deployed,
+    op_dtypes,
 )
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
 from repro.nn.layers.pool import pool_output_size
+from repro.parallel import SharedWeightArena, attach_planes
+from repro.parallel.arena import _ATTACHED
 
 SEEDS = range(6)
 BATCH_SIZES = (1, 3, 17, 64)
@@ -287,3 +301,168 @@ def test_fingerprint_memo_is_not_inherited_by_mutated_copies():
     assert engine_fingerprint(deployed) == original  # memo still intact
     cache = EngineCache()
     assert cache.get(deployed) is not cache.get(faulty)
+
+
+# -- blocked conv kernel -----------------------------------------------------------
+
+#: Examples in tier-1; the ``engine`` profile (conftest.py) raises it
+#: for CI's engine step.
+TIER1_BLOCK_EXAMPLES = 100
+
+#: Batch sizes of the block property: empty, solo, odd, one past 64.
+BLOCK_BATCHES = (0, 1, 3, 17, 64, 65)
+
+
+def block_budget() -> settings:
+    if settings.get_current_profile_name() == "engine":
+        return settings.get_profile("engine")
+    return settings(
+        max_examples=TIER1_BLOCK_EXAMPLES,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+
+@st.composite
+def conv_specs(draw):
+    """One or two stacked conv ops as plain values (``@example``-able).
+
+    16-bit nets get 3x3 kernels, a fan-in of at least 9, so each of
+    their convs can sum past 2^24 and runs in float64; inputs are at least 7 pixels
+    high, so the first conv has at least 3 output rows (a ragged split
+    exists).
+    """
+    bits = draw(st.sampled_from([8, 16]))
+    layers, cin = [], draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 2))):
+        groups = draw(st.sampled_from([1, 2]))
+        if not layers:
+            cin *= groups
+        elif cin % groups:
+            groups = 1
+        k = draw(st.integers(3 if bits == 16 else 1, 3))
+        layers.append(
+            dict(
+                groups=groups,
+                cin=cin,
+                cout=groups * draw(st.integers(1, 3)),
+                k=k,
+                stride=draw(st.integers(1, 2)),
+                pad=draw(st.integers(0, k - 1)),
+                bias=draw(st.booleans()),
+                relu=draw(st.booleans()),
+            )
+        )
+        cin = layers[-1]["cout"]
+    return dict(
+        bits=bits,
+        hw=(draw(st.integers(7, 14)), draw(st.integers(7, 14))),
+        fracs=draw(st.lists(st.integers(0, 7), min_size=len(layers) + 1, max_size=len(layers) + 1)),
+        layers=layers,
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _conv_net(spec) -> DeployedMFDFP:
+    rng = np.random.default_rng(spec["seed"])
+    ops, fracs = [], spec["fracs"]
+    for i, layer in enumerate(spec["layers"]):
+        cin, cout, g, k = layer["cin"], layer["cout"], layer["groups"], layer["k"]
+        ops.append(
+            DeployedLayer(
+                kind="conv",
+                name=f"conv{i + 1}",
+                in_frac=fracs[i],
+                out_frac=fracs[i + 1],
+                weight_codes=rng.integers(0, 16, size=(cout, cin // g, k, k)),
+                bias_int=rng.integers(-4000, 4000, size=cout) if layer["bias"] else None,
+                activation="relu" if layer["relu"] else "none",
+                in_channels=cin,
+                out_channels=cout,
+                kernel_size=k,
+                stride=layer["stride"],
+                pad=layer["pad"],
+                groups=g,
+            )
+        )
+    c = spec["layers"][0]["cin"]
+    return DeployedMFDFP(
+        name="blocks", input_shape=(c, *spec["hw"]), input_frac=fracs[0], bits=spec["bits"], ops=ops
+    )
+
+
+def _ragged_block_bytes(deployed: DeployedMFDFP, n: int) -> int:
+    """A block size that cuts the first conv's output rows unevenly."""
+    op = deployed.ops[0]
+    c, h, w = deployed.input_shape
+    k, s, p = op.kernel_size, op.stride, op.pad
+    oh, ow = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    rows = max(r for r in range(2, oh) if oh % r)
+    return rows * c * k * k * ow * op_dtypes(deployed)[0].itemsize * n
+
+
+def _shared_codes(deployed: DeployedMFDFP, x: np.ndarray) -> np.ndarray:
+    """Run ``x`` on an engine over shared-memory weight planes.
+
+    The segment is unmapped only after a clean run: a failing kernel's
+    traceback still holds views of it.
+    """
+    with SharedWeightArena(prefix=f"repro-blocks-{os.getpid()}") as arena:
+        spec = arena.publish(deployed)
+        codes = BatchedEngine(deployed, weight_planes=attach_planes(spec)).run_codes(x)
+        _ATTACHED.pop(spec.segment)[0].close()
+    return codes
+
+
+@block_budget()
+@given(
+    spec=conv_specs(),
+    n=st.sampled_from(BLOCK_BATCHES),
+    split=st.sampled_from(["row", "ragged"]),
+    shared=st.booleans(),
+)
+@example(
+    spec=dict(
+        bits=8,
+        hw=(9, 11),
+        fracs=[3, 5, 2],
+        layers=[
+            dict(groups=2, cin=4, cout=6, k=3, stride=2, pad=1, bias=True, relu=True),
+            dict(groups=2, cin=6, cout=4, k=2, stride=1, pad=0, bias=False, relu=False),
+        ],
+        seed=7,
+    ),
+    n=65,
+    split="ragged",
+    shared=True,
+)
+def test_blocked_conv_matches_reference(spec, n, split, shared):
+    """Every block split of every conv equals ``execute_deployed`` bit for bit."""
+    note(repr(spec))
+    deployed = _conv_net(spec)
+    if spec["bits"] == 16:
+        assert set(op_dtypes(deployed)) == {np.dtype(np.float64)}
+    x = np.random.default_rng(spec["seed"]).uniform(-2.0, 2.0, size=(n,) + deployed.input_shape)
+    block_bytes = 1 if split == "row" else _ragged_block_bytes(deployed, n)
+    splits = []
+    blocks = engine_mod._im2col_blocks
+
+    def recorded(*key):
+        splits.append((key[-1], [hi - lo for lo, hi, _ in blocks(*key)]))
+        return blocks(*key)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "BLOCK_BYTES", block_bytes)
+        mp.setattr(engine_mod, "_im2col_blocks", recorded)
+        codes = _shared_codes(deployed, x) if shared else BatchedEngine(deployed).run_codes(x)
+    assert np.array_equal(codes, execute_deployed(deployed, x))
+    assert len(splits) == len(deployed.ops)
+    if n == 0:
+        return
+    if split == "row":
+        assert [rows for rows, _ in splits] == [1] * len(splits)
+    else:
+        sizes = splits[0][1]
+        assert len(sizes) > 1 and sizes[-1] < sizes[0]
