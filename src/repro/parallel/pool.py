@@ -40,6 +40,7 @@ import os
 import pickle
 import queue
 import threading
+import time
 from concurrent.futures import CancelledError, Future
 from typing import Callable, Optional, Sequence
 
@@ -109,7 +110,7 @@ def _worker_main(tasks, results, abort, initializer, initargs) -> None:
         if item is None:
             return
         task_id, payload = item
-        if abort.is_set():
+        if abort.value:
             results.put((task_id, "cancelled", b""))
             continue
         try:
@@ -159,7 +160,11 @@ class ProcessPoolRunner:
         self._ctx = ctx
         self._tasks = ctx.Queue()
         self._results = ctx.Queue()
-        self._abort = ctx.Event()
+        # A lock-free shared byte, not an Event: a worker killed while
+        # checking an Event dies holding its process-shared lock, and
+        # the next set() in the parent (the collector breaking the pool)
+        # then blocks forever, so no pending future ever fails.
+        self._abort = ctx.RawValue("b", 0)
         self._lock = threading.Lock()
         self._ids = itertools.count()
         self._pending: dict[int, Future] = {}
@@ -237,7 +242,7 @@ class ProcessPoolRunner:
             except BaseException as exc:
                 if error is None:
                     error = exc
-                    self._abort.set()
+                    self._abort.value = 1
                 continue
             results.append(value)
         if error is not None:
@@ -286,7 +291,7 @@ class ProcessPoolRunner:
         with self._lock:
             self._broken = error
             pending, self._pending = list(self._pending.values()), {}
-        self._abort.set()
+        self._abort.value = 1
         for future in pending:
             if not future.done():
                 future.set_exception(error)
@@ -299,6 +304,9 @@ class ProcessPoolRunner:
     def alive_workers(self) -> int:
         return sum(p.is_alive() for p in self._processes)
 
+    def _worker_died(self) -> bool:
+        return any(p.exitcode not in (None, 0) for p in self._processes)
+
     # -- lifecycle ---------------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
         """Stop the workers and fail anything still pending (idempotent).
@@ -308,7 +316,9 @@ class ProcessPoolRunner:
         (stragglers are terminated after ``timeout``).  A broken pool is
         terminated at once: its pending futures have already failed, and
         a worker killed mid-``get`` can leave the task queue's lock held,
-        so the survivors might never read their sentinel.  Once the
+        so the survivors might never read their sentinel.  For the same
+        reason the wait ends as soon as any worker has died, broken pool
+        or not, and the survivors are terminated.  Once the
         workers are joined, a ``None`` on the results queue wakes the
         collector, so closing never waits out the liveness poll.
         """
@@ -323,13 +333,17 @@ class ProcessPoolRunner:
                 self._tasks.put(None)
             except (OSError, ValueError):
                 break  # queue already torn down
-        deadline = 0.0 if broken else timeout
+        deadline = time.monotonic() + (0.0 if broken else timeout)
         for process in self._processes:
-            process.join(timeout=max(0.1, deadline))
+            while process.is_alive() and time.monotonic() < deadline and not self._worker_died():
+                process.join(timeout=0.05)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)
-        if not broken:  # a broken pool's collector has already returned
+        # A broken pool's collector has already returned.  After a death
+        # it returns on its own: the dead worker may hold the results
+        # queue's write lock, which would wedge this put's feeder thread.
+        if not (broken or self._worker_died()):
             self._results.put(None)
         self._collector.join(timeout=2.0)
         with self._lock:

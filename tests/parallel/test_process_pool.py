@@ -3,6 +3,8 @@
 import functools
 import gc
 import os
+import signal
+import sys
 import time
 import weakref
 
@@ -10,6 +12,15 @@ import pytest
 
 from repro.parallel import PoolClosedError, ProcessPoolRunner, WorkerCrashedError
 from repro.parallel import worker as worker_mod
+
+
+def _die_holding_the_abort_lock() -> None:
+    """Task: SIGKILL this worker while it holds any lock its abort flag has."""
+    abort = sys._getframe(1).f_locals["abort"]  # the worker loop's
+    for lock in (getattr(abort, "_cond", None), getattr(abort, "get_lock", lambda: None)()):
+        if lock is not None:
+            lock.acquire()
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 @pytest.fixture
@@ -95,6 +106,34 @@ class TestCrash:
         assert runner.alive_workers() == 0
         with pytest.raises(WorkerCrashedError):
             busy.result(timeout=0)
+
+    def test_worker_killed_holding_the_abort_lock_cannot_wedge_the_pool(self):
+        """Regression: the abort flag was an Event.  A worker killed while
+        checking it died holding its process-shared lock, the collector's
+        set() on breaking the pool blocked forever, and no pending future
+        ever failed (a chaos campaign hung in ``map``)."""
+        runner = ProcessPoolRunner(1)
+        try:
+            future = runner.submit(_die_holding_the_abort_lock)
+            with pytest.raises(WorkerCrashedError):
+                future.result(timeout=10)
+        finally:
+            runner.close()
+
+    def test_close_after_a_death_does_not_wait_on_survivors(self):
+        """Regression: a worker killed outside a task left the pool
+        unbroken for up to one liveness poll, and close() then gave the
+        survivors the full graceful timeout, though the dead worker may
+        hold the task queue's lock (a chaos campaign paid 10 s a pool)."""
+        runner = ProcessPoolRunner(2)
+        runner.submit(worker_mod.hang, 60.0)
+        time.sleep(0.3)  # one worker is mid-task; the other idles in get
+        idle = runner.call(worker_mod.worker_stats)["pid"]
+        os.kill(idle, signal.SIGKILL)
+        start = time.monotonic()
+        runner.close(timeout=30.0)
+        assert time.monotonic() - start < 5.0
+        assert runner.alive_workers() == 0
 
 
 class TestLifecycle:
