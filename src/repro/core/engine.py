@@ -19,10 +19,11 @@ round-half-to-even exactly as in the RTL datapath):
   codes.  Between layers the codes are
   float integers in batch-last memory, routed by an exact
   scale-``rint``-clip (see the kernel notes below); each op runs in
-  float32 when its proved worst-case sum is below 2^24 and in float64
-  otherwise (:func:`op_dtypes`), and the codes become int64 once, at
-  the end.  Serving-style workloads run through :mod:`repro.serve`,
-  which adds request micro-batching on top.
+  float32 when its proved bound is below 2^24 and in float64 otherwise
+  (:func:`op_dtypes`), average pools dividing in that dtype too, and
+  the codes become int64 once, at the end.  Serving-style workloads
+  run through :mod:`repro.serve`, which adds request micro-batching on
+  top.
 
 Both paths dispatch through one layer-op registry (:data:`OP_REGISTRY`),
 so adding an op kind means adding exactly one :class:`LayerOpHandler`.
@@ -210,19 +211,20 @@ NARROW_LIMIT = 1 << 24
 
 
 def _accumulator_bound(op: DeployedLayer, code_max: int) -> int:
-    """The largest magnitude any partial sum of ``op`` can reach.
+    """The integer magnitude ``op``'s exactness proof needs below 2^p.
 
     Codes never exceed ``code_max`` nor shift products ``code_max << 7``,
     so a conv or dense sum stays within ``fan_in * (code_max << 7) +
-    max|bias_int|`` (reads biases, not weights); an average pool's
-    window sum within ``k*k*code_max``; every other op only moves codes.
+    max|bias_int|`` (reads biases, not weights); an average pool's bound
+    is twice its numerator ``k*k*code_max << max(out_frac - in_frac, 0)``
+    (see the kernel notes); every other op only moves codes.
     """
     if op.kind in ("conv", "dense"):
         fan_in = op.weight_codes.size // (op.out_channels if op.kind == "conv" else op.out_features)
         bias = 0 if op.bias_int is None else np.abs(op.bias_int.astype(np.float64)).max(initial=0)
         return fan_in * (code_max << 7) + int(bias)
     if op.kind == "avgpool":
-        return op.kernel_size * op.kernel_size * code_max
+        return 2 * op.kernel_size**2 * code_max << max(op.out_frac - op.in_frac, 0)
     return code_max
 
 
@@ -252,14 +254,18 @@ def op_dtypes(deployed: DeployedMFDFP) -> list[np.dtype]:
     A conv or dense op gathers or casts its input into the narrowest
     dtype its :func:`_accumulator_bound` allows (codes are at most 2^15,
     exact in either dtype).  The window ops keep their input's dtype, an
-    average pool widening it to float64 when its window sum could reach
-    2^24.  The first op's input is float32: :meth:`BatchedEngine.run_codes`
-    quantizes to float32 codes.
+    average pool widening it to float64 when its numerator could reach
+    2^23; at 2^52 it raises :class:`~repro.hw.datapath.DatapathOverflowError`
+    naming the op.  The first op's input is float32:
+    :meth:`BatchedEngine.run_codes` quantizes to float32 codes.
     """
     code_max = datapath_widths(deployed.bits).code_max
     dtype, dtypes = np.dtype(np.float32), []
     for op in deployed.ops:
-        narrowest = np.dtype(np.float32 if _accumulator_bound(op, code_max) < NARROW_LIMIT else np.float64)
+        bound = _accumulator_bound(op, code_max)
+        if bound >= 1 << 53:
+            raise DatapathOverflowError(f"{op.name}: worst-case bound {bound} is not exact in float64")
+        narrowest = np.dtype(np.float32 if bound < NARROW_LIMIT else np.float64)
         dtype = narrowest if op.kind in ("conv", "dense") else np.promote_types(dtype, narrowest)
         dtypes.append(dtype)
     return dtypes
@@ -350,6 +356,12 @@ def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
 # in any summation order.  Scaling by a power of two is exact, and
 # ``np.rint`` rounds half to even, so :func:`_route` is bit-identical to
 # :func:`~repro.hw.datapath.accumulator_route` in either dtype.
+# An average pool rounds the quotient ``q`` of the integers ``num = sum
+# << max(shift, 0)`` and ``den = count << max(-shift, 0)``.  While
+# ``|num| < 2^(p-1)``, a half-integer ``q`` is exact in the dtype and
+# any other lies at least ``1/(2 den)`` from every half-integer, beyond
+# the divide's error ``|q| 2^-p``, so ``rint`` of the float quotient
+# rounds half to even exactly as the integer spec does.
 # :meth:`BatchedEngine.run_codes` casts to int64 once, after the last op.
 # Kernels ignore a second argument.
 def _route(
@@ -496,18 +508,18 @@ def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: n
     c, h, w = in_shape
     spans, (oh, ow) = _window_spans(op, h, w)
     counts = pool_valid_counts(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode)
-    counts = counts.astype(np.int64)[:, :, None]
-    shift = op.out_frac - op.in_frac
-    if shift >= 0:
-        num_shift, den = shift, counts
-    else:
-        num_shift, den = 0, counts << (-shift)
+    if not counts.all():
+        raise ValueError(f"{op.name}: a pooling window reads no input, only padding or overhang")
+    # ``sum / (count * 2^-shift)`` is ``num / den`` exactly: one divide.
+    den = (counts * 2.0 ** -(op.out_frac - op.in_frac)).astype(dtype)[:, :, None]
+    den.setflags(write=False)
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        sums = _window_reduce(np.add, 0.0, codes.astype(dtype, copy=False), spans, (oh, ow))
-        out = div_round_half_even(sums.astype(np.int64) << num_shift, den)
+        out = _window_reduce(np.add, 0.0, codes.astype(dtype, copy=False), spans, (oh, ow))
+        np.divide(out, den, out=out)
+        np.rint(out, out=out)
         np.clip(out, -max_code, max_code, out=out)
-        return out.astype(dtype).transpose(3, 0, 1, 2)
+        return out.transpose(3, 0, 1, 2)
 
     return kernel, (c, oh, ow)
 
@@ -569,7 +581,8 @@ def execute_deployed(deployed: DeployedMFDFP, x: np.ndarray) -> np.ndarray:
     This is the eager reference path: weights are decoded and windows
     rebuilt on every call.  :class:`BatchedEngine` produces bit-identical
     codes while amortizing that work across calls, and raises the same
-    ``DatapathOverflowError`` before running.
+    ``DatapathOverflowError`` before running (compiling also refuses an
+    op no float dtype computes exactly, see :func:`op_dtypes`).
     """
     max_code = _proved_code_max(deployed)
     codes = dfp_to_codes(x, DFPFormat(deployed.bits, deployed.input_frac))
@@ -871,7 +884,8 @@ class BatchedEngine:
     values).
 
     Compiling raises :class:`~repro.hw.datapath.DatapathOverflowError`
-    naming the op if an accumulator could overflow.
+    naming the op if an accumulator could overflow, or if an average
+    pool's numerator could reach 2^52 (:func:`op_dtypes`).
 
     Args:
         deployed: The frozen network to compile.

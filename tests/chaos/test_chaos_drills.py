@@ -7,11 +7,16 @@ unit-test speed, and toy harnesses prove each check of the runner.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.chaos import (
     DRILLS,
     HARNESSES,
@@ -45,11 +50,41 @@ class TestHarness:
             run_drill("explode-everything")
 
     def test_watchdog_turns_hangs_into_typed_timeouts(self):
-        import time
-
+        start = time.monotonic()
         with pytest.raises(DrillTimeoutError, match="hang"):
             with Watchdog(0.05, label="hang"):
                 time.sleep(5.0)
+        assert time.monotonic() - start < 2.0
+
+    def test_watchdog_cuts_short_a_blocked_event_wait(self):
+        """A main thread parked in ``Event.wait()`` gets the typed timeout in time."""
+        script = (
+            "import threading, time\n"
+            "from repro.chaos import Watchdog\n"
+            "from repro.chaos.errors import DrillTimeoutError\n"
+            "start = time.monotonic()\n"
+            "try:\n"
+            "    with Watchdog(0.5, label='wait'):\n"
+            "        threading.Event().wait()\n"
+            "except DrillTimeoutError:\n"
+            "    print(f'timeout after {time.monotonic() - start:.3f}')\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("timeout after "), proc.stdout + proc.stderr
+        assert float(proc.stdout.split()[-1]) < 2.0
+
+    def test_watchdog_fire_after_the_block_does_nothing(self):
+        watchdog = Watchdog(30.0, label="late")
+        with watchdog:
+            pass
+        watchdog._fire()  # the timer lost the race with the block's end
+        assert not watchdog.expired
 
     def test_watchdog_noop_on_fast_block(self):
         with Watchdog(30.0, label="fast"):

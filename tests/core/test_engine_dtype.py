@@ -1,4 +1,4 @@
-"""Per-op GEMM dtypes: float32 exactly where the proved bound allows it.
+"""Per-op dtypes: float32 exactly where the proved bound allows it.
 
 :func:`repro.core.engine.op_dtypes` runs a conv or dense op in float32
 only when its worst-case sum, ``fan_in * (code_max << 7) + max|bias|``,
@@ -7,6 +7,10 @@ GEMM is exact in any summation order.  These tests sit on both sides of
 the threshold: one LSB over it the op must widen to float64 (and a
 float32 GEMM would indeed be wrong there), one LSB under it the float32
 op must equal the eager reference bit for bit.
+
+An average pool divides in its float dtype; its quotient rounds exactly
+while the numerator ``k*k*code_max << max(shift, 0)`` is below 2^(p-1),
+so it widens at 2^23 and fails to compile at 2^52.
 """
 
 import numpy as np
@@ -21,7 +25,7 @@ from repro.core.engine import (
     op_dtypes,
 )
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
-from repro.hw.datapath import datapath_widths
+from repro.hw.datapath import DatapathOverflowError, datapath_widths, div_round_half_even
 from repro.nn.layers import AvgPool2D, Conv2D, Dense, Flatten, MaxPool2D, ReLU
 from repro.nn.network import Network
 
@@ -181,17 +185,72 @@ def test_window_ops_keep_their_input_dtype():
     assert np.array_equal(engine.run_codes(x), execute_deployed(deployed, x))
 
 
+def _pool_net(bits: int, k: int, shift: int, in_shape: tuple, **geometry) -> DeployedMFDFP:
+    """A 1x1 max pool (so the average pool's input is float32) then a ``k``x``k`` average pool."""
+    ops = [
+        DeployedLayer(kind="maxpool", name="p1", in_frac=0, out_frac=0, kernel_size=1, stride=1),
+        DeployedLayer(kind="avgpool", name="p2", in_frac=0, out_frac=shift, kernel_size=k, **geometry),
+    ]
+    return DeployedMFDFP(name="pools", input_shape=in_shape, input_frac=0, bits=bits, ops=ops)
+
+
 def test_average_pool_widens_only_past_its_window_bound():
-    """At 16 bits a 23x23 window can sum past 2^24; a 22x22 one cannot."""
+    """At 16 bits and a shift of one, an 11x11 window's numerator stays below 2^23; a 12x12 one's cannot."""
     rng = np.random.default_rng(6)
-    for k, widened in ((22, np.float32), (23, np.float64)):
-        ops = [
-            DeployedLayer(kind="maxpool", name="p1", in_frac=0, out_frac=0, kernel_size=1, stride=1),
-            DeployedLayer(kind="avgpool", name="p2", in_frac=0, out_frac=1, kernel_size=k, stride=k),
-        ]
-        deployed = DeployedMFDFP(name="pools", input_shape=(2, k, k), input_frac=0, bits=16, ops=ops)
+    for k, widened in ((11, np.float32), (12, np.float64)):
+        deployed = _pool_net(16, k, 1, (2, k, k), stride=k)
         engine = BatchedEngine(deployed)
         assert [c.dtype for c in engine.program] == [np.float32, widened]
         x = rng.integers(-32767, 32768, size=(3, 2, k, k)).astype(np.float32)
         x[0] = 32767.0
         assert np.array_equal(engine.run_codes(x), execute_deployed(deployed, x))
+
+
+@pytest.mark.parametrize("bits", [2, 8, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_average_pool_switches_where_its_numerator_reaches_two_to_the_23(bits, k):
+    """The dtype flips at the first shift whose numerator ``k*k*code_max << shift`` reaches 2^23."""
+    code_max = datapath_widths(bits).code_max
+    first = next(s for s in range(64) if k * k * code_max << s >= 1 << 23)
+    for shift, dtype in ((-8, np.float32), (first - 1, np.float32), (first, np.float64)):
+        assert op_dtypes(_pool_net(bits, k, shift, (1, 8, 8), stride=1)) == [np.float32, dtype]
+
+
+def test_float32_division_is_wrong_past_the_bound():
+    """Past a 2^23 numerator a float32 quotient can round onto a half and break the tie the other way."""
+    num, den = 12582916, 3  # 2^23 < num < 2^24: num itself is exact in float32
+    assert np.rint(np.float32(num) / np.float32(den)) != div_round_half_even(np.array([num]), den)[0]
+    assert np.rint(np.float64(num) / np.float64(den)) == div_round_half_even(np.array([num]), den)[0]
+
+
+def test_average_pool_just_under_the_bound_runs_float32_bit_identically():
+    """At 16 bits a 3x3 window shifted by 4 has a numerator below 2^23; by 5 it widens."""
+    rng = np.random.default_rng(8)
+    assert 9 * 32767 << 4 < 1 << 23 <= 9 * 32767 << 5
+    for shift, dtype in ((4, np.float32), (5, np.float64)):
+        deployed = _pool_net(16, 3, shift, (2, 9, 9), stride=1, pad=1)
+        engine = BatchedEngine(deployed)
+        assert engine.program[-1].dtype == dtype
+        x = rng.integers(-32767, 32768, size=(6, 2, 9, 9)).astype(np.float32)
+        x[0], x[1] = 32767.0, -32767.0
+        x[2] = 32767.0 - rng.integers(0, 4, size=(2, 9, 9))
+        assert np.array_equal(engine.run_codes(x), execute_deployed(deployed, x))
+
+
+def test_average_pool_numerator_past_two_to_the_52_fails_to_compile():
+    """At 16 bits a 5x5 window shifted by 33 could reach 2^52: no float dtype divides it exactly."""
+    assert 25 * 32767 << 32 < 1 << 52 <= 25 * 32767 << 33
+    deployed = _pool_net(16, 5, 32, (1, 5, 5), stride=5)
+    assert op_dtypes(deployed) == [np.float32, np.float64]
+    x = np.full((2, 1, 5, 5), 32767.0, dtype=np.float32)
+    x[1] = -x[1]
+    assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
+    with pytest.raises(DatapathOverflowError, match="p2"):
+        BatchedEngine(_pool_net(16, 5, 33, (1, 5, 5), stride=5))
+
+
+def test_average_pool_over_padding_alone_fails_to_compile():
+    """A ceil-mode window that starts past the input has no element to divide by."""
+    deployed = _pool_net(8, 1, 0, (1, 5, 5), stride=3, ceil_mode=True)
+    with pytest.raises(ValueError, match="p2: a pooling window reads no input"):
+        BatchedEngine(deployed)

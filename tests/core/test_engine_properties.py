@@ -15,13 +15,19 @@ blocks of output rows (:data:`repro.core.engine.BLOCK_BYTES`).  Small
 test geometries fit one block, so a hypothesis property shrinks the
 block size until every block is one output row, or the last block is
 ragged, over 8- and 16-bit conv nets and engines on shared weight planes.
+
+The compiled average pool divides and rounds in float; a second
+hypothesis property draws average pools alone and after a conv over 2-
+to 16-bit datapaths and radix shifts of -8 to +8, with inputs whose
+quotients often land exactly on a half.
 """
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, note, settings
+from hypothesis import HealthCheck, assume, event, example, given, note, settings
 from hypothesis import strategies as st
 
 from repro.core import engine as engine_mod
@@ -33,7 +39,8 @@ from repro.core.engine import (
     op_dtypes,
 )
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
-from repro.nn.layers.pool import pool_output_size
+from repro.hw.datapath import datapath_widths
+from repro.nn.layers.pool import pool_output_size, pool_valid_counts
 from repro.parallel import SharedWeightArena, attach_planes
 from repro.parallel.arena import _ATTACHED
 
@@ -466,3 +473,146 @@ def test_blocked_conv_matches_reference(spec, n, split, shared):
     else:
         sizes = splits[0][1]
         assert len(sizes) > 1 and sizes[-1] < sizes[0]
+
+
+# -- average pool ------------------------------------------------------------------
+
+
+@st.composite
+def average_pool_specs(draw):
+    """An average pool, alone or after a conv, as plain values (``@example``-able)."""
+    bits = draw(st.integers(2, 16))
+    k = draw(st.integers(1, 5))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, min(2, k // 2)))
+    conv = draw(
+        st.none()
+        | st.fixed_dictionaries(
+            dict(cin=st.integers(1, 2), k=st.integers(1, 3), out_frac=st.integers(0, 8), relu=st.booleans())
+        )
+    )
+    c = conv["cin"] if conv else draw(st.integers(1, 2))
+    h, w = draw(st.integers(max(1, k - 2 * pad), k + 6)), draw(st.integers(max(1, k - 2 * pad), k + 6))
+    if conv:
+        h, w = h + conv["k"] - 1, w + conv["k"] - 1
+    return dict(
+        bits=bits,
+        k=k,
+        stride=stride,
+        pad=pad,
+        ceil_mode=draw(st.booleans()),
+        shift=draw(st.integers(-8, 8)),
+        in_frac=draw(st.integers(0, 8)),
+        conv=conv,
+        shape=(c, h, w),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _average_pool_net(spec) -> DeployedMFDFP:
+    rng = np.random.default_rng(spec["seed"])
+    ops, frac = [], spec["in_frac"]
+    if spec["conv"]:
+        conv, cout = spec["conv"], 2
+        ops.append(
+            DeployedLayer(
+                kind="conv",
+                name="conv",
+                in_frac=frac,
+                out_frac=conv["out_frac"],
+                weight_codes=rng.integers(0, 16, size=(cout, conv["cin"], conv["k"], conv["k"])),
+                activation="relu" if conv["relu"] else "none",
+                in_channels=conv["cin"],
+                out_channels=cout,
+                kernel_size=conv["k"],
+            )
+        )
+        frac = conv["out_frac"]
+    ops.append(
+        DeployedLayer(
+            kind="avgpool",
+            name="avgpool",
+            in_frac=frac,
+            out_frac=frac + spec["shift"],
+            kernel_size=spec["k"],
+            stride=spec["stride"],
+            pad=spec["pad"],
+            ceil_mode=spec["ceil_mode"],
+        )
+    )
+    return DeployedMFDFP(
+        name="avgpool", input_shape=spec["shape"], input_frac=spec["in_frac"], bits=spec["bits"], ops=ops
+    )
+
+
+def _tie_prone_codes(rng, n: int, shape: tuple, code_max: int, shift: int) -> np.ndarray:
+    """Input codes mixing the full range, the saturation edge and tiny values.
+
+    Tiny values keep window sums near small multiples of the window
+    count, so some quotients land exactly on a half; the edge drives the
+    numerator to its bound.  The last sample sits just inside one edge,
+    so its window sums are near the bound with varied low bits.  Under a
+    negative ``shift`` the first sample is one constant ``v``, an odd
+    multiple of ``2^(-shift-1)``: every window's quotient is then
+    ``v * 2^shift``, a half.
+    """
+    pick = rng.integers(0, 4, size=(n,) + shape)
+    tiny = rng.integers(-3, 4, size=pick.shape)
+    edge = np.sign(tiny + 0.5).astype(np.int64) * (code_max - rng.integers(0, 2, size=pick.shape))
+    full = rng.integers(-code_max, code_max + 1, size=pick.shape)
+    codes = np.choose(pick, [full, edge, tiny, tiny * 2])
+    codes[-1:] = rng.choice([-1, 1]) * (code_max - rng.integers(0, min(8, code_max + 1), size=shape))
+    half = 1 << max(-shift - 1, 0)
+    if n and shift < 0 and half <= code_max:
+        codes[0] = (2 * rng.integers(0, (code_max // half + 1) // 2) + 1) * half * rng.choice([-1, 1])
+    return codes
+
+
+def _half_quotients(deployed: DeployedMFDFP, x: np.ndarray) -> int:
+    """How many of the pool's exact quotients are odd multiples of 1/2."""
+    op = deployed.ops[-1]
+    codes = execute_deployed(dataclasses.replace(deployed, ops=deployed.ops[:-1]), x)
+    win, _, _ = engine_mod._pool_windows(codes, op, fill=0)
+    counts = pool_valid_counts(*codes.shape[2:], op.kernel_size, op.stride, op.pad, op.ceil_mode)
+    shift = op.out_frac - op.in_frac
+    num = win.sum(axis=(-1, -2)) << max(shift, 0)
+    den = counts.astype(np.int64) << max(-shift, 0)
+    return int(((2 * num) % (2 * den) == den).sum())
+
+
+# Pinned: half quotients under a negative shift, a draw on which
+# multiplying by ``1 / den`` in place of dividing goes wrong, and a
+# 16-bit conv chain whose pool runs in float64.
+@block_budget()
+@given(spec=average_pool_specs(), n=st.sampled_from(BATCH_SIZES))
+@example(
+    spec=dict(
+        bits=8, k=2, stride=2, pad=1, ceil_mode=True, shift=-1, in_frac=3, conv=None, shape=(2, 7, 6), seed=5
+    ),
+    n=3,
+)
+@example(
+    spec=dict(
+        bits=5, k=5, stride=1, pad=1, ceil_mode=False, shift=-1, in_frac=0, conv=None, shape=(1, 3, 5), seed=0
+    ),
+    n=3,
+)
+@example(
+    spec=dict(
+        bits=16, k=5, stride=1, pad=2, ceil_mode=False, shift=8, in_frac=0,
+        conv=dict(cin=2, k=3, out_frac=8, relu=False), shape=(2, 9, 9), seed=11,
+    ),
+    n=17,
+)
+def test_average_pool_matches_reference(spec, n):
+    """The float divide-and-``rint`` pool equals the integer ``div_round_half_even`` spec."""
+    note(repr(spec))
+    deployed = _average_pool_net(spec)
+    op, (c, h, w) = deployed.ops[-1], deployed.input_shape
+    if spec["conv"]:
+        h, w = h - spec["conv"]["k"] + 1, w - spec["conv"]["k"] + 1
+    assume(pool_valid_counts(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode).all())
+    rng = np.random.default_rng(spec["seed"])
+    code_max = datapath_widths(spec["bits"]).code_max
+    x = _tie_prone_codes(rng, n, deployed.input_shape, code_max, spec["shift"]) * 2.0 ** -spec["in_frac"]
+    event(f"half quotients: {'some' if _half_quotients(deployed, x) else 'none'}")
+    assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
