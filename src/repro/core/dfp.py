@@ -61,15 +61,29 @@ class DFPFormat:
         return f"<{self.bits},{self.frac}>"
 
 
+def rint_saturate(scaled: np.ndarray, max_code: int) -> np.ndarray:
+    """Round float ``scaled`` half to even and saturate at ``±max_code``, in place.
+
+    Saturating in float, before any integer cast, sends ``±inf`` and
+    values past int64 to ``±max_code``; ``np.fmax`` sends NaN to
+    ``-max_code``.  Returns ``scaled``.
+    """
+    bound = float(max_code)  # numpy bounds a float array by a Python int half as fast
+    np.rint(scaled, out=scaled)
+    np.minimum(scaled, bound, out=scaled)
+    return np.fmax(scaled, -bound, out=scaled)
+
+
 def dfp_to_codes(x: np.ndarray, fmt: DFPFormat) -> np.ndarray:
     """Quantize ``x`` to signed integer codes on the ⟨b, f⟩ grid.
 
-    Round-to-nearest (ties to even, numpy semantics) with saturation at
-    ``±(2^(b-1)-1)``.  The returned dtype is int64.
+    Round-to-nearest (ties to even, numpy semantics) in float64 with
+    saturation at ``±(2^(b-1)-1)`` (:func:`rint_saturate`).  The returned
+    dtype is int64.
     """
-    scaled = np.asarray(x, dtype=np.float64) * (2.0**fmt.frac)
-    codes = np.rint(scaled).astype(np.int64)
-    return np.clip(codes, -fmt.max_code, fmt.max_code)
+    with np.errstate(over="ignore"):  # an overflow to inf saturates
+        scaled = np.asarray(x, dtype=np.float64) * (2.0**fmt.frac)
+    return rint_saturate(scaled, fmt.max_code).astype(np.int64)
 
 
 def dfp_from_codes(codes: np.ndarray, fmt: DFPFormat) -> np.ndarray:

@@ -10,20 +10,23 @@ round-half-to-even exactly as in the RTL datapath):
   windows each time.  It is the executable specification the hardware
   tests verify against.
 * the **compiled path** (:class:`BatchedEngine`) front-loads all of that
-  work once per network: weight codes become integer shift multipliers
-  through a 16-entry LUT (:data:`SHIFT_LUT`), im2col becomes a
+  work once per network: weight codes become shift multipliers through
+  a 16-entry LUT (:data:`SHIFT_LUT`), scaled by the op's power-of-two
+  route so a GEMM sums straight onto the output grid, im2col becomes a
   precomputed gather-index table whose operand is gathered and
   multiplied in cache-sized blocks of output rows (:data:`BLOCK_BYTES`),
   pooling windows become strided slices, and each layer becomes a
   closure that maps an ``(N, ...)`` batch of codes to the next batch of
-  codes.  Between layers the codes are
-  float integers in batch-last memory, routed by an exact
-  scale-``rint``-clip (see the kernel notes below); each op runs in
-  float32 when its proved bound is below 2^24 and in float64 otherwise
-  (:func:`op_dtypes`), average pools dividing in that dtype too, and
-  the codes become int64 once, at the end.  Serving-style workloads
-  run through :mod:`repro.serve`, which adds request micro-batching on
-  top.
+  codes.  Inputs quantize in their own float dtype.  Between layers the
+  codes are float integers in batch-last memory; a conv or dense op's
+  route is an exact ``rint`` and clip of its sums, and a conv followed
+  by a max pool leaves that to the pool, after the max (see the kernel
+  notes below).  Each op runs in float32 when its proved bound is below
+  2^24 and its scaled values stay in float32's normal range, and in
+  float64 otherwise (:func:`op_dtypes`), average pools dividing in that
+  dtype too, and the codes become int64 once, at the end.
+  Serving-style workloads run through :mod:`repro.serve`, which adds
+  request micro-batching on top.
 
 Both paths dispatch through one layer-op registry (:data:`OP_REGISTRY`),
 so adding an op kind means adding exactly one :class:`LayerOpHandler`.
@@ -42,7 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.core.dfp import DFPFormat, dfp_to_codes
+from repro.core.dfp import DFPFormat, dfp_to_codes, rint_saturate
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
 from repro.hw.datapath import (
     DatapathOverflowError,
@@ -105,13 +108,15 @@ def plane_decode_count() -> int:
 def decode_weight_plane(op: DeployedLayer, dtype: np.dtype) -> Optional[np.ndarray]:
     """The canonical LUT-decoded weight plane of one compute op, in ``dtype``.
 
-    ``dtype`` is the op's GEMM dtype (:func:`op_dtypes`); every shift
-    multiplier is at most 2^7 in magnitude, so either float dtype holds
-    it exactly.  ``conv`` ops decode to ``(groups, out_channels/groups,
-    syn)`` with ``syn = (in_channels/groups) * k * k`` — the grouped-GEMM
-    operand of the compiled kernel.  ``dense`` ops decode to the
-    transposed contiguous ``(in_features, out_features)`` operand.  Ops
-    without weights return ``None``.  The returned array is frozen
+    Each shift multiplier carries the op's route scale
+    ``2^(out_frac - in_frac - 7)`` (:func:`_scale_exponent`), so the GEMM
+    sums straight onto the output grid; ``dtype`` is the op's GEMM dtype
+    (:func:`op_dtypes`), which holds every scaled multiplier exactly.
+    ``conv`` ops decode to ``(groups, out_channels/groups, syn)`` with
+    ``syn = (in_channels/groups) * k * k`` — the grouped-GEMM operand of
+    the compiled kernel.  ``dense`` ops decode to the transposed
+    contiguous ``(in_features, out_features)`` operand.  Ops without
+    weights return ``None``.  The returned array is frozen
     (non-writeable): planes are shared between kernels, caches, and —
     via the shared-memory arena — whole processes.
     """
@@ -120,21 +125,13 @@ def decode_weight_plane(op: DeployedLayer, dtype: np.dtype) -> Optional[np.ndarr
     global _plane_decodes
     with _plane_decode_lock:
         _plane_decodes += 1
+    scaled = shift_weight_ints(op.weight_codes) * 2.0 ** _scale_exponent(op)
     if op.kind == "conv":
         g = op.groups or 1
         syn = (op.in_channels // g) * op.kernel_size * op.kernel_size
-        plane = (
-            shift_weight_ints(op.weight_codes)
-            .reshape(g, op.out_channels // g, syn)
-            .astype(dtype)
-        )
+        plane = scaled.reshape(g, op.out_channels // g, syn).astype(dtype)
     else:
-        plane = np.ascontiguousarray(
-            shift_weight_ints(op.weight_codes)
-            .reshape(op.out_features, op.in_features)
-            .T,
-            dtype=dtype,
-        )
+        plane = np.ascontiguousarray(scaled.reshape(op.out_features, op.in_features).T, dtype=dtype)
     plane.setflags(write=False)
     return plane
 
@@ -206,8 +203,33 @@ def _im2col_blocks(c: int, h: int, w: int, k: int, stride: int, pad: int, rows: 
 # integer below 2^p exactly, so when no partial sum of an op can reach
 # 2^24 (float32) or 2^53 (float64), every sum the kernel forms — in any
 # summation order, fused multiply-add included — is the exact integer.
-#: Every integer below this magnitude is exact in float32.
+# Scaled by a power of two 2^e, those values stay exact while 2^e is a
+# normal number of the dtype and the scaled bound cannot overflow.
+#: Every integer below this magnitude is exact in float32 (2^53 in float64).
 NARROW_LIMIT = 1 << 24
+
+
+def _scale_exponent(op: DeployedLayer) -> int:
+    """The power of two a kernel scales ``op``'s integers by: its input grid to its output grid.
+
+    An average pool's shift lives in its bound and its divisor instead.
+    """
+    if op.kind in ("conv", "dense"):
+        return op.out_frac - op.in_frac - 7
+    if op.kind == "maxpool":
+        return op.out_frac - op.in_frac
+    return 0
+
+
+def _exact_in(dtype, bound: int, exp: int) -> bool:
+    """Whether ``dtype`` holds every ``t * 2^exp`` with integer ``|t| <= bound`` exactly.
+
+    ``t`` must fit the significand, ``2^exp`` (the smallest nonzero value)
+    must be normal, and ``bound * 2^exp`` must stay below ``2^maxexp``.
+    """
+    info = np.finfo(dtype)
+    integers = NARROW_LIMIT if info.dtype == np.float32 else 1 << 53
+    return bound < integers and exp >= info.minexp and bound.bit_length() + exp <= info.maxexp
 
 
 def _accumulator_bound(op: DeployedLayer, code_max: int) -> int:
@@ -252,20 +274,25 @@ def op_dtypes(deployed: DeployedMFDFP) -> list[np.dtype]:
     """The float dtype each compiled op computes in and hands on.
 
     A conv or dense op gathers or casts its input into the narrowest
-    dtype its :func:`_accumulator_bound` allows (codes are at most 2^15,
-    exact in either dtype).  The window ops keep their input's dtype, an
-    average pool widening it to float64 when its numerator could reach
-    2^23; at 2^52 it raises :class:`~repro.hw.datapath.DatapathOverflowError`
-    naming the op.  The first op's input is float32:
-    :meth:`BatchedEngine.run_codes` quantizes to float32 codes.
+    dtype that holds its :func:`_accumulator_bound` scaled by
+    ``2^``:func:`_scale_exponent` exactly (:func:`_exact_in`): float64
+    once the bound reaches 2^24, the scale falls below float32's smallest
+    normal 2^-126 or the scaled bound could reach 2^128.  The window ops
+    keep their input's dtype, widening it by the same rule (an average
+    pool's bound is twice its numerator).  An op that float64 cannot hold
+    raises :class:`~repro.hw.datapath.DatapathOverflowError` naming it.
+    The chain starts from float32 codes; a conv, dense or pool kernel
+    handed wider codes reads them into its own dtype.
     """
     code_max = datapath_widths(deployed.bits).code_max
     dtype, dtypes = np.dtype(np.float32), []
     for op in deployed.ops:
-        bound = _accumulator_bound(op, code_max)
-        if bound >= 1 << 53:
-            raise DatapathOverflowError(f"{op.name}: worst-case bound {bound} is not exact in float64")
-        narrowest = np.dtype(np.float32 if bound < NARROW_LIMIT else np.float64)
+        bound, exp = _accumulator_bound(op, code_max), _scale_exponent(op)
+        if not _exact_in(np.float64, bound, exp):
+            raise DatapathOverflowError(
+                f"{op.name}: worst-case bound {bound} times 2^{exp} is not exact in float64"
+            )
+        narrowest = np.dtype(np.float32 if _exact_in(np.float32, bound, exp) else np.float64)
         dtype = narrowest if op.kind in ("conv", "dense") else np.promote_types(dtype, narrowest)
         dtypes.append(dtype)
     return dtypes
@@ -345,17 +372,31 @@ def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
 # A conv gathers and multiplies its im2col operand one block of output
 # rows at a time (:data:`BLOCK_BYTES`, :func:`_im2col_blocks`), each
 # block's GEMM writing its own columns of the op's output; bias and
-# route then run once over the whole output.  Blocking changes which
+# epilogue then run once over the whole output.  Blocking changes which
 # columns a GEMM call sees, never a sum, so it cannot change a value.
 #
 # Each kernel computes in the dtype :func:`op_dtypes` picks for its op,
-# and the arithmetic is exact in it.  No partial sum of a float32 op can
-# reach 2^24, and the compiler has proved every other accumulator fits
-# its datapath width (at most 40 bits, far below the 2^53 integers IEEE
-# doubles represent exactly), so the BLAS GEMM equals int64 arithmetic
-# in any summation order.  Scaling by a power of two is exact, and
-# ``np.rint`` rounds half to even, so :func:`_route` is bit-identical to
-# :func:`~repro.hw.datapath.accumulator_route` in either dtype.
+# and the arithmetic is exact in it.  A conv or dense plane and bias
+# carry the route scale ``2^e``, ``e = out_frac - in_frac - 7``
+# (:func:`decode_weight_plane`), so every product and every partial sum
+# the GEMM forms, in any order and fused multiply-add included, is
+# ``t * 2^e`` for an integer ``|t|`` within :func:`_accumulator_bound`.
+# The dtype holds all of those exactly (:func:`_exact_in`: ``t`` fits
+# the significand, ``2^e`` is normal, the scaled bound cannot
+# overflow), so the GEMM returns the exact accumulator already on the
+# output grid.  Its epilogue (:func:`_epilogue`) is ``np.rint`` (half to
+# even, as the datapath rounds) when ``e < 0`` and a clip to the code
+# range, bit-identical to :func:`~repro.hw.datapath.accumulator_route`.
+#
+# A conv followed by a max pool hands on its unrounded sums, and the
+# pool runs the conv's epilogue on its window maxima
+# (:func:`_defers_route`).  The epilogue ``f`` (``rint``, then a clip)
+# is monotone non-decreasing, so ``max f(v) = f(max v)`` over every
+# window that reads at least one conv output: the codes are the same,
+# and the rounding runs on the pooled quarter of the data.  A window
+# of padding alone has no conv output to take the maximum of, so a pool
+# with ``pad >= kernel`` keeps the rounded handoff.
+#
 # An average pool rounds the quotient ``q`` of the integers ``num = sum
 # << max(shift, 0)`` and ``den = count << max(-shift, 0)``.  While
 # ``|num| < 2^(p-1)``, a half-integer ``q`` is exact in the dtype and
@@ -364,28 +405,59 @@ def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
 # rounds half to even exactly as the integer spec does.
 # :meth:`BatchedEngine.run_codes` casts to int64 once, after the last op.
 # Kernels ignore a second argument.
+def _epilogue(rounds: bool, activation: str, max_code: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The in-place end of a route: ``np.rint`` if it ``rounds``, then the clip to the code range.
+
+    Scaling and rounding are monotone and keep 0 at 0, so a ReLU folds
+    into the clip's lower bound.  The bounds are floats: numpy clips a
+    float array by Python ints half as fast.
+    """
+    if activation not in ("none", "relu"):
+        raise ValueError(f"unsupported fused activation {activation!r}")
+    lo, hi = (0.0 if activation == "relu" else -float(max_code)), float(max_code)
+
+    def finish(acc: np.ndarray) -> np.ndarray:
+        if rounds:
+            np.rint(acc, out=acc)
+        return np.clip(acc, lo, hi, out=acc)
+
+    return finish
+
+
 def _route(
     acc: np.ndarray, acc_frac: int, out_frac: int, activation: str, max_code: int
 ) -> np.ndarray:
     """:func:`~repro.hw.datapath.accumulator_route` in place on float integers.
 
-    ``acc`` holds integers its dtype represents exactly (below 2^24 in
-    float32, 2^53 in float64); it is overwritten with the output codes,
-    in the same dtype, and returned.  Scaling and rounding are monotone
-    and keep 0 at 0, so the ReLU folds into the saturation's lower bound.
+    ``acc`` holds integers its dtype represents exactly, and its scale
+    ``2^(out_frac - acc_frac)`` is exact in the dtype (:func:`op_dtypes`
+    checks both); it is overwritten with the output codes, in the same
+    dtype, and returned.
     """
-    if activation not in ("none", "relu"):
-        raise ValueError(f"unsupported fused activation {activation!r}")
+    finish = _epilogue(out_frac < acc_frac, activation, max_code)
     if out_frac != acc_frac:
         acc *= 2.0 ** (out_frac - acc_frac)
-        if out_frac < acc_frac:
-            np.rint(acc, out=acc)
-    np.clip(acc, 0 if activation == "relu" else -max_code, max_code, out=acc)
-    return acc
+    return finish(acc)
+
+
+def _defers_route(ops: list, i: int) -> bool:
+    """Whether op ``i``, a conv before a max pool, leaves its epilogue to that pool.
+
+    Not when the pool has a window of padding alone (``pad >= kernel``).
+    """
+    if ops[i].kind != "conv" or i + 1 == len(ops):
+        return False
+    pool = ops[i + 1]
+    return pool.kind == "maxpool" and pool.pad < pool.kernel_size
 
 
 def _conv_compile(
-    op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype, plane: Optional[np.ndarray] = None
+    op: DeployedLayer,
+    in_shape: tuple,
+    max_code: int,
+    dtype: np.dtype,
+    plane: Optional[np.ndarray] = None,
+    defer: bool = False,
 ):
     c, h, w = in_shape
     k, g = op.kernel_size, op.groups or 1
@@ -395,14 +467,15 @@ def _conv_compile(
     w_f = decode_weight_plane(op, dtype) if plane is None else _check_plane(op, plane, shape, dtype)
     _, oh, ow = _im2col_indices(c, h, w, k, op.stride, op.pad)
     positions = oh * ow
-    bias = None if op.bias_int is None else op.bias_int[:, None].astype(dtype)
-    acc_frac = op.in_frac + 7
+    bias = None if op.bias_int is None else (op.bias_int[:, None] * 2.0 ** _scale_exponent(op)).astype(dtype)
+    finish = None if defer else _epilogue(_scale_exponent(op) < 0, op.activation, max_code)
 
     # Gathering rows of the (chw+1, N) plane yields a block's columns as
     # (c*k*k, block positions, N), which reshapes — without copies — into
     # the (g, syn, block positions*N) operand of one GEMM per group
     # instead of N small ones.  The (out_channels, positions*N) result
-    # is routed in place and handed on batch-last.
+    # is routed in place (unless ``defer``: the next max pool routes
+    # it) and handed on batch-last.
     row_bytes = c * k * k * ow * np.dtype(dtype).itemsize  # per sample
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
@@ -418,7 +491,8 @@ def _conv_compile(
         acc = acc.reshape(op.out_channels, positions * n)
         if bias is not None:
             acc += bias
-        _route(acc, acc_frac, op.out_frac, op.activation, max_code)
+        if finish is not None:
+            finish(acc)
         return acc.reshape(op.out_channels, oh, ow, n).transpose(3, 0, 1, 2)
 
     return kernel, (op.out_channels, oh, ow)
@@ -429,14 +503,14 @@ def _dense_compile(
 ):
     shape = (op.in_features, op.out_features)
     w_t = decode_weight_plane(op, dtype) if plane is None else _check_plane(op, plane, shape, dtype)
-    bias = None if op.bias_int is None else op.bias_int[None, :].astype(dtype)
-    acc_frac = op.in_frac + 7
+    bias = None if op.bias_int is None else (op.bias_int[None, :] * 2.0 ** _scale_exponent(op)).astype(dtype)
+    finish = _epilogue(_scale_exponent(op) < 0, op.activation, max_code)
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         acc = np.asarray(codes, dtype=dtype) @ w_t
         if bias is not None:
             acc += bias
-        return _route(acc, acc_frac, op.out_frac, op.activation, max_code)
+        return finish(acc)
 
     return kernel, (op.out_features,)
 
@@ -493,13 +567,29 @@ def _window_reduce(ufunc, fill: float, codes: np.ndarray, spans: tuple, out_hw: 
     return x
 
 
-def _maxpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: np.dtype):
+def _maxpool_compile(
+    op: DeployedLayer,
+    in_shape: tuple,
+    max_code: int,
+    dtype: np.dtype,
+    producer: Optional[DeployedLayer] = None,
+):
     c, h, w = in_shape
     spans, (oh, ow) = _window_spans(op, h, w)
+    finish = None
+    if producer is not None:  # the conv before this pool left its epilogue here (_defers_route)
+        finish = _epilogue(_scale_exponent(producer) < 0, producer.activation, max_code)
+    # In-range codes need no route on an unchanged grid, unless a window
+    # of padding alone leaves its -inf to saturate.
+    routes = op.out_frac != op.in_frac or op.pad >= op.kernel_size
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
-        out = _window_reduce(np.maximum, -np.inf, codes, spans, (oh, ow))
-        return _route(out, op.in_frac, op.out_frac, "none", max_code).transpose(3, 0, 1, 2)
+        out = _window_reduce(np.maximum, -np.inf, codes.astype(dtype, copy=False), spans, (oh, ow))
+        if finish is not None:
+            finish(out)
+        if routes:
+            _route(out, op.in_frac, op.out_frac, "none", max_code)
+        return out.transpose(3, 0, 1, 2)
 
     return kernel, (c, oh, ow)
 
@@ -513,13 +603,12 @@ def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: n
     # ``sum / (count * 2^-shift)`` is ``num / den`` exactly: one divide.
     den = (counts * 2.0 ** -(op.out_frac - op.in_frac)).astype(dtype)[:, :, None]
     den.setflags(write=False)
+    finish = _epilogue(True, "none", max_code)
 
     def kernel(codes: np.ndarray, _=None) -> np.ndarray:
         out = _window_reduce(np.add, 0.0, codes.astype(dtype, copy=False), spans, (oh, ow))
         np.divide(out, den, out=out)
-        np.rint(out, out=out)
-        np.clip(out, -max_code, max_code, out=out)
-        return out.transpose(3, 0, 1, 2)
+        return finish(out).transpose(3, 0, 1, 2)
 
     return kernel, (c, oh, ow)
 
@@ -545,10 +634,13 @@ class LayerOpHandler:
     precomputed batched closure; it returns the same codes as ``dtype``
     floats (the op's entry of :func:`op_dtypes`), in batch-last memory
     (see the kernel notes above).  Weighted kinds (conv/dense)
-    additionally accept ``compile(op, in_shape, max_code, dtype, plane)``
-    — a pre-decoded weight plane (see :func:`decode_weight_plane`),
-    typically a zero-copy shared-memory view, used instead of decoding
-    the op's codes.
+    additionally accept ``plane=`` — a pre-decoded weight plane (see
+    :func:`decode_weight_plane`), typically a zero-copy shared-memory
+    view, used instead of decoding the op's codes.  A conv compiled
+    with ``defer=True`` returns its unrounded sums on the output grid
+    instead of codes, and the max pool after it, compiled with
+    ``producer=`` that conv, rounds and clips them after the max
+    (:func:`_defers_route`).
     """
 
     kind: str
@@ -860,9 +952,11 @@ class CompiledOp:
     """One compiled layer: its kernel closure plus shape bookkeeping.
 
     ``dtype`` is the float dtype the kernel computes in and returns
-    (:func:`op_dtypes`).  ``kernel(codes)`` ignores a second positional
-    argument, which ``perfbench/layers.py`` passes: the retired run-time
-    width flag.
+    (:func:`op_dtypes`).  A conv followed by a max pool returns its
+    unrounded sums on the output grid, not codes: the pool's kernel
+    rounds and clips them after the max (:func:`_defers_route`).
+    ``kernel(codes)`` ignores a second positional argument, which
+    ``perfbench/layers.py`` passes: the retired run-time width flag.
     """
 
     name: str
@@ -884,8 +978,10 @@ class BatchedEngine:
     values).
 
     Compiling raises :class:`~repro.hw.datapath.DatapathOverflowError`
-    naming the op if an accumulator could overflow, or if an average
-    pool's numerator could reach 2^52 (:func:`op_dtypes`).
+    naming the op if an accumulator could overflow, or if no float64
+    holds an op's scaled bound exactly (:func:`op_dtypes`).  It also
+    places each route once: a conv before a max pool leaves its
+    rounding to the pool (:func:`_defers_route`).
 
     Args:
         deployed: The frozen network to compile.
@@ -907,15 +1003,19 @@ class BatchedEngine:
         self.input_shape = tuple(deployed.input_shape)
         self.input_fmt = DFPFormat(deployed.bits, deployed.input_frac)
         self.program: list[CompiledOp] = []
-        shape = self.input_shape
-        for i, (op, dtype) in enumerate(zip(deployed.ops, op_dtypes(deployed))):
-            plane = weight_planes.get(i) if weight_planes else None
-            if plane is not None:
-                kernel, shape = _handler(op.kind).compile(op, shape, max_code, dtype, plane)
-            else:
-                kernel, shape = _handler(op.kind).compile(op, shape, max_code, dtype)
+        shape, ops = self.input_shape, deployed.ops
+        for i, (op, dtype) in enumerate(zip(ops, op_dtypes(deployed))):
+            options = {}
+            if weight_planes and weight_planes.get(i) is not None:
+                options["plane"] = weight_planes[i]
+            if _defers_route(ops, i):
+                options["defer"] = True
+            if i and _defers_route(ops, i - 1):
+                options["producer"] = ops[i - 1]
+            kernel, shape = _handler(op.kind).compile(op, shape, max_code, dtype, **options)
             self.program.append(CompiledOp(op.name, op.kind, kernel, shape, dtype))
         self.output_shape = shape
+        self._narrow_input = _exact_in(np.float32, 1, deployed.input_frac)  # 2^input_frac is a float32 normal
         self._out_scale = 2.0 ** (-deployed.ops[-1].out_frac)
         self._fingerprint: Optional[str] = None
 
@@ -935,8 +1035,14 @@ class BatchedEngine:
     def run_codes(self, x: np.ndarray) -> np.ndarray:
         """Quantize a float batch and return int64 output codes.
 
-        Input codes enter the first kernel as float32, which holds every
-        code (at most 2^15) exactly.
+        Quantizes as :func:`~repro.core.dfp.dfp_to_codes` does, in the
+        input's own float dtype: one multiply by ``2^input_frac``, then
+        ``rint`` and saturation in place.  A float32 product is exact
+        unless it overflows to ``inf`` (which saturates alike) or falls
+        below 2^-126 (which rounds to 0 alike).  Any other input rounds
+        in float64 and enters the first kernel uncast: casting first
+        would move values near a half code onto it.  Each conv, dense
+        and pool kernel reads codes (at most 2^15) into its own dtype.
         """
         x = np.asarray(x)
         if x.shape[1:] != self.input_shape:
@@ -944,7 +1050,10 @@ class BatchedEngine:
                 f"expected batch of shape (N, {', '.join(map(str, self.input_shape))}), "
                 f"got {x.shape}"
             )
-        codes = dfp_to_codes(x, self.input_fmt).astype(np.float32)
+        dtype = np.float32 if x.dtype == np.float32 and self._narrow_input else np.float64
+        with np.errstate(over="ignore"):  # an overflow to inf saturates
+            scaled = np.multiply(x, 2.0**self.input_fmt.frac, dtype=dtype)
+        codes = rint_saturate(scaled, self.input_fmt.max_code)
         for op in self.program:
             codes = op.kernel(codes)
         return codes.astype(np.int64, order="C")

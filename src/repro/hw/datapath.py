@@ -131,18 +131,33 @@ def adder_tree(products: np.ndarray, bits: int = 8) -> np.ndarray:
 
 
 def saturate(values: np.ndarray, max_code: int) -> np.ndarray:
-    """Clamp to the symmetric code range ``[-max_code, max_code]``."""
-    return np.clip(np.asarray(values, dtype=np.int64), -max_code, max_code)
+    """Clamp to the symmetric code range ``[-max_code, max_code]``, as int64.
+
+    An object array of Python integers (a wide left shift, see
+    :func:`rshift_round_half_even`) clamps before the cast, so no value
+    wraps.
+    """
+    values = np.asarray(values)
+    if values.dtype != object:
+        values = values.astype(np.int64, copy=False)
+    return np.clip(values, -max_code, max_code).astype(np.int64)
 
 
 def rshift_round_half_even(values: np.ndarray, shift: int) -> np.ndarray:
     """Arithmetic right shift with round-half-to-even; left shift if < 0.
 
-    Equivalent to ``rint(v / 2**shift)`` computed purely with integers.
+    Equivalent to ``rint(v / 2**shift)`` computed purely with integers,
+    exactly for any shift.  A left shift whose result leaves int64
+    returns Python integers (an object array); a right shift by 64 or
+    more returns 0, since no int64 exceeds half of ``2^64``.
     """
     v = np.asarray(values, dtype=np.int64)
     if shift <= 0:
+        if v.size and not -(1 << 63) <= int(v.min()) << -shift <= int(v.max()) << -shift < 1 << 63:
+            v = v.astype(object)
         return v << (-shift)
+    if shift >= 64:
+        return np.zeros_like(v)
     q = v >> shift
     r = v - (q << shift)
     half = np.int64(1) << (shift - 1)

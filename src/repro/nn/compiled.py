@@ -206,25 +206,23 @@ class _Scratch:
 def _make_dfp_inplace(fmt, scratch: _Scratch):
     """In-place kernel replaying ``dfp_quantize`` exactly, zero allocations.
 
-    Same chain as the eager hook — float64 scale, ``rint``, the int64
-    cast (C truncation semantics preserved for pathological overflow),
-    saturation, rescale, cast back — through reused scratch buffers.
+    Same chain as the eager hook — float64 scale, ``rint`` and
+    saturation in float (:func:`~repro.core.dfp.rint_saturate`), rescale,
+    cast back — through a reused scratch buffer.
     """
+    from repro.core.dfp import rint_saturate  # lazy: core imports nn
+
     scale = 2.0 ** fmt.frac
     res = fmt.resolution
-    lo, hi = np.int64(-fmt.max_code), np.int64(fmt.max_code)
 
     def apply(y: np.ndarray) -> np.ndarray:
         f64 = scratch.get(np.float64, y.shape)
-        i64 = scratch.get(np.int64, y.shape)
         np.multiply(y, scale, out=f64)
-        np.rint(f64, out=f64)
-        np.copyto(i64, f64, casting="unsafe")
-        np.clip(i64, lo, hi, out=i64)
-        # int64 * float64 scalar computed in float64, cast per element to
-        # y's dtype: same double product and same final rounding as the
-        # eager two-step (codes.astype(f64) * res).astype(x.dtype).
-        np.multiply(i64, res, out=y, casting="same_kind")
+        rint_saturate(f64, fmt.max_code)
+        # The codes are exact integers in float64, so this is the same
+        # double product and the same final rounding as the eager
+        # two-step (codes.astype(f64) * res).astype(x.dtype).
+        np.multiply(f64, res, out=y, casting="same_kind")
         return y
 
     return apply

@@ -21,11 +21,16 @@ _NEG_INF = -np.inf
 
 
 def pool_output_size(size: int, kernel: int, stride: int, pad: int, ceil_mode: bool) -> int:
-    """Spatial output size of pooling; ceil mode matches Caffe."""
+    """Spatial output size of pooling; ceil mode matches Caffe.
+
+    Caffe drops a last window that starts past the input only when
+    ``pad > 0``; here the rule holds without padding too, since such a
+    window would read nothing.  Windows read input whenever ``pad < kernel``.
+    """
     num = size + 2 * pad - kernel
     out = (math.ceil(num / stride) if ceil_mode else num // stride) + 1
-    if pad > 0 and (out - 1) * stride >= size + pad:
-        out -= 1  # Caffe clips windows that start entirely inside the padding
+    if (out - 1) * stride >= size + pad:
+        out -= 1  # the last window must start inside the input
     if out <= 0:
         raise ValueError(
             f"pooling produces non-positive output size: size={size}, "

@@ -49,6 +49,13 @@ class TestCodes:
         codes = dfp_to_codes(np.array([1e9, -1e9]), fmt)
         assert np.array_equal(codes, [127, -127])
 
+    def test_saturation_happens_before_the_integer_cast(self):
+        """inf, 1e300 and 2^60 (times 2^6 past int64) saturate high; NaN maps to -max_code."""
+        fmt = DFPFormat(8, 6)
+        codes = dfp_to_codes(np.array([np.inf, 1e300, 2.0**60, -np.inf, -1e300, -(2.0**60), np.nan]), fmt)
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [127, 127, 127, -127, -127, -127, -127]
+
     def test_rounding_half_to_even(self):
         fmt = DFPFormat(8, 0)
         assert dfp_to_codes(np.array([0.5]), fmt)[0] == 0

@@ -87,16 +87,18 @@ def test_op_just_over_the_bound_compiles_to_float64(kind):
     assert np.array_equal(engine.run_codes(x), execute_deployed(deployed, x))
 
     # The widening is needed: on these codes a float32 GEMM cannot hold
-    # the exact sum, 2^24 + 1, whatever its summation order.
+    # the exact sum, 2^24 + 1 (times the route scale the plane carries,
+    # 2^(OUT_FRAC - IN_FRAC - 7)), whatever its summation order.
     assert FAN_IN * PRODUCT_MAX + bias == NARROW_LIMIT + 1
+    scale = 2.0 ** (OUT_FRAC - IN_FRAC - 7)
     plane = decode_weight_plane(op, np.float32)
     codes = np.full((1, FAN_IN), CODE_MAX, dtype=np.float32)
     if kind == "conv":
         acc32 = plane.reshape(2, FAN_IN) @ codes.T
     else:
         acc32 = (codes @ plane).T
-    acc32 += op.bias_int[:, None].astype(np.float32)
-    assert int(acc32[0, 0]) != NARROW_LIMIT + 1
+    acc32 += (op.bias_int[:, None] * scale).astype(np.float32)
+    assert float(acc32[0, 0]) != (NARROW_LIMIT + 1) * scale
 
 
 @pytest.mark.parametrize("kind", ["conv", "dense"])
@@ -249,8 +251,112 @@ def test_average_pool_numerator_past_two_to_the_52_fails_to_compile():
         BatchedEngine(_pool_net(16, 5, 33, (1, 5, 5), stride=5))
 
 
-def test_average_pool_over_padding_alone_fails_to_compile():
-    """A ceil-mode window that starts past the input has no element to divide by."""
+def test_ceil_mode_drops_a_window_that_would_start_past_the_input():
+    """Size 5, kernel 1, stride 3: the third ceil-mode window would start at 6, so there are two."""
     deployed = _pool_net(8, 1, 0, (1, 5, 5), stride=3, ceil_mode=True)
+    engine = BatchedEngine(deployed)
+    assert engine.output_shape == (1, 2, 2)
+    x = np.random.default_rng(9).integers(-127, 128, size=(3, 1, 5, 5)).astype(np.float32)
+    assert np.array_equal(engine.run_codes(x), execute_deployed(deployed, x))
+
+
+def test_average_pool_over_padding_alone_fails_to_compile():
+    """With ``pad >= kernel`` the first window reads padding alone: no element to divide by."""
+    deployed = _pool_net(8, 1, 0, (1, 5, 5), stride=3, pad=1, ceil_mode=True)
     with pytest.raises(ValueError, match="p2: a pooling window reads no input"):
         BatchedEngine(deployed)
+
+
+# -- the route scale folded into the planes ------------------------------------------
+#
+# A conv or dense plane carries ``2^e``, ``e = out_frac - in_frac - 7``, and
+# a max pool scales by ``2^(out_frac - in_frac)``.  float32 holds the
+# scaled values exactly while ``2^e`` is normal (``e >= -126``) and the
+# scaled bound stays below 2^128; fractions in [-64, 64] reach both edges.
+
+
+def _fan_in_one(kind: str, in_frac: int, out_frac: int) -> DeployedLayer:
+    """Fan-in 1 at 8 bits, no bias: the bound is ``127 << 7`` = 16256, 14 bits.
+
+    The weights are ``+1`` and ``-1`` (codes 7 and 15), so the plane holds ``±2^e``.
+    """
+    weights = np.array([[7], [15]])
+    common = dict(name=f"{kind}_scaled", in_frac=in_frac, out_frac=out_frac, weight_codes=weights)
+    if kind == "conv":
+        common["weight_codes"] = common["weight_codes"].reshape(2, 1, 1, 1)
+        return DeployedLayer(kind="conv", in_channels=1, out_channels=2, kernel_size=1, **common)
+    return DeployedLayer(kind="dense", in_features=1, out_features=2, **common)
+
+
+def _edge_inputs(in_shape: tuple, in_frac: int) -> np.ndarray:
+    codes = np.array([CODE_MAX, -CODE_MAX, 1, -1, 0, 77], dtype=np.float64)
+    return (codes.reshape((-1,) + (1,) * len(in_shape)) * np.ones(in_shape)) * 2.0**-in_frac
+
+
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_scale_widens_below_float32s_smallest_normal(kind):
+    """``e = -126`` keeps float32; ``e = -127`` widens (in_frac 64, out_frac -55 and -56)."""
+    in_shape = (1, 2, 2) if kind == "conv" else (1,)
+    for out_frac, dtype in ((-55, np.float32), (-56, np.float64)):
+        op = _fan_in_one(kind, 64, out_frac)
+        assert out_frac - 64 - 7 == (-126 if dtype is np.float32 else -127)
+        deployed = DeployedMFDFP(name="low", input_shape=in_shape, input_frac=64, bits=8, ops=[op])
+        assert op_dtypes(deployed) == [dtype]
+        assert np.abs(decode_weight_plane(op, dtype)).min() == 2.0 ** (out_frac - 64 - 7)
+        x = _edge_inputs(in_shape, 64)
+        assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
+
+
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_scale_widens_where_the_scaled_bound_could_overflow(kind):
+    """A 14-bit bound times ``2^114`` stays below 2^128 in float32; times ``2^115`` it widens."""
+    in_shape = (1, 2, 2) if kind == "conv" else (1,)
+    assert (CODE_MAX << 7).bit_length() == 14
+    for out_frac, dtype in ((57, np.float32), (58, np.float64)):
+        op = _fan_in_one(kind, -64, out_frac)
+        deployed = DeployedMFDFP(name="high", input_shape=in_shape, input_frac=-64, bits=8, ops=[op])
+        assert op_dtypes(deployed) == [dtype]
+        x = _edge_inputs(in_shape, -64)
+        codes = BatchedEngine(deployed).run_codes(x)
+        assert np.array_equal(codes, execute_deployed(deployed, x))
+        assert codes[0].max() == CODE_MAX and codes[1].min() == -CODE_MAX
+    # Past the edge a float32 product can overflow: a sum of two of them is inf - inf = NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = np.float32(CODE_MAX) * np.float32(2.0 ** (7 + 115))
+        assert np.isinf(product) and np.isnan(product - product)
+
+
+def test_max_pool_scale_widens_at_both_edges():
+    """A max pool scales codes by ``2^shift``: float32 for shifts -126..113 at 8 bits (7-bit codes)."""
+
+    def pool(shift):
+        op = DeployedLayer(kind="maxpool", name="p", in_frac=0, out_frac=shift, kernel_size=2, stride=2)
+        return DeployedMFDFP(name="pool", input_shape=(1, 4, 4), input_frac=0, bits=8, ops=[op])
+
+    assert CODE_MAX.bit_length() + 121 == 128
+    for shift, dtype in ((-126, np.float32), (-127, np.float64), (121, np.float32), (122, np.float64)):
+        deployed = pool(shift)
+        assert op_dtypes(deployed) == [dtype], shift
+        rng = np.random.default_rng(shift + 200)
+        x = rng.integers(-CODE_MAX, CODE_MAX + 1, size=(3, 1, 4, 4)).astype(np.float32)
+        assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
+
+
+def test_scale_no_float_holds_fails_to_compile():
+    """A route scale past float64's range is refused at compile time, naming the op."""
+    op = _fan_in_one("dense", 0, 1100)
+    deployed = DeployedMFDFP(name="far", input_shape=(1,), input_frac=0, bits=8, ops=[op])
+    with pytest.raises(DatapathOverflowError, match="dense_scaled"):
+        BatchedEngine(deployed)
+
+
+def test_float32_input_quantizes_in_float64_when_its_scale_is_no_float32_normal():
+    """``2^128`` overflows float32, so an input fraction of 128 quantizes float32 input in float64."""
+    for input_frac in (127, 128, -126, -127):
+        op = DeployedLayer(kind="flatten", name="f", in_frac=input_frac, out_frac=input_frac)
+        deployed = DeployedMFDFP(name="in", input_shape=(1, 2, 2), input_frac=input_frac, bits=8, ops=[op])
+        codes = np.array([0.75, -1.5, 1.25, -0.5], dtype=np.float64).reshape(1, 1, 2, 2)
+        x = (codes * 2.0**-input_frac).astype(np.float32)  # exact, subnormals included
+        assert np.array_equal(x.astype(np.float64) * 2.0**input_frac, codes)
+        out = BatchedEngine(deployed).run_codes(x)
+        assert out.tolist() == [[1, -2, 1, 0]] and np.array_equal(out, execute_deployed(deployed, x))

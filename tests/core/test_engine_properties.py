@@ -20,6 +20,12 @@ The compiled average pool divides and rounds in float; a second
 hypothesis property draws average pools alone and after a conv over 2-
 to 16-bit datapaths and radix shifts of -8 to +8, with inputs whose
 quotients often land exactly on a half.
+
+A conv's weight plane carries its route scale, and a conv followed by a
+max pool leaves its rounding to the pool; a third hypothesis property
+draws conv → max-pool pairs over 2- to 16-bit datapaths with fractions
+at float32's normal and overflow edges, fed non-finite, huge and
+nearly-half-code inputs in float32 and float64.
 """
 
 import dataclasses
@@ -27,7 +33,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, event, example, given, note, settings
+from hypothesis import HealthCheck, event, example, given, note, settings
 from hypothesis import strategies as st
 
 from repro.core import engine as engine_mod
@@ -607,12 +613,149 @@ def test_average_pool_matches_reference(spec, n):
     """The float divide-and-``rint`` pool equals the integer ``div_round_half_even`` spec."""
     note(repr(spec))
     deployed = _average_pool_net(spec)
-    op, (c, h, w) = deployed.ops[-1], deployed.input_shape
-    if spec["conv"]:
-        h, w = h - spec["conv"]["k"] + 1, w - spec["conv"]["k"] + 1
-    assume(pool_valid_counts(h, w, op.kernel_size, op.stride, op.pad, op.ceil_mode).all())
     rng = np.random.default_rng(spec["seed"])
     code_max = datapath_widths(spec["bits"]).code_max
     x = _tie_prone_codes(rng, n, deployed.input_shape, code_max, spec["shift"]) * 2.0 ** -spec["in_frac"]
     event(f"half quotients: {'some' if _half_quotients(deployed, x) else 'none'}")
+    assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
+
+
+# -- conv then max pool: folded scale, deferred route ------------------------------
+
+
+@st.composite
+def conv_max_pool_specs(draw):
+    """A conv and the max pool after it, as plain values (``@example``-able).
+
+    ``edge`` picks the conv's route exponent ``e = out_frac - in_frac -
+    7``: ``near`` keeps it where codes vary, ``wide`` draws both
+    fractions over [-64, 64], ``normal`` sits at float32's smallest
+    normal (``e`` of -126 or -127) and ``overflow`` where the scaled
+    bound reaches 2^128 (one exponent inside or past it).  The pool
+    shifts the radix either way; ``pool_pad`` reaches the kernel size,
+    where a window reads padding alone.
+    """
+    bits = draw(st.integers(2, 16))
+    cin, cout, k = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pool_k = draw(st.integers(1, 3))
+    bias = draw(st.none() | st.lists(st.integers(-4000, 4000), min_size=cout, max_size=cout))
+    bound = cin * k * k * (datapath_widths(bits).code_max << 7) + max((abs(b) for b in bias or ()), default=0)
+    edge = draw(st.sampled_from(["near", "wide", "normal", "overflow"]))
+    if edge == "near":
+        in_frac = draw(st.integers(-8, 8))
+        out_frac = in_frac + 7 + draw(st.integers(-24, 4))
+    elif edge == "wide":
+        in_frac, out_frac = draw(st.integers(-64, 64)), draw(st.integers(-64, 64))
+    elif edge == "normal":
+        in_frac = draw(st.integers(56, 64))
+        out_frac = in_frac + 7 - draw(st.sampled_from([126, 127]))
+    else:
+        e = 128 - bound.bit_length() + draw(st.sampled_from([0, 1]))
+        in_frac = draw(st.integers(-64, 57 - e))
+        out_frac = in_frac + 7 + e
+    side = st.integers(k + pool_k - 1, k + pool_k + 5)  # the conv's output covers a pool window
+    hw = (draw(side), draw(side))
+    return dict(
+        bits=bits,
+        cin=cin,
+        cout=cout,
+        k=k,
+        pad=draw(st.integers(0, k - 1)),
+        relu=draw(st.booleans()),
+        bias=bias,
+        fracs=(in_frac, out_frac, out_frac + draw(st.integers(-8, 8))),
+        pool_k=pool_k,
+        pool_stride=draw(st.integers(1, 3)),
+        pool_pad=draw(st.sampled_from([*range(pool_k)] * 3 + [pool_k])),
+        ceil_mode=draw(st.booleans()),
+        hw=hw,
+        dtype=draw(st.sampled_from(["float32", "float64"])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+
+
+def _conv_max_pool_net(spec) -> DeployedMFDFP:
+    rng = np.random.default_rng(spec["seed"])
+    in_frac, conv_frac, pool_frac = spec["fracs"]
+    cin, cout, k = spec["cin"], spec["cout"], spec["k"]
+    ops = [
+        DeployedLayer(
+            kind="conv",
+            name="conv",
+            in_frac=in_frac,
+            out_frac=conv_frac,
+            weight_codes=rng.integers(0, 16, size=(cout, cin, k, k)),
+            bias_int=None if spec["bias"] is None else np.array(spec["bias"], dtype=np.int64),
+            activation="relu" if spec["relu"] else "none",
+            in_channels=cin,
+            out_channels=cout,
+            kernel_size=k,
+            pad=spec["pad"],
+        ),
+        DeployedLayer(
+            kind="maxpool",
+            name="pool",
+            in_frac=conv_frac,
+            out_frac=pool_frac,
+            kernel_size=spec["pool_k"],
+            stride=spec["pool_stride"],
+            pad=spec["pool_pad"],
+            ceil_mode=spec["ceil_mode"],
+        ),
+    ]
+    return DeployedMFDFP(
+        name="conv_pool", input_shape=(cin, *spec["hw"]), input_frac=in_frac, bits=spec["bits"], ops=ops
+    )
+
+
+def _hostile_inputs(rng, n: int, shape: tuple, code_max: int, in_frac: int, dtype: str) -> np.ndarray:
+    """Codes on, at and within 2^-30 of a half, plus ±inf, NaN and ±1e300, scaled to the input grid.
+
+    A float64 value within 2^-30 of a half code lands on the half if it
+    is cast to float32 before rounding.
+    """
+    codes = rng.integers(-code_max, code_max + 1, size=(n,) + shape).astype(np.float64)
+    offsets = np.array([0.0, 0.5, 0.5 - 2.0**-30, 0.5 + 2.0**-30, -0.5 + 2.0**-30, 0.25])
+    x = (codes + rng.choice(offsets, size=codes.shape)) * 2.0**-in_frac
+    special = rng.random(codes.shape) < 0.05
+    x[special] = rng.choice([np.inf, -np.inf, np.nan, 1e300, -1e300], size=int(special.sum()))
+    with np.errstate(over="ignore"):
+        return x.astype(dtype)
+
+
+# Pinned: a ReLU conv whose sums round (e < 0) before a stride-2 pool
+# that shifts left, at float32's smallest normal, and at the overflow edge.
+@block_budget()
+@given(spec=conv_max_pool_specs(), n=st.sampled_from(BATCH_SIZES))
+@example(
+    spec=dict(
+        bits=8, cin=2, cout=3, k=3, pad=1, relu=True, bias=[-3000, 17, 2500], fracs=(3, 0, 2), pool_k=2,
+        pool_stride=2, pool_pad=0, ceil_mode=True, hw=(7, 6), dtype="float64", seed=3,
+    ),
+    n=17,
+)
+@example(
+    spec=dict(
+        bits=16, cin=1, cout=2, k=2, pad=0, relu=False, bias=None, fracs=(64, -55, -57), pool_k=3,
+        pool_stride=2, pool_pad=1, ceil_mode=False, hw=(6, 6), dtype="float32", seed=4,
+    ),
+    n=3,
+)
+@example(
+    spec=dict(
+        bits=2, cin=1, cout=1, k=1, pad=0, relu=True, bias=None, fracs=(-64, 64, 60), pool_k=2,
+        pool_stride=3, pool_pad=2, ceil_mode=True, hw=(5, 5), dtype="float32", seed=5,
+    ),
+    n=64,
+)
+def test_conv_max_pool_matches_reference(spec, n):
+    """A folded-scale conv and the max pool that rounds it equal ``execute_deployed`` bit for bit."""
+    note(repr(spec))
+    deployed = _conv_max_pool_net(spec)
+    conv = deployed.ops[0]
+    deferred = spec["pool_pad"] < spec["pool_k"]
+    event(f"conv dtype {op_dtypes(deployed)[0]}, route {'deferred' if deferred else 'in conv'}")
+    rng = np.random.default_rng(spec["seed"])
+    code_max = datapath_widths(spec["bits"]).code_max
+    x = _hostile_inputs(rng, n, deployed.input_shape, code_max, conv.in_frac, spec["dtype"])
     assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))

@@ -168,6 +168,25 @@ class TestRounding:
     def test_negative_shift_is_left_shift(self):
         assert rshift_round_half_even(np.array([3]), -2)[0] == 12
 
+    def test_any_shift_equals_python_integer_arithmetic(self):
+        """Shifts of -135..135 (the route's reach with fractions in [-64, 64]), int64 edges included."""
+        edge = [0, 1, -1, 5, -5, 3, -3, 2**40, -(2**40), 2**62 + 1, 2**63 - 1, -(2**63)]
+        values = edge + [int(v) for v in np.random.default_rng(1).integers(-(2**63), 2**63 - 1, size=40)]
+        for shift in range(-135, 136):
+            got = rshift_round_half_even(np.array(values, dtype=np.int64), shift)
+            if shift <= 0:
+                want = [v << -shift for v in values]
+            else:
+                want = []
+                for v in values:
+                    q, r = divmod(v, 1 << shift)  # floor division, r >= 0
+                    want.append(q + (2 * r > 1 << shift or (2 * r == 1 << shift and q % 2 == 1)))
+            assert [int(g) for g in got] == want, shift
+
+    def test_large_shifts_from_the_fraction_range(self):
+        assert rshift_round_half_even(np.array([5, -5]), 135).tolist() == [0, 0]
+        assert [int(v) for v in rshift_round_half_even(np.array([1, -3]), -121)] == [1 << 121, -3 << 121]
+
     def test_ties_to_even(self):
         assert rshift_round_half_even(np.array([1]), 1)[0] == 0   # 0.5 -> 0
         assert rshift_round_half_even(np.array([3]), 1)[0] == 2   # 1.5 -> 2
@@ -206,6 +225,12 @@ class TestSaturateAndRoute:
     def test_requantize_finer_saturates(self):
         # code 127 at f=0 -> f=2 would need 508: saturate at 127
         assert requantize_codes(np.array([127]), 0, 2, CODE_MAX)[0] == 127
+
+    def test_requantize_saturates_past_int64(self):
+        """2^40 shifted left by 30 leaves int64: it saturates instead of wrapping to 0."""
+        out = requantize_codes(np.array([2**40, -(2**40), 0]), 0, 30, CODE_MAX)
+        assert out.dtype == np.int64 and out.tolist() == [127, -127, 0]
+        assert requantize_codes(np.array([np.iinfo(np.int64).min]), 0, 1, CODE_MAX).tolist() == [-127]
 
     def test_route_relu_zeroes_negative_accumulator(self):
         out = accumulator_route(

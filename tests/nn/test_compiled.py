@@ -186,6 +186,21 @@ class TestExecutor:
         with pytest.raises(RuntimeError):
             executor.backward(np.zeros((4, 4)))
 
+    def test_fused_dfp_hook_saturates_like_the_eager_hook(self):
+        """Non-finite and out-of-range activations quantize identically in both paths."""
+        from repro.core.dfp import DFPFormat, dfp_quantize
+        from repro.nn.compiled import _make_dfp_inplace, _Scratch
+
+        fmt = DFPFormat(8, 6)
+        specials = [np.inf, -np.inf, np.nan, 1e30, -1e30, 2.0**60, 0.5 / 64, 1.5 / 64, -0.5 / 64]
+        for dtype in (np.float32, np.float64):
+            with np.errstate(over="ignore"):
+                y = np.array(specials, dtype=dtype)
+            want = dfp_quantize(y, fmt)
+            got = _make_dfp_inplace(fmt, _Scratch())(y.copy())
+            assert got.dtype == dtype and np.array_equal(got, want)
+            assert got.tolist()[:6] == [127 / 64, -127 / 64, -127 / 64, 127 / 64, -127 / 64, 127 / 64]
+
     def test_hook_mutation_invalidates_plans(self):
         from repro.core.dfp import DFPFormat, DFPQuantizer
 
