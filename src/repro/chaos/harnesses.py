@@ -127,6 +127,52 @@ def _wait(future: Future, timeout: float, what: str):
         raise DrillTimeoutError(f"{what} wedged for {timeout:.0f}s") from None
 
 
+class _Quiet(NamedTuple):
+    """One step the must-complete rule judges: how it ended, whether no fault fired in it,
+    and the version files it could have resolved to."""
+
+    label: str
+    error: Optional[BaseException]
+    quiet: bool
+    snapshot: list
+
+
+def _snapshot_versions(store, model: str, dest: Path) -> list:
+    """Plain copies of the versions ``model`` resolves to now (no fault site crossed)."""
+    import shutil
+
+    dest.mkdir(parents=True, exist_ok=True)
+    copies = []
+    for version in store.versions(model):
+        copies.append(dest / f"v{version:04d}.npz")
+        shutil.copyfile(store.model_path(model, version), copies[-1])
+    return copies
+
+
+def _verifies(path: Path) -> bool:
+    from repro.io.artifacts import ArtifactError, load_deployed
+
+    try:
+        load_deployed(path)
+    except ArtifactError:
+        return False
+    return True
+
+
+def _judge_quiet_steps(name: str, steps: list) -> None:
+    """The must-complete rule, checked once no plan is installed.
+
+    A step (a cold start, a store load, a request) during which no fault
+    fired must complete whenever a version it could resolve verifies.
+    """
+    for step in steps:
+        if step.error is None or not step.quiet:
+            continue
+        verified = [p.name for p in step.snapshot if _verifies(p)]
+        _expect(not verified, f"{name}: {step.label} failed ({type(step.error).__name__}) "
+                f"although no fault fired during it and {verified[:1]} verifies")
+
+
 def _tiny_deployed(seed: int):
     """A deployed MF-DFP network small enough to publish/serve in ms."""
     from repro.core.mfdfp import deploy_calibrated
@@ -272,7 +318,9 @@ def _cold_start(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
     """Publish v1 and v2, read the newest back, cold-start a registry.
 
     The served version must carry that version's fingerprint and
-    logits.  Each quarantined version then gets a direct load.
+    logits.  The read and the cold start must complete when no fault
+    fired during them and a version they could resolve verifies.  Each
+    quarantined version then gets a direct load.
     """
     from repro.core.engine import BatchedEngine, engine_fingerprint
     from repro.io.artifacts import ArtifactError
@@ -293,11 +341,21 @@ def _cold_start(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
         engine = registry.engine(model)
         return registry.version_label(model), engine
 
+    steps: list[_Quiet] = []
+
+    def load(label: str, fn: Callable):
+        snapshot = _snapshot_versions(store, model, workdir / f"resolvable-{len(steps)}")
+        fired = len(plan.fired)
+        result, error = outcome.attempt(label, typed, fn)
+        steps.append(_Quiet(label, error, len(plan.fired) == fired, snapshot))
+        return result
+
     with installed(plan):
         for artifact in artifacts.values():
             outcome.attempt("publish", typed, partial(store.publish_deployed, model, artifact))
-        warm, _ = outcome.attempt("warm read", typed, partial(store.load_newest_verified, model))
-        started, _ = outcome.attempt("cold start", typed, cold_start)
+        warm = load("warm read", partial(store.load_newest_verified, model))
+        started = load("cold start", cold_start)
+    _judge_quiet_steps("cold-start", steps)
     evidence = outcome.evidence
     evidence.update(warm=warm and warm[0], served=started and started[0], reasons={}, direct={})
     if started is not None:
@@ -378,13 +436,18 @@ def _serve(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
 
     An answered request must equal its serving version's engine
     reference; any other must fail typed, and none may be left
-    unresolved after the draining stop.
+    unresolved after the draining stop.  The start, and each request
+    from submit to resolution, must complete when no fault fired in
+    that span while a version is in service: v1, published before the
+    plan, still resolves and verifies at the end (so it did throughout),
+    and supervision has not quarantined the model over earlier crashes.
     """
     from repro.core.engine import BatchedEngine
     from repro.io.artifacts import ArtifactError
     from repro.io.store import ArtifactStore
     from repro.parallel.pool import PoolError
     from repro.serve import CrashError, ModelRegistry, ServeError, ServerRuntime
+    from repro.serve.errors import ModelQuarantinedError
 
     seed, model = plan.seed, "drill_served"
     typed = (ArtifactError, CrashError, PoolError, ServeError)
@@ -399,15 +462,18 @@ def _serve(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
     store = ArtifactStore(workdir / "store", sleep=_no_sleep)
     store.publish_deployed(model, versions["v0001"])
     futures: list[Future] = []
+    spans: list[list] = []  # per request: faults fired at submit, at resolution
     halfway = threading.Event()
 
     def stream(runtime) -> None:
         for i, sample in enumerate(samples):
+            spans.append([len(plan.fired), None])
             try:
                 futures.append(runtime.submit(model, sample))
             except Exception as exc:  # classified below, with the failed requests
                 futures.append(Future())
                 futures[-1].set_exception(exc)
+            futures[-1].add_done_callback(lambda _, span=spans[-1]: span.__setitem__(1, len(plan.fired)))
             if i == len(samples) // 2:
                 halfway.set()
             time.sleep(0.002)
@@ -416,7 +482,8 @@ def _serve(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
         return ServerRuntime(ModelRegistry.from_store(store), [model], workers=1)
 
     with installed(plan):
-        runtime, _ = outcome.attempt("start", typed, start)
+        runtime, error = outcome.attempt("start", typed, start)
+        steps = [_Quiet("start", error, not plan.fired, [])]
         if runtime is not None:
             with runtime:
                 streamer = _background(stream, runtime)
@@ -427,9 +494,13 @@ def _serve(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
                 _wait(streamer, 60.0, "the request stream")
     for i, future in enumerate(futures):
         _expect(future.done(), f"request {i} was never resolved (dropped)")
-        logits, _ = outcome.attempt(f"request {i}", typed, future.result)
+        logits, error = outcome.attempt(f"request {i}", typed, future.result)
+        quiet = spans[i][0] == spans[i][1] and not isinstance(error, ModelQuarantinedError)
+        steps.append(_Quiet(f"request {i}", error, quiet, []))
         if logits is not None:
             outcome.completed[f"{future.serving_version}/request/{i}"] = logits
+    in_service = [store.model_path(model, 1)] if 1 in store.versions(model) else []
+    _judge_quiet_steps("serve", [step._replace(snapshot=in_service) for step in steps])
     outcome.evidence.update(requests=len(samples), answered=len(outcome.completed))
     return outcome
 

@@ -53,6 +53,7 @@ from repro.hw.datapath import (
     datapath_widths,
     div_round_half_even,
     requantize_codes,
+    rshift_round_half_even,
     saturate,
 )
 from repro.nn.layers.conv import im2col, patch_index_table
@@ -348,12 +349,12 @@ def _avgpool_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> n
     sums = win.sum(axis=(-1, -2), dtype=np.int64)
     ones = np.ones((1, 1) + codes.shape[2:], dtype=np.int64)
     counts = _pool_windows(ones, op, fill=0)[0].sum(axis=(-1, -2))[0, 0]  # (oh, ow)
+    # sum * 2^shift / count, both sides shifted exactly (Python integers
+    # once a shift leaves int64), so the quotient is exact at any shift.
     shift = op.out_frac - op.in_frac
-    if shift >= 0:
-        out = div_round_half_even(sums << shift, counts[None, None])
-    else:
-        out = div_round_half_even(sums, counts[None, None] << (-shift))
-    return saturate(out, max_code)
+    num = rshift_round_half_even(sums, -max(shift, 0))
+    den = rshift_round_half_even(counts, -max(-shift, 0))
+    return saturate(div_round_half_even(num, den[None, None]), max_code)
 
 
 def _flatten_reference(op: DeployedLayer, codes: np.ndarray, max_code: int) -> np.ndarray:
@@ -601,7 +602,11 @@ def _avgpool_compile(op: DeployedLayer, in_shape: tuple, max_code: int, dtype: n
     if not counts.all():
         raise ValueError(f"{op.name}: a pooling window reads no input, only padding or overhang")
     # ``sum / (count * 2^-shift)`` is ``num / den`` exactly: one divide.
-    den = (counts * 2.0 ** -(op.out_frac - op.in_frac)).astype(dtype)[:, :, None]
+    # Once ``2^-shift`` passes the bound (twice the largest |sum|), every
+    # quotient lies inside (-1/2, 1/2) and rounds to 0 either way, so the
+    # divisor stops growing there and stays finite in ``dtype``.
+    exp = min(op.in_frac - op.out_frac, _accumulator_bound(op, max_code).bit_length())
+    den = (counts * 2.0**exp).astype(dtype)[:, :, None]
     den.setflags(write=False)
     finish = _epilogue(True, "none", max_code)
 

@@ -165,21 +165,29 @@ def rshift_round_half_even(values: np.ndarray, shift: int) -> np.ndarray:
     return q + round_up.astype(np.int64)
 
 
+def _exact_ints(values) -> np.ndarray:
+    """``values`` as int64, or as the Python integers of an object array."""
+    values = np.asarray(values)
+    return values if values.dtype == object else values.astype(np.int64, copy=False)
+
+
 def div_round_half_even(num: np.ndarray, den) -> np.ndarray:
     """``rint(num / den)`` in exact integer arithmetic (``den > 0``).
 
     Models the constant-coefficient shift-add divider used for average
     pooling (e.g. the 1/9 of a 3x3 window), computed to full precision.
     ``den`` may be a scalar or an array broadcastable against ``num``.
+    Either may be an object array of Python integers (a wide shift, see
+    :func:`rshift_round_half_even`); the result is then one too.
     """
-    den = np.asarray(den, dtype=np.int64)
+    den = _exact_ints(den)
     if np.any(den <= 0):
         raise ValueError("denominator must be positive")
-    num = np.asarray(num, dtype=np.int64)
+    num = _exact_ints(num)
     q = np.floor_divide(num, den)
-    r = num - q * den
-    twice = 2 * r
-    round_up = (twice > den) | ((twice == den) & ((q & 1) == 1))
+    r = np.remainder(num, den)  # 0 <= r < den: comparing r with den - r cannot overflow
+    rest = den - r
+    round_up = (r > rest) | ((r == rest) & ((q & 1) == 1))
     return q + round_up.astype(np.int64)
 
 

@@ -59,7 +59,15 @@ class Layer:
     """Base class for all layers.
 
     Subclasses override :meth:`forward` and :meth:`backward`; layers with
-    trainable state also populate :attr:`params`.
+    trainable state also populate :attr:`params`.  What a forward pass
+    keeps for the backward pass lives in ``_cache``, and :meth:`_saved`
+    reads it back.
+
+    The planned layer types also take a training plan's
+    :class:`~repro.nn.layers.workspace.Workspace`:
+    ``forward(x, ws=None)`` and ``backward(grad, ws=None, need_dx=True)``.
+    ``need_dx=False`` skips the input gradient (the plan's first layer)
+    and returns None.
     """
 
     def __init__(self, name: Optional[str] = None):
@@ -67,6 +75,7 @@ class Layer:
         self.training = False
         self.weight_quantizer: Optional[QuantFn] = None
         self.output_quantizer: Optional[QuantFn] = None
+        self._cache = None
 
     # -- interface ---------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -81,11 +90,23 @@ class Layer:
         return []
 
     # -- helpers -----------------------------------------------------------
-    def _quantize_output(self, y: np.ndarray) -> np.ndarray:
-        """Apply the output quantizer, if any (straight-through backward)."""
+    def _quantize_output(self, y: np.ndarray, ws=None, owned: bool = True) -> np.ndarray:
+        """Apply the output quantizer, if any (straight-through backward).
+
+        With a workspace, its fused hook rounds in place; ``owned=False``
+        says ``y`` is a view of the input, which must not change.
+        """
+        if ws is not None:
+            return ws.quantize(y, owned)
         if self.output_quantizer is not None:
             return self.output_quantizer(y)
         return y
+
+    def _saved(self):
+        """What the last forward kept for backward; raises before any forward."""
+        if self._cache is None:
+            raise RuntimeError(f"{self.name}: backward called before forward")
+        return self._cache
 
     def effective_weight(self) -> Optional[np.ndarray]:
         """Weights as seen by the forward pass (after quantization hook)."""

@@ -2,10 +2,10 @@
 
 The convolution is lowered to a matrix multiplication via ``im2col``, the
 same strategy Caffe uses; ``col2im`` scatters gradients back.  Data layout
-is NCHW throughout.  The compiled training path (:mod:`repro.nn.compiled`)
-issues the same three ``np.matmul`` calls on the same operand layouts, so
-a change to one GEMM here must be made there too to keep the two
-bit-identical.
+is NCHW throughout.  This is the only implementation of the layer's
+arithmetic: the compiled training path (:mod:`repro.nn.compiled`) runs
+these same methods with a plan's workspace, which only decides where
+each array lives.
 
 Patch geometry is shared infrastructure: :func:`patch_index_table` builds
 the flat gather/scatter index tables that both ``col2im`` here and the
@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.nn.initializers import resolve_initializer
 from repro.nn.layers.base import Layer, Parameter
+from repro.nn.layers.workspace import buffer
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -35,7 +36,7 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws=None):
     """Lower input patches to columns.
 
     Args:
@@ -43,21 +44,24 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
         kh, kw: Kernel height and width.
         stride: Stride (same in both dimensions).
         pad: Zero padding (same on all sides).
+        ws: Optional workspace holding the padded input and the columns.
 
     Returns:
-        ``(cols, out_h, out_w)`` where ``cols`` has shape
-        ``(N, C*kh*kw, out_h*out_w)``.
+        ``(cols, out_h, out_w)`` where ``cols`` is C-contiguous with
+        shape ``(N, C*kh*kw, out_h*out_w)``.
     """
     n, c, h, w = x.shape
     out_h = conv_output_size(h, kh, stride, pad)
     out_w = conv_output_size(w, kw, stride, pad)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        xp = buffer(ws, "im2col.pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype, fill=0)
+        xp[:, :, pad : pad + h, pad : pad + w] = x  # the border stays zero
+        x = xp
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :]
-    windows = windows[:, :, :out_h, :out_w, :, :]
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, out_h * out_w)
-    return np.ascontiguousarray(cols), out_h, out_w
+    windows = windows[:, :, ::stride, ::stride, :, :][:, :, :out_h, :out_w, :, :]
+    cols = buffer(ws, "im2col.cols", (n, c, kh, kw, out_h, out_w), x.dtype)
+    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
+    return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
 @functools.lru_cache(maxsize=256)
@@ -219,7 +223,6 @@ class Conv2D(Layer):
         wshape = (out_channels, in_channels // groups, kernel_size, kernel_size)
         self.weight = Parameter(init(wshape, fan_in, fan_out, rng, dtype), f"{self.name}.weight")
         self.bias = Parameter(np.zeros(out_channels, dtype=dtype), f"{self.name}.bias") if bias else None
-        self._cache = None
 
     @property
     def params(self) -> list[Parameter]:
@@ -238,47 +241,56 @@ class Conv2D(Layer):
         k, s, p = self.kernel_size, self.stride, self.pad
         return (self.out_channels, conv_output_size(h, k, s, p), conv_output_size(w, k, s, p))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws=None) -> np.ndarray:
         n = x.shape[0]
         k, s, p = self.kernel_size, self.stride, self.pad
-        g = self.groups
-        w = self.effective_weight()
-        cols, out_h, out_w = im2col(x, k, k, s, p)
+        g, f = self.groups, self.out_channels // self.groups
+        w = self.effective_weight() if ws is None else ws.weight()
+        cols, out_h, out_w = im2col(x, k, k, s, p, ws)
         syn = (self.in_channels // g) * k * k
+        pos = out_h * out_w
         # im2col rows are channel-major, so group slicing is contiguous
-        cols_g = cols.reshape(n, g, syn, -1)
-        w_mat = w.reshape(g, self.out_channels // g, syn)
-        y = np.matmul(w_mat[None], cols_g)
-        y = y.reshape(n, self.out_channels, -1)
+        cols_g = cols.reshape(n, g, syn, pos)
+        w_mat = w.reshape(g, f, syn)
+        y = buffer(ws, "y", (n, g, f, pos), np.result_type(x.dtype, w.dtype))
+        np.matmul(w_mat[None], cols_g, out=y)
+        y = y.reshape(n, self.out_channels, pos)
         if self.bias is not None:
             y += self.bias.data[None, :, None]
-        y = y.reshape(n, self.out_channels, out_h, out_w)
         self._cache = (x.shape, cols_g, w_mat)
-        return self._quantize_output(y)
+        return self._quantize_output(y.reshape(n, self.out_channels, out_h, out_w), ws)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, cols_g, w_mat = self._cache
+    def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
+        x_shape, cols_g, w_mat = self._saved()
         n = grad.shape[0]
         k, s, p = self.kernel_size, self.stride, self.pad
-        g = self.groups
-        f = self.out_channels // g
+        g, f, syn = w_mat.shape
         gr = grad.reshape(n, g, f, -1)
         pos = gr.shape[-1]
         # dw contracts over batch and position together: one GEMM per
         # group over contiguous (g, f, n*pos) and (g, n*pos, syn) copies.
-        gr_t = np.ascontiguousarray(gr.transpose(1, 2, 0, 3)).reshape(g, f, n * pos)
-        cols_t = np.ascontiguousarray(cols_g.transpose(1, 0, 3, 2)).reshape(g, n * pos, -1)
-        dw = np.matmul(gr_t, cols_t)
+        gr_t = buffer(ws, "grad_t", (g, f, n, pos), grad.dtype)
+        np.copyto(gr_t, gr.transpose(1, 2, 0, 3))
+        cols_t = buffer(ws, "cols_t", (g, n, pos, syn), cols_g.dtype)
+        np.copyto(cols_t, cols_g.transpose(1, 0, 3, 2))
+        dw = buffer(ws, "dw", (g, f, syn), np.result_type(grad.dtype, cols_g.dtype))
+        np.matmul(gr_t.reshape(g, f, n * pos), cols_t.reshape(g, n * pos, syn), out=dw)
+        # A plan's grads are copies: a caller keeping param.grad across
+        # steps must not see it change under the next batch.
+        keep = ws is not None
         self.weight.grad = dw.reshape(self.weight.data.shape).astype(
-            self.weight.data.dtype, copy=False
+            self.weight.data.dtype, copy=keep
         )
         if self.bias is not None:
-            self.bias.grad = gr.sum(axis=(0, 3)).reshape(-1).astype(self.bias.data.dtype, copy=False)
-        dcols = np.matmul(w_mat.transpose(0, 2, 1)[None], gr)
-        dcols = dcols.reshape(n, -1, pos)
-        return col2im(dcols, x_shape, k, k, s, p)
+            db = np.sum(gr, axis=(0, 3), out=buffer(ws, "db", (g, f), grad.dtype))
+            self.bias.grad = db.reshape(-1).astype(self.bias.data.dtype, copy=keep)
+        if not need_dx:
+            return None
+        dcols = buffer(ws, "dcols", (n, g, syn, pos), np.result_type(w_mat.dtype, grad.dtype))
+        np.matmul(w_mat.transpose(0, 2, 1)[None], gr, out=dcols)
+        n, c, h, w = x_shape
+        dx = None if ws is None else ws.buffer("dx", (n, c, h + 2 * p, w + 2 * p), dcols.dtype)
+        return col2im(dcols.reshape(n, g * syn, pos), x_shape, k, k, s, p, out=dx)
 
     def macs(self, input_shape: tuple) -> int:
         """Multiply-accumulate count for one sample of ``input_shape``."""

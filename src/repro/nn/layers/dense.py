@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.nn.initializers import resolve_initializer
 from repro.nn.layers.base import Layer, Parameter
+from repro.nn.layers.workspace import buffer
 
 
 class Dense(Layer):
@@ -42,7 +43,6 @@ class Dense(Layer):
             f"{self.name}.weight",
         )
         self.bias = Parameter(np.zeros(out_features, dtype=dtype), f"{self.name}.bias") if bias else None
-        self._cache = None
 
     @property
     def params(self) -> list[Parameter]:
@@ -62,24 +62,30 @@ class Dense(Layer):
             )
         return (self.out_features,)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws=None) -> np.ndarray:
         if x.ndim != 2:
             raise ValueError(f"{self.name}: expected 2-D input, got shape {x.shape}")
-        w = self.effective_weight()
-        y = x @ w.T
+        w = self.effective_weight() if ws is None else ws.weight()
+        y = buffer(ws, "y", (x.shape[0], self.out_features), np.result_type(x.dtype, w.dtype))
+        np.matmul(x, w.T, out=y)
         if self.bias is not None:
-            y += self.bias.data[None, :]  # in-place: y is freshly allocated
+            y += self.bias.data[None, :]
         self._cache = (x, w)
-        return self._quantize_output(y)
+        return self._quantize_output(y, ws)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        x, w = self._cache
-        self.weight.grad = (grad.T @ x).astype(self.weight.data.dtype, copy=False)
+    def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
+        x, w = self._saved()
+        dw = buffer(ws, "dw", w.shape, np.result_type(grad.dtype, x.dtype))
+        np.matmul(grad.T, x, out=dw)
+        keep = ws is not None  # a plan's grads are copies, as in Conv2D
+        self.weight.grad = dw.astype(self.weight.data.dtype, copy=keep)
         if self.bias is not None:
-            self.bias.grad = grad.sum(axis=0).astype(self.bias.data.dtype, copy=False)
-        return grad @ w
+            db = np.sum(grad, axis=0, out=buffer(ws, "db", grad.shape[1:], grad.dtype))
+            self.bias.grad = db.astype(self.bias.data.dtype, copy=keep)
+        if not need_dx:
+            return None
+        dx = buffer(ws, "dx", x.shape, np.result_type(grad.dtype, w.dtype))
+        return np.matmul(grad, w, out=dx)
 
     def macs(self, input_shape: tuple) -> int:
         """Multiply-accumulate count for one sample."""

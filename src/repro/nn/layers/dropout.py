@@ -7,6 +7,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.layers.base import Layer
+from repro.nn.layers.workspace import buffer, scratch
 
 
 class Dropout(Layer):
@@ -23,23 +24,33 @@ class Dropout(Layer):
             raise ValueError(f"dropout probability must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng or np.random.default_rng(0)  # repro-lint: disable=rng-discipline (documented deterministic default; compiled/eager bit-identity depends on it)
-        self._mask = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, ws=None) -> np.ndarray:
         if not self.training or self.p == 0.0:
-            self._mask = None
-            return self._quantize_output(x)
+            self._cache = (None,)
+            return self._quantize_output(x, ws, owned=False)
         keep = 1.0 - self.p
+        draws = self.rng.random(out=scratch(ws, x.shape, np.float64))
+        kept = np.less(draws, keep, out=scratch(ws, x.shape, bool))
         # The mask is materialized in the input dtype: a float64 mask
         # would silently upcast both the output product and the backward
         # gradient of a float32 network.
-        self._mask = ((self.rng.random(x.shape) < keep) / keep).astype(x.dtype, copy=False)
-        return self._quantize_output((x * self._mask).astype(x.dtype, copy=False))
+        scaled = np.divide(kept, keep, out=scratch(ws, x.shape, np.float64))
+        mask = buffer(ws, "mask", x.shape, x.dtype)
+        np.copyto(mask, scaled, casting="same_kind")
+        self._cache = (mask,)
+        y = np.multiply(x, mask, out=buffer(ws, "y", x.shape, x.dtype))
+        return self._quantize_output(y, ws)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+    def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
+        (mask,) = self._saved()
+        if not need_dx:
+            return None
+        if mask is None:
             return grad
-        return grad * self._mask
+        return np.multiply(
+            grad, mask, out=buffer(ws, "dx", grad.shape, np.result_type(grad.dtype, mask.dtype))
+        )
 
     def output_shape(self, input_shape: tuple) -> tuple:
         return input_shape

@@ -30,7 +30,6 @@ class LocalResponseNorm(Layer):
         self.alpha = alpha
         self.beta = beta
         self.k = k
-        self._cache = None
 
     def _window_sum(self, t: np.ndarray) -> np.ndarray:
         """Sum ``t`` over the channel window for every channel (NCHW)."""
@@ -49,9 +48,7 @@ class LocalResponseNorm(Layer):
         return self._quantize_output(y.astype(x.dtype, copy=False))
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        x, scale, y = self._cache
+        x, scale, y = self._saved()
         coef = 2.0 * self.alpha * self.beta / self.local_size
         inner = grad * y / scale  # dy_i * x_i * S_i^(-beta-1)
         dx = grad * scale ** (-self.beta) - coef * x * self._window_sum(inner)

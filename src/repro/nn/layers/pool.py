@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from repro.nn.layers.base import Layer
+from repro.nn.layers.workspace import buffer, scratch
 
 _NEG_INF = -np.inf
 
@@ -55,16 +56,24 @@ class _Pool2D(Layer):
         self.stride = stride if stride is not None else kernel_size
         self.pad = pad
         self.ceil_mode = ceil_mode
-        self._cache = None
 
     def output_shape(self, input_shape: tuple) -> tuple:
         c, h, w = input_shape
+        oh, ow, _, _ = self._geometry(h, w)
+        return (c, oh, ow)
+
+    def _geometry(self, h: int, w: int) -> tuple:
+        """``(oh, ow, hp, wp)``: output size and padded input size.
+
+        The input is padded left/top by ``self.pad`` and right/bottom by
+        ``self.pad`` plus whatever ceil mode requires.
+        """
         k, s, p = self.kernel_size, self.stride, self.pad
-        return (
-            c,
-            pool_output_size(h, k, s, p, self.ceil_mode),
-            pool_output_size(w, k, s, p, self.ceil_mode),
-        )
+        oh = pool_output_size(h, k, s, p, self.ceil_mode)
+        ow = pool_output_size(w, k, s, p, self.ceil_mode)
+        hp = h + p + max(0, (oh - 1) * s + k - (h + p))
+        wp = w + p + max(0, (ow - 1) * s + k - (w + p))
+        return oh, ow, hp, wp
 
     def _windows(self, x: np.ndarray, fill: float):
         """Return strided windows ``(N, C, oh, ow, k, k)`` over padded input.
@@ -72,14 +81,10 @@ class _Pool2D(Layer):
         The input is padded with ``fill``: left/top by ``self.pad``,
         right/bottom by ``self.pad`` plus whatever ceil mode requires.
         """
-        n, c, h, w = x.shape
+        h, w = x.shape[2:]
         k, s, p = self.kernel_size, self.stride, self.pad
-        _, oh, ow = self.output_shape((c, h, w))
-        need_h = (oh - 1) * s + k
-        need_w = (ow - 1) * s + k
-        pad_b = max(0, need_h - (h + p))
-        pad_r = max(0, need_w - (w + p))
-        xp = np.pad(x, ((0, 0), (0, 0), (p, pad_b), (p, pad_r)), constant_values=fill)
+        oh, ow, hp, wp = self._geometry(h, w)
+        xp = np.pad(x, ((0, 0), (0, 0), (p, hp - h - p), (p, wp - w - p)), constant_values=fill)
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
         win = win[:, :, ::s, ::s, :, :][:, :, :oh, :ow]
         return win, xp.shape, oh, ow
@@ -111,54 +116,114 @@ def pool_valid_counts(
 class MaxPool2D(_Pool2D):
     """Max pooling; gradients are routed to the per-window argmax."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        win, xp_shape, oh, ow = self._windows(x, fill=_NEG_INF)
-        k = self.kernel_size
-        flat = win.reshape(*win.shape[:4], k * k)
-        arg = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, xp_shape, arg, oh, ow)
-        return self._quantize_output(np.ascontiguousarray(out))
+    def forward(self, x: np.ndarray, ws=None) -> np.ndarray:
+        n, c, h, w = x.shape
+        k, s, p = self.kernel_size, self.stride, self.pad
+        oh, ow, hp, wp = self._geometry(h, w)
+        xp = buffer(ws, "xp", (n, c, hp, wp), x.dtype, fill=_NEG_INF)
+        xp[:, :, p : p + h, p : p + w] = x  # the border stays -inf
+        if ws is not None and ws.rounds_output and not self.training:
+            # Inference onto a DFP grid: a tap-by-tap np.maximum scan (no
+            # windows, no argmax) is bit-identical after the hook — a
+            # +0.0/-0.0 tie is the only value the scan order can change,
+            # and both round to code 0; NaN propagates through maximum as
+            # through argmax-and-take.
+            y = buffer(ws, "y", (n, c, oh, ow), x.dtype)
+            y[...] = xp[:, :, : s * oh : s, : s * ow : s]
+            for i in range(k):
+                for j in range(k):
+                    if i or j:
+                        np.maximum(y, xp[:, :, i : i + s * oh : s, j : j + s * ow : s], out=y)
+            self._cache = None  # no argmax: this forward has no backward
+            return self._quantize_output(y, ws)
+        # Tap-by-tap strided copies beat one 6-D transposed copy (few
+        # taps, long contiguous runs).  Each window's taps land in (i, j)
+        # order, so argmax breaks ties as on the windows themselves.
+        taps = buffer(ws, "taps", (n, c, oh, ow, k, k), x.dtype)
+        for i in range(k):
+            for j in range(k):
+                taps[:, :, :, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+        flat = taps.reshape(-1, k * k)
+        arg = np.argmax(flat, axis=-1, out=buffer(ws, "arg", (flat.shape[0],), np.intp))
+        starts = buffer(ws, "starts", arg.shape, np.intp, fill=lambda: np.arange(0, taps.size, k * k))
+        take = np.add(starts, arg, out=scratch(ws, arg.shape, np.intp))
+        y = np.take(flat.reshape(-1), take, out=buffer(ws, "y", (n, c, oh, ow), x.dtype).reshape(-1))
+        self._cache = (x.shape, xp.shape, arg.reshape(n, c, oh, ow), oh, ow)
+        return self._quantize_output(y.reshape(n, c, oh, ow), ws)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, xp_shape, arg, oh, ow = self._cache
+    def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
+        x_shape, xp_shape, arg, oh, ow = self._saved()
+        if not need_dx:
+            return None
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.pad
         hp, wp = xp_shape[2], xp_shape[3]
         # One flat 1-D scatter (the fast indexed-ufunc path) instead of a
         # broadcast 4-tuple index; iteration order — and therefore float
         # accumulation order per target — is the same C order either way.
-        rows = np.arange(oh, dtype=np.intp)[None, None, :, None] * s + arg // k
-        cols = np.arange(ow, dtype=np.intp)[None, None, None, :] * s + arg % k
-        base = (np.arange(n * c, dtype=np.intp) * hp).reshape(n, c, 1, 1)
-        target = (base + rows) * wp + cols
-        dxp = np.zeros(xp_shape, dtype=grad.dtype)
-        np.add.at(
-            dxp.reshape(-1), target.reshape(-1), np.ascontiguousarray(grad).reshape(-1)
-        )
+        target = buffer(ws, "target", arg.shape, np.intp)
+        np.floor_divide(arg, k, out=target)
+        target += np.arange(oh, dtype=np.intp)[None, None, :, None] * s
+        target += (np.arange(n * c, dtype=np.intp) * hp).reshape(n, c, 1, 1)
+        target *= wp
+        target += np.remainder(arg, k, out=scratch(ws, arg.shape, np.intp))
+        target += np.arange(ow, dtype=np.intp)[None, None, None, :] * s
+        dxp = buffer(ws, "dxp", xp_shape, grad.dtype)
+        dxp[...] = 0
+        np.add.at(dxp.reshape(-1), target.reshape(-1), np.ascontiguousarray(grad).reshape(-1))
         return dxp[:, :, p : p + h, p : p + w]
 
 
 class AvgPool2D(_Pool2D):
     """Average pooling over the valid (non-padding) part of each window."""
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        win, xp_shape, oh, ow = self._windows(x, fill=0.0)
+    def forward(self, x: np.ndarray, ws=None) -> np.ndarray:
+        n, c, h, w = x.shape
+        k, s, p = self.kernel_size, self.stride, self.pad
+        oh, ow, hp, wp = self._geometry(h, w)
+        xp = buffer(ws, "xp", (n, c, hp, wp), x.dtype, fill=0)
+        xp[:, :, p : p + h, p : p + w] = x  # the border stays 0
         counts = self._valid_counts(x.shape, oh, ow)
-        out = win.sum(axis=(-1, -2)) / counts[None, None]
-        self._cache = (x.shape, xp_shape, counts, oh, ow)
-        return self._quantize_output(out.astype(x.dtype, copy=False))
+        sums = scratch(ws, (n, c, oh, ow), x.dtype)
+        if ws is not None and self._exact_tap_sum(ws.in_grid, x.dtype):
+            sums[...] = 0.0
+            for i in range(k):
+                for j in range(k):
+                    sums += xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
+        else:
+            win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+            win[:, :, ::s, ::s][:, :, :oh, :ow].sum(axis=(-1, -2), out=sums)
+        quotient = np.divide(sums, counts, out=scratch(ws, sums.shape, np.float64))
+        y = buffer(ws, "y", sums.shape, x.dtype)
+        np.copyto(y, quotient, casting="same_kind")
+        self._cache = (x.shape, xp.shape, counts, oh, ow)
+        return self._quantize_output(y, ws)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(f"{self.name}: backward called before forward")
-        x_shape, xp_shape, counts, oh, ow = self._cache
+    def _exact_tap_sum(self, grid, dtype) -> bool:
+        """True when every partial window sum is exact, in any order.
+
+        An input on a DFP grid is ``code * 2^-f`` with
+        ``|code| <= max_code``, so every partial sum of a window is an
+        integer multiple of ``2^-f`` below ``k^2 * max_code * 2^-f``.
+        While that fits the float mantissa (float32 below 2^24, float64
+        below 2^53, as for the engine's GEMM dtypes) the cheap tap-by-tap
+        sum equals the pairwise window sum bit for bit.
+        """
+        if grid is None or np.dtype(dtype).kind != "f":
+            return False
+        mantissa = 2 ** (53 if np.dtype(dtype) == np.float64 else 24)
+        return self.kernel_size**2 * grid.max_code <= mantissa
+
+    def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
+        x_shape, xp_shape, counts, oh, ow = self._saved()
+        if not need_dx:
+            return None
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.pad
-        g = grad / counts[None, None]
-        dxp = np.zeros(xp_shape, dtype=grad.dtype)
+        g = buffer(ws, "grad", grad.shape, np.result_type(grad.dtype, counts.dtype))
+        np.divide(grad, counts, out=g)
+        dxp = buffer(ws, "dxp", xp_shape, grad.dtype)
+        dxp[...] = 0
         for i in range(k):
             for j in range(k):
                 dxp[:, :, i : i + s * oh : s, j : j + s * ow : s] += g

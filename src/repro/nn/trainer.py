@@ -122,11 +122,12 @@ class Trainer:
         augment: Optional batch transform (e.g. :class:`~repro.nn.augment.Augmenter`)
             applied to training inputs only.
         compiled: Route training and evaluation through the compiled
-            fast path (:mod:`repro.nn.compiled`): planned, workspace
-            backed kernels that are bit-identical to the eager layers
-            (layers without a planned kernel are delegated inside the
-            plan).  ``False`` runs the eager layers, the reference the
-            bit-identity tests and benchmarks compare against.
+            fast path (:mod:`repro.nn.compiled`): the same layer code,
+            run with a plan's persistent workspaces, fused DFP hooks and
+            memoized quantized weights, so it is bit-identical to
+            ``False``, which allocates every array afresh.  Layer types
+            without a workspace run their plain ``forward`` inside the
+            plan.
         profile: Collect per-layer forward/backward wall-clock times of
             the compiled plans; see :meth:`profile_rows`.  Requires
             ``compiled``.
@@ -217,8 +218,8 @@ class Trainer:
         """Top-1 error on ``dataset``, through the compiled executor when on.
 
         Bit-identical to :func:`error_rate` on the same network — the
-        executor replays the eager op sequence — but without
-        requantizing unchanged weights on every batch.
+        executor runs the same layer code — but without requantizing
+        unchanged weights on every batch.
         """
         executor = self.executor
         logits_fn = None

@@ -2,8 +2,10 @@
 
 Hypothesis draws plans (site × fault × trigger) restricted to the sites
 a harness crosses and the faults valid there, and runs each through
-:func:`repro.chaos.run_plan`: no hang, typed errors only, and every
-completed result bit-identical to the harness's fault-free reference.
+:func:`repro.chaos.run_plan`: no hang, typed errors only, every
+completed result bit-identical to the harness's fault-free reference,
+and, in ``cold-start`` and ``serve``, every load or request that no
+fault touched completed while a verified version existed.
 A failure shrinks to a minimal plan whose JSON is printed with the
 falsifying example; ``run_plan(HARNESSES[name],
 FaultPlan.from_json(text))`` replays it.
@@ -19,8 +21,11 @@ from repro.chaos import HARNESSES, FaultPlan, FaultRule, run_plan
 #: raises it for CI's chaos step.
 TIER1_EXAMPLES = {"resume": 25, "resume-in-child": 8, "cold-start": 25, "campaign": 15, "serve": 20}
 
-#: File names the harnesses write and read, for ``suffix`` triggers.
-SUFFIXES = ["epoch_0002.npz", "epoch_0003.npz", "v0001.npz", "v0002.npz"]
+#: File names each harness writes and reads, for ``suffix`` triggers.
+CHECKPOINTS = ["epoch_0002.npz", "epoch_0003.npz"]
+VERSIONS = ["v0001.npz", "v0002.npz"]
+SUFFIXES = {"resume": CHECKPOINTS, "resume-in-child": CHECKPOINTS,
+            "cold-start": VERSIONS, "serve": VERSIONS}
 
 PARAMS = {
     "bitflip": st.fixed_dictionaries({"flips": st.integers(1, 4)}),
@@ -36,17 +41,22 @@ PARAMS = {
 }
 
 
-def triggers(site: str):
+def triggers(site: str, suffixes: list):
     calls = st.integers(1, 6)
     base = st.one_of(
         calls.map(lambda c: {"call": c}),
         st.lists(calls, min_size=1, max_size=3, unique=True).map(lambda cs: {"calls": sorted(cs)}),
         st.just({"always": True}),
     )
-    if not site.startswith("io."):
+    if not site.startswith("io.") or not suffixes:
         return base
-    return st.tuples(base, st.none() | st.sampled_from(SUFFIXES)).map(
-        lambda t: t[0] if t[1] is None else {**t[0], "suffix": t[1]}
+    # Besides counted calls, with or without a file filter: every access
+    # of one file, the shape of bit rot in a single artifact.
+    return st.one_of(
+        st.tuples(base, st.none() | st.sampled_from(suffixes)).map(
+            lambda t: t[0] if t[1] is None else {**t[0], "suffix": t[1]}
+        ),
+        st.sampled_from(suffixes).map(lambda suffix: {"always": True, "suffix": suffix}),
     )
 
 
@@ -56,7 +66,8 @@ def plans(draw, harness):
     for _ in range(draw(st.integers(1, 2))):
         site = draw(st.sampled_from(sorted(harness.sites)))
         fault = draw(st.sampled_from(harness.sites[site]))
-        rules.append(FaultRule(site, fault, draw(triggers(site)), draw(PARAMS[fault])))
+        trigger = draw(triggers(site, SUFFIXES.get(harness.name, [])))
+        rules.append(FaultRule(site, fault, trigger, draw(PARAMS[fault])))
     return FaultPlan(seed=draw(st.integers(0, 2**16)), rules=rules, name=f"generated-{harness.name}")
 
 
@@ -100,9 +111,10 @@ def test_generated_plans_recover(name):
 
 
 #: Plans that exposed defects, replayed on every run: each fails against
-#: the io layer before its fix.  Seed 11180 came from the property run
-#: with a larger randomized budget; 161 and 152 from seed searches over
-#: a single rule of the same kind.
+#: the io layer before its fix, or (the last) against a store loader
+#: that stops at its first quarantine.  Seed 11180 came from the
+#: property run with a larger randomized budget; 161 and 152 from seed
+#: searches over a single rule of the same kind.
 REGRESSIONS = {
     # Bitflips in a checkpoint's zip central directory hid tensor entries
     # while every remaining entry passed its CRC: the file loaded,
@@ -125,6 +137,15 @@ REGRESSIONS = {
         "resume",
         '{"seed": 152, "rules": [{"site": "io.artifact.read", "fault": "bitflip",'
         ' "trigger": {"always": true}}]}',
+    ),
+    # v2 is written truncated; the warm read then quarantines it with no
+    # fault firing and must fall back to v1, which verifies.  A loader
+    # that gives up after its first quarantine fails the must-complete
+    # rule here, where typed errors alone would let it pass.
+    "quarantine-then-fall-back": (
+        "cold-start",
+        '{"seed": 0, "rules": [{"site": "io.artifact.write", "fault": "truncate",'
+        ' "trigger": {"suffix": "v0002.npz", "always": true}, "params": {"fraction": 0.6}}]}',
     ),
 }
 

@@ -30,6 +30,7 @@ nearly-half-code inputs in float32 and float64.
 
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from repro.core.engine import (
     op_dtypes,
 )
 from repro.core.mfdfp import DeployedLayer, DeployedMFDFP
-from repro.hw.datapath import datapath_widths
+from repro.hw.datapath import DatapathOverflowError, datapath_widths
 from repro.nn.layers.pool import pool_output_size, pool_valid_counts
 from repro.parallel import SharedWeightArena, attach_planes
 from repro.parallel.arena import _ATTACHED
@@ -486,7 +487,12 @@ def test_blocked_conv_matches_reference(spec, n, split, shared):
 
 @st.composite
 def average_pool_specs(draw):
-    """An average pool, alone or after a conv, as plain values (``@example``-able)."""
+    """An average pool, alone or after a conv, as plain values (``@example``-able).
+
+    ``shift`` moves the radix by -8 to +8, or puts the pool's output
+    fraction anywhere in [-64, 64]; the input fraction reaches [-64, 64]
+    too.  Past the float64 bound the engine must refuse the pool.
+    """
     bits = draw(st.integers(2, 16))
     k = draw(st.integers(1, 5))
     stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, min(2, k // 2)))
@@ -496,6 +502,9 @@ def average_pool_specs(draw):
             dict(cin=st.integers(1, 2), k=st.integers(1, 3), out_frac=st.integers(0, 8), relu=st.booleans())
         )
     )
+    in_frac = draw(st.integers(0, 8) | st.integers(-64, 64))
+    pool_in_frac = conv["out_frac"] if conv else in_frac
+    shift = draw(st.integers(-8, 8) | st.integers(-64, 64).map(lambda out: out - pool_in_frac))
     c = conv["cin"] if conv else draw(st.integers(1, 2))
     h, w = draw(st.integers(max(1, k - 2 * pad), k + 6)), draw(st.integers(max(1, k - 2 * pad), k + 6))
     if conv:
@@ -506,8 +515,8 @@ def average_pool_specs(draw):
         stride=stride,
         pad=pad,
         ceil_mode=draw(st.booleans()),
-        shift=draw(st.integers(-8, 8)),
-        in_frac=draw(st.integers(0, 8)),
+        shift=shift,
+        in_frac=in_frac,
         conv=conv,
         shape=(c, h, w),
         seed=draw(st.integers(0, 2**16)),
@@ -580,8 +589,8 @@ def _half_quotients(deployed: DeployedMFDFP, x: np.ndarray) -> int:
     win, _, _ = engine_mod._pool_windows(codes, op, fill=0)
     counts = pool_valid_counts(*codes.shape[2:], op.kernel_size, op.stride, op.pad, op.ceil_mode)
     shift = op.out_frac - op.in_frac
-    num = win.sum(axis=(-1, -2)) << max(shift, 0)
-    den = counts.astype(np.int64) << max(-shift, 0)
+    num = win.sum(axis=(-1, -2)).astype(object) << max(shift, 0)
+    den = counts.astype(np.int64).astype(object) << max(-shift, 0)
     return int(((2 * num) % (2 * den) == den).sum())
 
 
@@ -610,14 +619,45 @@ def _half_quotients(deployed: DeployedMFDFP, x: np.ndarray) -> int:
     n=17,
 )
 def test_average_pool_matches_reference(spec, n):
-    """The float divide-and-``rint`` pool equals the integer ``div_round_half_even`` spec."""
+    """The float divide-and-``rint`` pool equals the integer ``div_round_half_even`` spec.
+
+    No step may warn: a divisor that overflows its dtype, or a shift that
+    leaves int64, fails the draw.
+    """
     note(repr(spec))
     deployed = _average_pool_net(spec)
     rng = np.random.default_rng(spec["seed"])
     code_max = datapath_widths(spec["bits"]).code_max
     x = _tie_prone_codes(rng, n, deployed.input_shape, code_max, spec["shift"]) * 2.0 ** -spec["in_frac"]
-    event(f"half quotients: {'some' if _half_quotients(deployed, x) else 'none'}")
-    assert np.array_equal(BatchedEngine(deployed).run_codes(x), execute_deployed(deployed, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        event(f"half quotients: {'some' if _half_quotients(deployed, x) else 'none'}")
+        want = execute_deployed(deployed, x)
+        if (2 * spec["k"] ** 2 * code_max << max(spec["shift"], 0)) >= 1 << 53:
+            event("refused: past the float64 bound")
+            with pytest.raises(DatapathOverflowError, match="avgpool"):
+                BatchedEngine(deployed)
+            return
+        got = BatchedEngine(deployed).run_codes(x)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("in_frac, out_frac", [(64, -64), (40, -30), (0, 63), (-64, 64)])
+def test_average_pool_reference_is_exact_at_wide_shifts(in_frac, out_frac):
+    """A 1x1 max pool, then a 2x2 average pool, against Python's exact rounding."""
+    from fractions import Fraction
+
+    ops = [
+        DeployedLayer(kind="maxpool", name="max", in_frac=in_frac, out_frac=in_frac, kernel_size=1, stride=1),
+        DeployedLayer(kind="avgpool", name="avg", in_frac=in_frac, out_frac=out_frac, kernel_size=2, stride=2),
+    ]
+    deployed = DeployedMFDFP(name="wide", input_shape=(1, 4, 4), input_frac=in_frac, bits=8, ops=ops)
+    codes = np.random.default_rng(0).integers(-20, 21, size=(2, 1, 4, 4))
+    sums = codes.reshape(2, 1, 2, 2, 2, 2).sum(axis=(3, 5))
+    scale = Fraction(2) ** (out_frac - in_frac) / 4
+    want = [max(-127, min(127, round(int(s) * scale))) for s in sums.flat]
+    got = execute_deployed(deployed, codes * 2.0**-in_frac)
+    assert got.ravel().tolist() == want
 
 
 # -- conv then max pool: folded scale, deferred route ------------------------------

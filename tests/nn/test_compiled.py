@@ -161,8 +161,8 @@ class TestBitIdentity:
         assert_identical(runs)
         executor = runs[True][2].executor
         plan = next(iter(executor._plans.values()))
-        assert "n1" in plan.delegated_layers
-        assert "t1" in plan.delegated_layers
+        assert "n1" in plan.plain_layers
+        assert "t1" in plan.plain_layers
 
     def test_evaluate_error_matches_error_rate(self):
         train, val = tiny_data(64, seed=12), tiny_data(48, seed=13)
@@ -176,8 +176,8 @@ class TestExecutor:
         net = tiny_net()
         executor = CompiledTrainer(net)
         x = tiny_data(20, seed=14).x
-        first = executor.forward(x)  # trace batch (eager)
-        again = executor.forward(x)  # compiled batch
+        first = executor.forward(x)  # the plan's buffers are made
+        again = executor.forward(x)  # and reused
         assert np.array_equal(first, net.forward(x))
         assert np.array_equal(again, net.forward(x))
 
@@ -189,7 +189,8 @@ class TestExecutor:
     def test_fused_dfp_hook_saturates_like_the_eager_hook(self):
         """Non-finite and out-of-range activations quantize identically in both paths."""
         from repro.core.dfp import DFPFormat, dfp_quantize
-        from repro.nn.compiled import _make_dfp_inplace, _Scratch
+        from repro.nn.compiled import _make_dfp_inplace
+        from repro.nn.layers.workspace import Scratch
 
         fmt = DFPFormat(8, 6)
         specials = [np.inf, -np.inf, np.nan, 1e30, -1e30, 2.0**60, 0.5 / 64, 1.5 / 64, -0.5 / 64]
@@ -197,7 +198,8 @@ class TestExecutor:
             with np.errstate(over="ignore"):
                 y = np.array(specials, dtype=dtype)
             want = dfp_quantize(y, fmt)
-            got = _make_dfp_inplace(fmt, _Scratch())(y.copy())
+            y = y.copy()
+            got = _make_dfp_inplace(fmt, Scratch())(y, y)
             assert got.dtype == dtype and np.array_equal(got, want)
             assert got.tolist()[:6] == [127 / 64, -127 / 64, -127 / 64, 127 / 64, -127 / 64, 127 / 64]
 
@@ -328,7 +330,7 @@ class TestExecutor:
 
 
 class _GradProbe(Layer):
-    """Identity layer recording the gradient it is handed (delegated when compiled)."""
+    """Identity layer recording the gradient it is handed (no workspace when compiled)."""
 
     def __init__(self):
         super().__init__(name="probe")
@@ -358,7 +360,7 @@ class TestGeneratedConvGeometry:
 
     The first conv runs with ``need_dx=False`` (the trainer drops the
     input gradient); the second is mid-network, so its dx is produced
-    and captured by a delegated probe layer between the two.
+    and captured by an unplanned probe layer between the two.
     """
 
     @staticmethod

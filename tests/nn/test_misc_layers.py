@@ -113,3 +113,29 @@ class TestLocalResponseNorm:
 
     def test_output_shape(self):
         assert LocalResponseNorm().output_shape((8, 4, 4)) == (8, 4, 4)
+
+
+def _every_layer():
+    """One instance of each layer type ``repro.nn.layers`` exports."""
+    from repro.nn import layers
+
+    made = {
+        layers.Conv2D: lambda: layers.Conv2D(2, 2, 3),
+        layers.Dense: lambda: layers.Dense(4, 3),
+        layers.MaxPool2D: lambda: layers.MaxPool2D(2),
+        layers.AvgPool2D: lambda: layers.AvgPool2D(2),
+    }
+    types = [
+        obj
+        for obj in vars(layers).values()
+        if isinstance(obj, type) and issubclass(obj, layers.Layer) and obj is not layers.Layer
+    ]
+    return [pytest.param(made.get(cls, cls), id=cls.__name__) for cls in types]
+
+
+@pytest.mark.parametrize("make", _every_layer())
+def test_backward_before_forward_is_a_runtime_error(make):
+    """Every layer type refuses a backward pass with nothing saved, the same way."""
+    layer = make()
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        layer.backward(np.zeros((2, 3)))
