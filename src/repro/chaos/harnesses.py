@@ -128,8 +128,7 @@ def _wait(future: Future, timeout: float, what: str):
 
 
 class _Quiet(NamedTuple):
-    """One step the must-complete rule judges: how it ended, whether no fault fired in it,
-    and the version files it could have resolved to."""
+    """A step the must-complete rule judges, and the version files it could resolve."""
 
     label: str
     error: Optional[BaseException]
@@ -482,8 +481,8 @@ def _serve(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
         return ServerRuntime(ModelRegistry.from_store(store), [model], workers=1)
 
     with installed(plan):
-        runtime, error = outcome.attempt("start", typed, start)
-        steps = [_Quiet("start", error, not plan.fired, [])]
+        runtime, start_error = outcome.attempt("start", typed, start)
+        quiet_start = not plan.fired
         if runtime is not None:
             with runtime:
                 streamer = _background(stream, runtime)
@@ -492,15 +491,16 @@ def _serve(plan: FaultPlan, quick: bool, workdir: Path) -> Outcome:
                 outcome.attempt("publish v2", typed, publish)
                 outcome.attempt("rollover", typed, partial(runtime.rollover, model))
                 _wait(streamer, 60.0, "the request stream")
+    in_service = [store.model_path(model, 1)] if 1 in store.versions(model) else []
+    steps = [_Quiet("start", start_error, quiet_start, in_service)]
     for i, future in enumerate(futures):
         _expect(future.done(), f"request {i} was never resolved (dropped)")
         logits, error = outcome.attempt(f"request {i}", typed, future.result)
         quiet = spans[i][0] == spans[i][1] and not isinstance(error, ModelQuarantinedError)
-        steps.append(_Quiet(f"request {i}", error, quiet, []))
+        steps.append(_Quiet(f"request {i}", error, quiet, in_service))
         if logits is not None:
             outcome.completed[f"{future.serving_version}/request/{i}"] = logits
-    in_service = [store.model_path(model, 1)] if 1 in store.versions(model) else []
-    _judge_quiet_steps("serve", [step._replace(snapshot=in_service) for step in steps])
+    _judge_quiet_steps("serve", steps)
     outcome.evidence.update(requests=len(samples), answered=len(outcome.completed))
     return outcome
 

@@ -259,11 +259,6 @@ class TrainPlan:
             self.steps.append(_Step(layer, ws, need_dx=i > 0))
             in_grid = _dfp_fmt(layer.output_quantizer)
 
-    @property
-    def plain_layers(self) -> list[str]:
-        """Names of the layers that run without a workspace."""
-        return [step.name for step in self.steps if not step.planned]
-
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         self.net.set_training(training)
         x = self.input_ws.quantize(x, owned=False)

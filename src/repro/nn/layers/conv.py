@@ -252,7 +252,7 @@ class Conv2D(Layer):
         # im2col rows are channel-major, so group slicing is contiguous
         cols_g = cols.reshape(n, g, syn, pos)
         w_mat = w.reshape(g, f, syn)
-        y = buffer(ws, "y", (n, g, f, pos), np.result_type(x.dtype, w.dtype))
+        y = buffer(ws, "y", (n, g, f, pos), np.promote_types(x.dtype, w.dtype))
         np.matmul(w_mat[None], cols_g, out=y)
         y = y.reshape(n, self.out_channels, pos)
         if self.bias is not None:
@@ -273,7 +273,7 @@ class Conv2D(Layer):
         np.copyto(gr_t, gr.transpose(1, 2, 0, 3))
         cols_t = buffer(ws, "cols_t", (g, n, pos, syn), cols_g.dtype)
         np.copyto(cols_t, cols_g.transpose(1, 0, 3, 2))
-        dw = buffer(ws, "dw", (g, f, syn), np.result_type(grad.dtype, cols_g.dtype))
+        dw = buffer(ws, "dw", (g, f, syn), np.promote_types(grad.dtype, cols_g.dtype))
         np.matmul(gr_t.reshape(g, f, n * pos), cols_t.reshape(g, n * pos, syn), out=dw)
         # A plan's grads are copies: a caller keeping param.grad across
         # steps must not see it change under the next batch.
@@ -286,7 +286,7 @@ class Conv2D(Layer):
             self.bias.grad = db.reshape(-1).astype(self.bias.data.dtype, copy=keep)
         if not need_dx:
             return None
-        dcols = buffer(ws, "dcols", (n, g, syn, pos), np.result_type(w_mat.dtype, grad.dtype))
+        dcols = buffer(ws, "dcols", (n, g, syn, pos), np.promote_types(w_mat.dtype, grad.dtype))
         np.matmul(w_mat.transpose(0, 2, 1)[None], gr, out=dcols)
         n, c, h, w = x_shape
         dx = None if ws is None else ws.buffer("dx", (n, c, h + 2 * p, w + 2 * p), dcols.dtype)

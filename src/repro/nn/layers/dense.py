@@ -66,7 +66,7 @@ class Dense(Layer):
         if x.ndim != 2:
             raise ValueError(f"{self.name}: expected 2-D input, got shape {x.shape}")
         w = self.effective_weight() if ws is None else ws.weight()
-        y = buffer(ws, "y", (x.shape[0], self.out_features), np.result_type(x.dtype, w.dtype))
+        y = buffer(ws, "y", (x.shape[0], self.out_features), np.promote_types(x.dtype, w.dtype))
         np.matmul(x, w.T, out=y)
         if self.bias is not None:
             y += self.bias.data[None, :]
@@ -75,7 +75,7 @@ class Dense(Layer):
 
     def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
         x, w = self._saved()
-        dw = buffer(ws, "dw", w.shape, np.result_type(grad.dtype, x.dtype))
+        dw = buffer(ws, "dw", w.shape, np.promote_types(grad.dtype, x.dtype))
         np.matmul(grad.T, x, out=dw)
         keep = ws is not None  # a plan's grads are copies, as in Conv2D
         self.weight.grad = dw.astype(self.weight.data.dtype, copy=keep)
@@ -84,7 +84,7 @@ class Dense(Layer):
             self.bias.grad = db.astype(self.bias.data.dtype, copy=keep)
         if not need_dx:
             return None
-        dx = buffer(ws, "dx", x.shape, np.result_type(grad.dtype, w.dtype))
+        dx = buffer(ws, "dx", x.shape, np.promote_types(grad.dtype, w.dtype))
         return np.matmul(grad, w, out=dx)
 
     def macs(self, input_shape: tuple) -> int:

@@ -49,7 +49,7 @@ class Dropout(Layer):
         if mask is None:
             return grad
         return np.multiply(
-            grad, mask, out=buffer(ws, "dx", grad.shape, np.result_type(grad.dtype, mask.dtype))
+            grad, mask, out=buffer(ws, "dx", grad.shape, np.promote_types(grad.dtype, mask.dtype))
         )
 
     def output_shape(self, input_shape: tuple) -> tuple:

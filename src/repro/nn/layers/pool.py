@@ -220,7 +220,7 @@ class AvgPool2D(_Pool2D):
             return None
         n, c, h, w = x_shape
         k, s, p = self.kernel_size, self.stride, self.pad
-        g = buffer(ws, "grad", grad.shape, np.result_type(grad.dtype, counts.dtype))
+        g = buffer(ws, "grad", grad.shape, np.promote_types(grad.dtype, counts.dtype))
         np.divide(grad, counts, out=g)
         dxp = buffer(ws, "dxp", xp_shape, grad.dtype)
         dxp[...] = 0

@@ -161,8 +161,8 @@ class TestBitIdentity:
         assert_identical(runs)
         executor = runs[True][2].executor
         plan = next(iter(executor._plans.values()))
-        assert "n1" in plan.plain_layers
-        assert "t1" in plan.plain_layers
+        plain = [step.name for step in plan.steps if not step.planned]
+        assert "n1" in plain and "t1" in plain
 
     def test_evaluate_error_matches_error_rate(self):
         train, val = tiny_data(64, seed=12), tiny_data(48, seed=13)
