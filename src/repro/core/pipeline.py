@@ -16,11 +16,12 @@ from repro.core.distill import DistillationLoss
 from repro.core.ensemble import Ensemble
 from repro.core.mfdfp import MFDFPNetwork
 from repro.core.quantizer import QuantizationPlan
+from repro.nn.compiled import CompiledTrainer
 from repro.nn.data import ArrayDataset, BatchIterator
 from repro.nn.loss import SoftmaxCrossEntropy
 from repro.nn.network import Network
 from repro.nn.optim import SGD, PlateauScheduler
-from repro.nn.trainer import EpochResult, TrainHistory, Trainer, error_rate
+from repro.nn.trainer import EpochResult, TrainHistory, Trainer, error_rate, topk_correct
 
 
 @dataclass
@@ -203,11 +204,7 @@ def phase2_distill(
     )
     if resume_state is not None:
         trainer.load_state_dict(resume_state)
-    teacher_executor = None
-    if config.compiled:
-        from repro.nn.compiled import CompiledTrainer
-
-        teacher_executor = CompiledTrainer(teacher)
+    teacher_executor = CompiledTrainer(teacher) if config.compiled else None
     history = trainer.history
     start = len(history.epochs) + 1
     for epoch in range(start, config.phase2_epochs + 1):
@@ -261,7 +258,13 @@ def run_algorithm1(
     """
     config = config or MFDFPConfig()
     rng = rng or np.random.default_rng(0)  # repro-lint: disable=rng-discipline (deterministic default when the caller injects no rng; paper-pipeline runs must reproduce)
-    float_val_error = error_rate(float_net, val)
+    if config.compiled:
+        # Through an inference plan (bit-identical to the eager forward),
+        # the baseline leaves no batch-sized caches on the student-to-be.
+        correct = topk_correct(float_net, val.x, val.y, logits_fn=CompiledTrainer(float_net).logits)
+        float_val_error = 1.0 - correct / len(val)
+    else:
+        float_val_error = error_rate(float_net, val)
     teacher = float_net.clone()
     mfdfp = MFDFPNetwork.from_float(
         float_net,

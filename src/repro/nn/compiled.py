@@ -36,6 +36,13 @@ it does around the arithmetic:
   respect to the network input, so the first layer runs its backward
   with ``need_dx=False``; for a leading convolution that deletes a GEMM
   and the col2im scatter per step.
+* **Inference forwards.**  A forward with ``training=False`` (validation,
+  the phase-2 teacher) allocates only what inference needs: a
+  convolution lowers a block of samples at a time into the shared
+  scratch (:data:`~repro.nn.layers.conv.INFERENCE_BLOCK_BYTES`), ReLU
+  computes no mask and max pooling keeps no taps or argmax.  The plan
+  then clears its planned layers' caches, so a backward after it raises
+  the typed "backward called before forward" error.
 
 Every other layer — LRN, Tanh, Sigmoid, any user-defined layer or
 subclass, since a subclass may override the arithmetic — runs its plain
@@ -191,9 +198,11 @@ def _make_dfp_inplace(fmt, scratch: Scratch):
         f64 = scratch.get(y.shape, np.float64)
         np.multiply(y, scale, out=f64)
         rint_saturate(f64, fmt.max_code)
-        # The codes are exact integers in float64, so this is the same
-        # double product and the same final rounding as the eager
-        # two-step (codes.astype(f64) * res).astype(x.dtype).
+        # Adding +0.0 turns a -0.0 code into the +0.0 the eager hook's
+        # int64 codes give.  The codes are then exact integers in float64,
+        # so this is the same double product and the same final rounding
+        # as the eager two-step (codes.astype(f64) * res).astype(x.dtype).
+        f64 += 0.0
         np.multiply(f64, res, out=out, casting="same_kind")
         return out
 
@@ -240,6 +249,8 @@ class TrainPlan:
     made on first use; all of them share one transient
     :class:`~repro.nn.layers.workspace.Scratch`.  The first layer's
     backward skips its input gradient, which the trainer never reads.
+    A forward with ``training=False`` keeps nothing for a backward and
+    clears the ``_cache`` of every layer in :attr:`planned`.
     """
 
     def __init__(self, net: Network, cache: QuantizedWeightCache, profile: bool = False):
@@ -249,6 +260,7 @@ class TrainPlan:
         self.input_ws = _workspace(scratch, net.input_quantizer)
         in_grid = _dfp_fmt(net.input_quantizer)
         self.steps: list[_Step] = []
+        self.planned: list[Layer] = []
         for i, layer in enumerate(net.layers):
             ws = None
             if type(layer) in _PLANNED:
@@ -256,6 +268,7 @@ class TrainPlan:
                 if getattr(layer, "weight", None) is not None:
                     weight = functools.partial(cache.effective_weight, layer)
                 ws = _workspace(scratch, layer.output_quantizer, weight, in_grid)
+                self.planned.append(layer)
             self.steps.append(_Step(layer, ws, need_dx=i > 0))
             in_grid = _dfp_fmt(layer.output_quantizer)
 
@@ -265,12 +278,17 @@ class TrainPlan:
         if not self.profile:
             for step in self.steps:
                 x = step.fwd(x)
-            return x
-        for step in self.steps:
-            t0 = time.perf_counter()
-            x = step.fwd(x)
-            step.fwd_s += time.perf_counter() - t0
-            step.fwd_calls += 1
+        else:
+            for step in self.steps:
+                t0 = time.perf_counter()
+                x = step.fwd(x)
+                step.fwd_s += time.perf_counter() - t0
+                step.fwd_calls += 1
+        if not training:
+            # An inference forward kept nothing a backward could use: a
+            # backward now raises instead of reading scratch.
+            for layer in self.planned:
+                layer._cache = None
         return x
 
     def backward(self, grad: np.ndarray) -> Optional[np.ndarray]:
@@ -355,7 +373,13 @@ class CompiledTrainer:
         return self._last_plan.backward(grad)
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode forward pass (mirrors ``Network.logits``)."""
+        """Inference-mode forward pass (mirrors ``Network.logits``).
+
+        Bit-identical to ``Network.logits``, but it keeps no backward
+        state: the network's planned layers hold no ``_cache`` after it.
+        The returned array is the plan's buffer; the next forward at
+        this shape overwrites it.
+        """
         return self.forward(x, training=False)
 
     # -- introspection -----------------------------------------------------

@@ -14,8 +14,8 @@ class ReLU(Layer):
     """Rectified linear unit: ``max(x, 0)``."""
 
     def forward(self, x: np.ndarray, ws=None) -> np.ndarray:
-        mask = np.greater(x, 0, out=buffer(ws, "mask", x.shape, bool))
-        self._cache = mask
+        if not self._inference(ws):
+            self._cache = np.greater(x, 0, out=buffer(ws, "mask", x.shape, bool))
         # where(x > 0, x, 0.0) in two passes that take out=: fmax drops
         # NaN and x <= 0 to zero, and adding +0.0 turns the -0.0 that
         # fmax may keep (float64 does) into +0.0, changing nothing else.

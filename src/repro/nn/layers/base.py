@@ -67,7 +67,9 @@ class Layer:
     :class:`~repro.nn.layers.workspace.Workspace`:
     ``forward(x, ws=None)`` and ``backward(grad, ws=None, need_dx=True)``.
     ``need_dx=False`` skips the input gradient (the plan's first layer)
-    and returns None.
+    and returns None.  A plan's inference forward (a workspace, training
+    off) keeps nothing for backward, and the plan clears ``_cache``
+    after it; copies of a layer never carry a ``_cache`` either.
     """
 
     def __init__(self, name: Optional[str] = None):
@@ -102,6 +104,10 @@ class Layer:
             return self.output_quantizer(y)
         return y
 
+    def _inference(self, ws) -> bool:
+        """True for a plan's inference forward, which has no backward."""
+        return ws is not None and not self.training
+
     def _saved(self):
         """What the last forward kept for backward; raises before any forward."""
         if self._cache is None:
@@ -124,6 +130,13 @@ class Layer:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
+
+    def __getstate__(self) -> dict:
+        # What the last forward kept belongs to that forward on this
+        # object: a copy or pickle has run none, so it carries none.
+        state = self.__dict__.copy()
+        state["_cache"] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"

@@ -5,7 +5,9 @@ same strategy Caffe uses; ``col2im`` scatters gradients back.  Data layout
 is NCHW throughout.  This is the only implementation of the layer's
 arithmetic: the compiled training path (:mod:`repro.nn.compiled`) runs
 these same methods with a plan's workspace, which only decides where
-each array lives.
+each array lives.  A plan's inference forward lowers a block of samples
+at a time (:data:`INFERENCE_BLOCK_BYTES`) into the plan's scratch, with
+the same per-sample GEMMs as the whole-batch lowering.
 
 Patch geometry is shared infrastructure: :func:`patch_index_table` builds
 the flat gather/scatter index tables that both ``col2im`` here and the
@@ -22,7 +24,7 @@ import numpy as np
 
 from repro.nn.initializers import resolve_initializer
 from repro.nn.layers.base import Layer, Parameter
-from repro.nn.layers.workspace import buffer
+from repro.nn.layers.workspace import buffer, scratch
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -34,6 +36,35 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
             f"input={size}, kernel={kernel}, stride={stride}, pad={pad}"
         )
     return out
+
+
+#: Byte budget of one im2col block in a planned inference forward: a
+#: block holds as many samples' columns as fit, at least one.
+INFERENCE_BLOCK_BYTES = 256 * 1024
+
+
+def inference_block(sample_bytes: int) -> int:
+    """Samples per im2col block when one sample's columns take ``sample_bytes``."""
+    return max(1, INFERENCE_BLOCK_BYTES // sample_bytes)
+
+
+def _patches(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws=None):
+    """The im2col operand as a view: ``(windows, out_h, out_w)``.
+
+    ``windows`` has shape ``(N, C, kh, kw, out_h, out_w)`` and reads the
+    input, or its zero-padded copy in ``ws`` (or a new one) when ``pad``
+    is set; copying it into a C-contiguous array gives the columns.
+    """
+    n, c, h, w = x.shape
+    out_h = conv_output_size(h, kh, stride, pad)
+    out_w = conv_output_size(w, kw, stride, pad)
+    if pad:
+        xp = buffer(ws, "im2col.pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype, fill=0)
+        xp[:, :, pad : pad + h, pad : pad + w] = x  # the border stays zero
+        x = xp
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride, :, :][:, :, :out_h, :out_w, :, :]
+    return windows.transpose(0, 1, 4, 5, 2, 3), out_h, out_w
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws=None):
@@ -50,17 +81,10 @@ def im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int, ws=None):
         ``(cols, out_h, out_w)`` where ``cols`` is C-contiguous with
         shape ``(N, C*kh*kw, out_h*out_w)``.
     """
-    n, c, h, w = x.shape
-    out_h = conv_output_size(h, kh, stride, pad)
-    out_w = conv_output_size(w, kw, stride, pad)
-    if pad:
-        xp = buffer(ws, "im2col.pad", (n, c, h + 2 * pad, w + 2 * pad), x.dtype, fill=0)
-        xp[:, :, pad : pad + h, pad : pad + w] = x  # the border stays zero
-        x = xp
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride, :, :][:, :, :out_h, :out_w, :, :]
-    cols = buffer(ws, "im2col.cols", (n, c, kh, kw, out_h, out_w), x.dtype)
-    np.copyto(cols, windows.transpose(0, 1, 4, 5, 2, 3))
+    windows, out_h, out_w = _patches(x, kh, kw, stride, pad, ws)
+    cols = buffer(ws, "im2col.cols", windows.shape, x.dtype)
+    np.copyto(cols, windows)
+    n, c = x.shape[:2]
     return cols.reshape(n, c * kh * kw, out_h * out_w), out_h, out_w
 
 
@@ -246,19 +270,43 @@ class Conv2D(Layer):
         k, s, p = self.kernel_size, self.stride, self.pad
         g, f = self.groups, self.out_channels // self.groups
         w = self.effective_weight() if ws is None else ws.weight()
-        cols, out_h, out_w = im2col(x, k, k, s, p, ws)
         syn = (self.in_channels // g) * k * k
-        pos = out_h * out_w
-        # im2col rows are channel-major, so group slicing is contiguous
-        cols_g = cols.reshape(n, g, syn, pos)
         w_mat = w.reshape(g, f, syn)
-        y = buffer(ws, "y", (n, g, f, pos), np.promote_types(x.dtype, w.dtype))
-        np.matmul(w_mat[None], cols_g, out=y)
-        y = y.reshape(n, self.out_channels, pos)
+        if self._inference(ws):
+            y, out_h, out_w = self._blocked_gemms(x, w_mat, ws)
+        else:
+            cols, out_h, out_w = im2col(x, k, k, s, p, ws)
+            # im2col rows are channel-major, so group slicing is contiguous
+            cols_g = cols.reshape(n, g, syn, out_h * out_w)
+            y = buffer(ws, "y", (n, g, f, out_h * out_w), np.promote_types(x.dtype, w.dtype))
+            np.matmul(w_mat[None], cols_g, out=y)
+            self._cache = (x.shape, cols_g, w_mat)
+        y = y.reshape(n, self.out_channels, out_h * out_w)
         if self.bias is not None:
             y += self.bias.data[None, :, None]
-        self._cache = (x.shape, cols_g, w_mat)
         return self._quantize_output(y.reshape(n, self.out_channels, out_h, out_w), ws)
+
+    def _blocked_gemms(self, x: np.ndarray, w_mat: np.ndarray, ws):
+        """A plan's inference GEMMs, lowering a block of samples at a time.
+
+        Each block's columns go to the plan's scratch, so the whole
+        batch's columns never exist at once.  Every sample's GEMM is the
+        same call on the same columns as in the whole-batch lowering, so
+        the output is bit-identical for every block size.
+        """
+        n = x.shape[0]
+        k = self.kernel_size
+        g, f, syn = w_mat.shape
+        windows, out_h, out_w = _patches(x, k, k, self.stride, self.pad, ws)
+        pos = out_h * out_w
+        y = ws.buffer("y", (n, g, f, pos), np.promote_types(x.dtype, w_mat.dtype))
+        step = inference_block(g * syn * pos * x.itemsize)
+        for lo in range(0, n, step):
+            block = windows[lo : lo + step]
+            cols = scratch(ws, block.shape, x.dtype)
+            np.copyto(cols, block)
+            np.matmul(w_mat[None], cols.reshape(len(cols), g, syn, pos), out=y[lo : lo + step])
+        return y, out_h, out_w
 
     def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:
         x_shape, cols_g, w_mat = self._saved()

@@ -122,7 +122,7 @@ class MaxPool2D(_Pool2D):
         oh, ow, hp, wp = self._geometry(h, w)
         xp = buffer(ws, "xp", (n, c, hp, wp), x.dtype, fill=_NEG_INF)
         xp[:, :, p : p + h, p : p + w] = x  # the border stays -inf
-        if ws is not None and ws.rounds_output and not self.training:
+        if self._inference(ws) and ws.rounds_output:
             # Inference onto a DFP grid: a tap-by-tap np.maximum scan (no
             # windows, no argmax) is bit-identical after the hook — a
             # +0.0/-0.0 tie is the only value the scan order can change,
@@ -134,21 +134,26 @@ class MaxPool2D(_Pool2D):
                 for j in range(k):
                     if i or j:
                         np.maximum(y, xp[:, :, i : i + s * oh : s, j : j + s * ow : s], out=y)
-            self._cache = None  # no argmax: this forward has no backward
             return self._quantize_output(y, ws)
         # Tap-by-tap strided copies beat one 6-D transposed copy (few
         # taps, long contiguous runs).  Each window's taps land in (i, j)
         # order, so argmax breaks ties as on the windows themselves.
-        taps = buffer(ws, "taps", (n, c, oh, ow, k, k), x.dtype)
+        # Only the argmax outlives the forward, and only for a backward.
+        taps = scratch(ws, (n, c, oh, ow, k, k), x.dtype)
         for i in range(k):
             for j in range(k):
                 taps[:, :, :, :, i, j] = xp[:, :, i : i + s * oh : s, j : j + s * ow : s]
         flat = taps.reshape(-1, k * k)
-        arg = np.argmax(flat, axis=-1, out=buffer(ws, "arg", (flat.shape[0],), np.intp))
+        if self._inference(ws):
+            arg = take = scratch(ws, (flat.shape[0],), np.intp)  # the gather index overwrites arg
+        else:
+            arg = buffer(ws, "arg", (flat.shape[0],), np.intp)
+            take = scratch(ws, arg.shape, np.intp)
+            self._cache = (x.shape, xp.shape, arg.reshape(n, c, oh, ow), oh, ow)
+        np.argmax(flat, axis=-1, out=arg)
         starts = buffer(ws, "starts", arg.shape, np.intp, fill=lambda: np.arange(0, taps.size, k * k))
-        take = np.add(starts, arg, out=scratch(ws, arg.shape, np.intp))
+        np.add(starts, arg, out=take)
         y = np.take(flat.reshape(-1), take, out=buffer(ws, "y", (n, c, oh, ow), x.dtype).reshape(-1))
-        self._cache = (x.shape, xp.shape, arg.reshape(n, c, oh, ow), oh, ow)
         return self._quantize_output(y.reshape(n, c, oh, ow), ws)
 
     def backward(self, grad: np.ndarray, ws=None, need_dx: bool = True) -> Optional[np.ndarray]:

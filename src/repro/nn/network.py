@@ -115,7 +115,12 @@ class Network:
             self.set_weights({k: data[k] for k in data.files})
 
     def clone(self) -> "Network":
-        """Deep copy of the network (structure, weights, and hooks)."""
+        """Deep copy of the network (structure, weights, and hooks).
+
+        What the last forward kept for backward (each layer's
+        ``_cache``) is not copied: the clone has run no forward, and a
+        backward on it raises until it does.
+        """
         return copy.deepcopy(self)
 
     # -- introspection -----------------------------------------------------

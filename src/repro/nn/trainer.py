@@ -219,7 +219,10 @@ class Trainer:
 
         Bit-identical to :func:`error_rate` on the same network — the
         executor runs the same layer code — but without requantizing
-        unchanged weights on every batch.
+        unchanged weights on every batch, and through inference
+        forwards: no backward state is kept, and convolutions lower a
+        block of samples at a time, so a large ``batch_size`` costs
+        little more memory than its activations.
         """
         executor = self.executor
         logits_fn = None

@@ -23,6 +23,9 @@ parallel paths need guarantees the stdlib pool does not make:
   explicit pickle bytes, so an unpicklable argument raises in the
   caller and an unpicklable result raises in the future, instead of
   vanishing inside a queue feeder thread.
+* **Trimmed before fork** — a forked worker's RSS counts every resident
+  page it inherits, freed heap included, so under ``fork`` the parent
+  hands its free heap back to the OS (glibc ``malloc_trim``) first.
 
 Workers run an optional ``initializer`` (e.g.
 :func:`repro.parallel.worker.install_model` attaching shared-memory
@@ -34,6 +37,8 @@ the ones the repo ships.
 from __future__ import annotations
 
 import atexit
+import ctypes
+import functools
 import itertools
 import multiprocessing as mp
 import os
@@ -83,6 +88,18 @@ def default_context() -> str:
     does) or pass ``mp_context="spawn"``.
     """
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+@functools.lru_cache(maxsize=1)
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
 
 
 def _pickle_payload(obj) -> bytes:
@@ -180,6 +197,9 @@ class ProcessPoolRunner:
             resource_tracker.ensure_running()
         except Exception:
             pass
+        trim = _malloc_trim()
+        if trim is not None and ctx.get_start_method() == "fork":
+            trim(0)  # the workers would inherit the free heap as resident pages
         self._processes = [
             ctx.Process(
                 target=_worker_main,

@@ -186,6 +186,30 @@ class TestExecutor:
         with pytest.raises(RuntimeError):
             executor.backward(np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("last", ["c1", "r1", "p1", "p2", "d1", "fl", "fc"])
+    def test_backward_after_inference_forward_raises(self, last):
+        """An inference forward keeps no backward state in any planned layer type."""
+        rng = np.random.default_rng(0)
+        layers = [
+            Conv2D(3, 4, 3, pad=1, rng=rng, name="c1"),
+            ReLU(name="r1"),
+            MaxPool2D(2, stride=2, name="p1"),
+            AvgPool2D(2, stride=2, name="p2"),
+            Dropout(0.3, rng=np.random.default_rng(7), name="d1"),
+            Flatten(name="fl"),
+            Dense(16, 4, rng=rng, name="fc"),
+        ]
+        names = [layer.name for layer in layers]
+        net = Network(layers[: names.index(last) + 1], input_shape=(3, 8, 8))
+        trainer = Trainer(net, SGD(net.params, lr=0.01))
+        x = tiny_data(4, seed=15).x
+        y = trainer.forward_batch(x, training=True)
+        trainer.backward_batch(np.ones_like(y))
+        y = trainer.forward_batch(x, training=False)
+        assert all(layer._cache is None for layer in net.layers)
+        with pytest.raises(RuntimeError, match=f"{last}: backward called before forward"):
+            trainer.backward_batch(np.ones_like(y))
+
     def test_fused_dfp_hook_saturates_like_the_eager_hook(self):
         """Non-finite and out-of-range activations quantize identically in both paths."""
         from repro.core.dfp import DFPFormat, dfp_quantize
@@ -193,14 +217,18 @@ class TestExecutor:
         from repro.nn.layers.workspace import Scratch
 
         fmt = DFPFormat(8, 6)
-        specials = [np.inf, -np.inf, np.nan, 1e30, -1e30, 2.0**60, 0.5 / 64, 1.5 / 64, -0.5 / 64]
+        specials = [
+            np.inf, -np.inf, np.nan, 1e30, -1e30, 2.0**60, 0.5 / 64, 1.5 / 64, -0.5 / 64, -0.0,
+            -0.2 / 64,
+        ]
         for dtype in (np.float32, np.float64):
             with np.errstate(over="ignore"):
                 y = np.array(specials, dtype=dtype)
             want = dfp_quantize(y, fmt)
             y = y.copy()
             got = _make_dfp_inplace(fmt, Scratch())(y, y)
-            assert got.dtype == dtype and np.array_equal(got, want)
+            # Bitwise: a negative value rounding to code 0 is +0.0 in both.
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
             assert got.tolist()[:6] == [127 / 64, -127 / 64, -127 / 64, 127 / 64, -127 / 64, 127 / 64]
 
     def test_hook_mutation_invalidates_plans(self):

@@ -116,6 +116,16 @@ class TestParameters:
         clone.params[0].data += 1.0
         assert not np.allclose(net.logits(x), clone.logits(x))
 
+    def test_clone_carries_no_forward_state(self, rng):
+        net = tiny_net()
+        net.forward(rng.normal(size=(2, 1, 4, 4)))
+        assert all(layer._cache is not None for layer in net.layers)
+        clone = net.clone()
+        assert all(layer._cache is None for layer in clone.layers)
+        with pytest.raises(RuntimeError, match="fc: backward called before forward"):
+            clone.backward(np.ones((2, 3)))
+        net.backward(np.ones((2, 3)))  # the original keeps its own
+
     def test_zero_grad(self, rng):
         net = tiny_net()
         loss = SoftmaxCrossEntropy()

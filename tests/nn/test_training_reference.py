@@ -15,6 +15,8 @@ under the ``train`` profile (``tests/nn/conftest.py``)::
     python -m pytest tests/nn/test_training_reference.py --hypothesis-profile train
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from repro.nn import (
     SGD,
     ArrayDataset,
     AvgPool2D,
+    CompiledTrainer,
     Conv2D,
     Dense,
     Dropout,
@@ -35,6 +38,7 @@ from repro.nn import (
     ReLU,
     Trainer,
 )
+from repro.nn.layers import conv
 
 from reference_layers import referencify
 
@@ -68,6 +72,7 @@ def assert_same_runs(runs: dict) -> None:
         assert _bits(got["val"]) == _bits(ref["val"]), f"{way} val errors"
         assert_same_arrays(ref["weights"], got["weights"], f"{way} weight")
         assert_same_arrays(ref["grads"], got["grads"], f"{way} grad")
+        assert_same_arrays(ref["logits"], got["logits"], f"{way} inference logits")
 
 
 # -- generated nets --------------------------------------------------------------
@@ -160,7 +165,25 @@ def train_one(make_net, spec, train, val, way, epochs=2):
         "val": history.val_errors,
         "weights": {p.name: p.data for p in net.params},
         "grads": {p.name: p.grad for p in net.params},
+        "logits": inference_logits(
+            lambda x: trainer.forward_batch(x, training=False),
+            lambda n: make_data(spec, n, seed=3).x,
+        ),
     }
+
+
+def inference_logits(forward, inputs) -> dict:
+    """Logits of ``forward`` on ``inputs(n)`` at 2 blocks + 3 samples.
+
+    The conv budget is patched to 1 and then 2 samples per block: the
+    compiled trainer's blocked inference GEMMs must reproduce the
+    whole-batch ones bit for bit.
+    """
+    logits = {}
+    for block in (1, 2):
+        with mock.patch.object(conv, "inference_block", lambda sample_bytes: block):
+            logits[f"block{block}"] = forward(inputs(2 * block + 3)).copy()
+    return logits
 
 
 @given(spec=_spec)
@@ -236,12 +259,17 @@ def test_run_algorithm1_matches_the_reference(monkeypatch):
         assert type(result.mfdfp.net.layers[0]).__name__ == (
             "RefConv2D" if way == "reference" else "Conv2D"
         )
-        params = result.mfdfp.net.params
+        student = result.mfdfp.net
+        params = student.params
         runs[way] = {
             "losses": result.phase1.train_losses + result.phase2.train_losses,
             "val": result.phase1.val_errors + result.phase2.val_errors,
             "weights": {p.name: p.data for p in params},
             "grads": {p.name: p.grad for p in params},
+            "logits": inference_logits(
+                CompiledTrainer(student).logits if way == "compiled" else student.logits,
+                lambda n: val.x[:n],
+            ),
         }
     assert len(runs["reference"]["losses"]) == 4
     assert_same_runs(runs)

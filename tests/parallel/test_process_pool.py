@@ -11,6 +11,7 @@ import weakref
 import pytest
 
 from repro.parallel import PoolClosedError, ProcessPoolRunner, WorkerCrashedError
+from repro.parallel import pool as pool_mod
 from repro.parallel import worker as worker_mod
 
 
@@ -190,3 +191,49 @@ def test_closed_pools_release_their_pipes():
         time.sleep(0.05)
     assert _open_fds() <= baseline
     assert ref() is None
+
+
+_FRAGMENTED_HEAP = """
+import numpy as np
+from repro.parallel import ProcessPoolRunner
+
+
+def rss_anon_kib():
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("RssAnon:"):
+                return int(line.split()[1])
+
+
+if __name__ == "__main__":
+    blocks = [np.ones(64 * 1024 // 8) for _ in range(640)]  # 40 MiB of 64 KiB arrays
+    kept = blocks[::16]  # pins the heap: only the gaps between these can go back
+    del blocks
+    before = rss_anon_kib()
+    with ProcessPoolRunner(1, mp_context="fork") as runner:
+        print(before, runner.call(rss_anon_kib))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or pool_mod._malloc_trim() is None,
+    reason="needs Linux /proc and glibc malloc_trim",
+)
+def test_forked_workers_do_not_inherit_the_parents_free_heap():
+    """The runner trims the parent's heap before forking, so 37.5 MiB of
+    freed (but fragmented, still resident) heap does not count again in
+    the worker's RSS."""
+    import subprocess
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRAGMENTED_HEAP], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, worker = map(int, proc.stdout.split())
+    assert worker <= before - 30 * 1024, (before, worker)
